@@ -51,12 +51,22 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self) -> None:
+        for name in ("a", "b", "T", "tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.a is not None and self.b is not None and not 0 < self.a <= self.b:
             raise ValueError(f"need 0 < a <= b, got ({self.a}, {self.b})")
         if self.T is not None and self.T <= 0:
             raise ValueError("T must be positive")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.seeds < 1:
+            raise ValueError("seeds must be >= 1")
+        if self.segments < 4:
+            raise ValueError("segments must be >= 4")
+        if self.periods is not None and self.periods < 1:
+            raise ValueError("periods must be >= 1")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
 
@@ -89,7 +99,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
     doc = {"config": asdict(cfg), **doc}
-    _emit(json.dumps(doc, indent=2, sort_keys=True, default=_jsonable), cfg.out)
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
+                     default=_jsonable), cfg.out)
 
 
 def _emit_csv(header: list[str], rows, cfg: RunConfig) -> None:

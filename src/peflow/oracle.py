@@ -2,25 +2,32 @@
 
 Independent of the pendulum synthesis: the control is piecewise constant,
 one unit vector c_j per equal subinterval of [0, a+b], parametrized by a
-single direction angle each.  J(cc^T, omega0) is minimized directly over
-(omega0 angle, c angles) by multi-started Nelder-Mead under a quadratic
-feasibility penalty, coarse-to-fine in the segment count.
+single direction angle each.  Through a constant segment the flow is the
+exact rank-one map x_{j+1} = (I + (e^{-dt} - 1) c_j c_j^T) x_j, so
+J = -log|x_N| is a closed-form recursion, and a backward (adjoint) pass
+gives its exact gradient in (omega0 angle, c angles) in O(N).  J is
+minimized by multi-started SLSQP with that gradient, coarse-to-fine in
+the segment count.
 
 With the trace normalized (T = a + b), the 2x2 window Gram has eigenvalue
-pair (lam, T - lam), so admissibility a*I <= G <= b*I reduces to the
-single scalar condition lam_min >= a.  Infeasible iterates are repaired
-by dilating the doubled angles about their circular mean, which spreads
-the directions and raises lam_min monotonically.
+pair (lam, T - lam) and lam = T/2 - (dt/2)|sum_j exp(2i psi_j)|, so
+admissibility a*I <= G <= b*I is the single smooth inequality
+rho^2 - |sum_j exp(2i psi_j)|^2 >= 0 with rho = (b - a)/dt, handed to
+SLSQP with its exact Jacobian.  rho is shrunk by a small margin so the
+optimum lies strictly inside the admissible set.  A winner still outside
+it is repaired by dilating the doubled angles about their circular mean,
+which spreads the directions and raises lam_min monotonically; at a = b,
+where no dilation reaches the shell lam_min = a, the last two directions
+are re-aimed to cancel the phasor sum instead.
 
-The optimizer propagates x(t) through each constant segment in closed
-form (exact, no ODE error); the final reported value is recomputed with
-flow.cost_J on the assembled signal so the cost definition has a single
-source of truth.
+The final reported value is recomputed with flow.cost_J on the assembled
+signal so the cost definition has a single source of truth.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -32,6 +39,7 @@ from .signals import RankOneSignal, Segment
 __all__ = ["OracleResult", "sample_admissible", "brute_force_mu2"]
 
 FEAS_TOL = 1e-6
+_MARGIN = 2e-9  # slack in b - a kept by the optimizer's constraint
 _SAMPLE_BUDGET = 500
 
 
@@ -49,26 +57,32 @@ class OracleResult:
     omega0: NDArray[np.float64]
     constraint_residual: float
     seeds_used: int
+    nfev: int  # objective evaluations summed over the optimizer calls
 
 
-def _make_funcs(a: float, b: float, N: int):
-    """Closed-form cost/feasibility evaluators for N-segment angle vectors."""
+class _Funcs(NamedTuple):
+    lam_min: Callable
+    cost: Callable
+    cost_grad: Callable
+    constraint: dict
+
+
+def _make_funcs(a: float, b: float, N: int) -> _Funcs:
+    """Closed-form cost, gradient and feasibility evaluators for N segments.
+
+    Vectors z hold the omega0 angle first, then the N direction angles.
+    """
     T = a + b
     dt = T / N
     decay = math.exp(-dt) - 1.0
     half = 0.5 * T
+    # rho shrunk by 2e-9/dt puts the optimum at lam_min >= a + 1e-9 (or
+    # within 1e-9 below a when b - a < 2e-9), so the final projection does
+    # not dilate a boundary point into a worse control
+    rho2 = ((b - a - _MARGIN) / dt) ** 2
 
-    def lam_min(psis) -> float:
-        g11 = 0.0
-        g12 = 0.0
-        for p in psis:
-            cp = math.cos(p)
-            sp = math.sin(p)
-            g11 += cp * cp
-            g12 += cp * sp
-        g11 *= dt
-        g12 *= dt
-        return half - math.hypot(g11 - half, g12)
+    def lam_min(psis: NDArray) -> float:
+        return half - 0.5 * dt * abs(np.exp(2j * psis).sum())
 
     def cost(x) -> float:
         xs = x.tolist() if isinstance(x, np.ndarray) else list(x)
@@ -82,14 +96,39 @@ def _make_funcs(a: float, b: float, N: int):
             xi += f * ci
         return -0.5 * math.log(xr * xr + xi * xi)
 
-    def objective(x, w: float) -> float:
-        xs = x.tolist() if isinstance(x, np.ndarray) else list(x)
-        lam = lam_min(xs[1:])
-        gap_lo = max(0.0, a - lam)
-        gap_hi = max(0.0, (T - lam) - b)  # == gap_lo under trace normalization
-        return cost(xs) + w * (gap_lo * gap_lo + gap_hi * gap_hi)
+    def cost_grad(z: NDArray) -> tuple[float, NDArray]:
+        """J and its exact gradient by the adjoint recursion
+        lambda_N = -x_N / |x_N|^2, lambda_j = M_j lambda_{j+1}."""
+        cs, sn = np.cos(z).tolist(), np.sin(z).tolist()
+        xr, xi = cs[0], sn[0]
+        proj = []  # (c_j . x_j, c_j' . x_j), c_j' = dc_j/dpsi_j
+        for cr, ci in zip(cs[1:], sn[1:]):
+            p = xr * cr + xi * ci
+            proj.append((p, xi * cr - xr * ci))
+            xr += decay * p * cr
+            xi += decay * p * ci
+        n2 = xr * xr + xi * xi
+        lr, li = -xr / n2, -xi / n2
+        grad = [0.0] * len(cs)
+        for j in range(len(proj), 0, -1):
+            cr, ci = cs[j], sn[j]
+            p, q = proj[j - 1]
+            lc = lr * cr + li * ci
+            grad[j] = decay * ((li * cr - lr * ci) * p + lc * q)
+            lr += decay * lc * cr
+            li += decay * lc * ci
+        grad[0] = li * cs[0] - lr * sn[0]
+        return -0.5 * math.log(n2), np.array(grad)
 
-    return lam_min, cost, objective
+    def gap(z: NDArray) -> float:
+        return rho2 - abs(np.exp(2j * z[1:]).sum()) ** 2
+
+    def gap_jac(z: NDArray) -> NDArray:
+        e = np.exp(2j * z[1:])
+        return np.concatenate([[0.0], 4.0 * (e.sum().conjugate() * e).imag])
+
+    return _Funcs(lam_min, cost, cost_grad,
+                  {"type": "ineq", "fun": gap, "jac": gap_jac})
 
 
 def _dilate(psis: NDArray, s: float) -> NDArray:
@@ -114,7 +153,7 @@ def _project_feasible(psis: NDArray, lam_min, a: float,
     found is returned instead and the caller decides whether its residual
     is acceptable.
     """
-    lam_here = lam_min(psis.tolist())
+    lam_here = lam_min(psis)
     if lam_here >= a + margin:
         return psis
     best_s, best_lam = 1.0, lam_here
@@ -122,7 +161,7 @@ def _project_feasible(psis: NDArray, lam_min, a: float,
     reached = False
     for _ in range(40):
         s_hi *= 1.5
-        lam = lam_min(_dilate(psis, s_hi).tolist())
+        lam = lam_min(_dilate(psis, s_hi))
         if lam > best_lam:
             best_lam, best_s = lam, s_hi
         if lam >= a + margin:
@@ -132,7 +171,7 @@ def _project_feasible(psis: NDArray, lam_min, a: float,
         s_lo = 1.0
         for _ in range(100):
             mid = 0.5 * (s_lo + s_hi)
-            if lam_min(_dilate(psis, mid).tolist()) >= a + margin:
+            if lam_min(_dilate(psis, mid)) >= a + margin:
                 s_hi = mid
             else:
                 s_lo = mid
@@ -188,15 +227,15 @@ def sample_admissible(a: float, b: float, N: int, rng_seed: int = 0) -> RankOneS
     if N < 1:
         raise ValueError("need N >= 1")
     T = a + b
-    lam_min, _, _ = _make_funcs(a, b, N)
+    lam_min = _make_funcs(a, b, N).lam_min
     rng = np.random.default_rng(rng_seed)
     for _ in range(_SAMPLE_BUDGET):
         psis = rng.uniform(0.0, 2.0 * np.pi, size=N)
         fixed = _project_feasible(psis, lam_min, a, margin=0.0)
-        if lam_min(fixed.tolist()) >= a - 1e-12:
+        if lam_min(fixed) >= a - 1e-12:
             return _signal_from_angles(fixed, T)
         repaired = _repair_last_pair(fixed, a, T)
-        if repaired is not None and lam_min(repaired.tolist()) >= a - 1e-9:
+        if repaired is not None and lam_min(repaired) >= a - 1e-9:
             return _signal_from_angles(repaired, T)
     raise RuntimeError(f"no feasible control found in {_SAMPLE_BUDGET} draws "
                        f"for (a, b, N) = ({a}, {b}, {N})")
@@ -217,13 +256,13 @@ def _levels(N: int) -> list[int]:
 
 
 def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
-                    penalty_weight: float = 1e4, rng_seed: int = 0) -> OracleResult:
+                    rng_seed: int = 0) -> OracleResult:
     """Direct minimization of J over piecewise-constant rank-one controls.
 
-    Coarse-to-fine: each seed is optimized at a ladder of segment counts
-    (ending at N), upsampling the best point between levels; a second pass
-    at the full resolution raises the penalty weight, and the winner is
-    projected exactly onto the feasible set before the final evaluation.
+    Coarse-to-fine: each seed is optimized by SLSQP at a ladder of segment
+    counts (ending at N), upsampling the best point between levels, and the
+    winner is projected exactly onto the feasible set before the final
+    evaluation.
     """
     if not 0.0 < a <= b:
         raise ValueError("need 0 < a <= b")
@@ -237,41 +276,25 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
     best_z: NDArray | None = None
     best_cost = np.inf
     used = 0
+    nfev = 0
     for _ in range(n_seeds):
-        # random start at the coarsest level, as feasible as dilation allows
-        # (at a = b exact feasibility is a measure-zero set; the penalty
-        # term drives the remaining gap to zero during optimization)
-        lam0, _, _ = funcs[levels[0]]
-        start, start_lam = None, -np.inf
-        for _ in range(50):
-            psis = rng.uniform(0.0, 2.0 * np.pi, size=levels[0])
-            fixed = _project_feasible(psis, lam0, a, margin=0.0)
-            lam = lam0(fixed.tolist())
-            if lam > start_lam:
-                start, start_lam = fixed, lam
-            if lam >= a - FEAS_TOL:
-                break
-        z = np.concatenate([[rng.uniform(0.0, 2.0 * np.pi)], start])
-
+        z = rng.uniform(0.0, 2.0 * np.pi, size=levels[0] + 1)
         for Nl in levels:
             if len(z) - 1 != Nl:
                 z = _upsample(z, Nl)
-            _, _, obj = funcs[Nl]
-            res = minimize(obj, z, args=(penalty_weight,), method="Nelder-Mead",
-                           options={"adaptive": True, "xatol": 1e-9, "fatol": 1e-12,
-                                    "maxfev": 300 * (Nl + 1)})
+            res = minimize(funcs[Nl].cost_grad, z, method="SLSQP", jac=True,
+                           constraints=[funcs[Nl].constraint],
+                           options={"ftol": 1e-12})
             z = res.x
-        # escalate the penalty so the iterate hugs the constraint surface
-        _, _, obj = funcs[N]
-        res = minimize(obj, z, args=(1e4 * penalty_weight,), method="Nelder-Mead",
-                       options={"adaptive": True, "xatol": 1e-10, "fatol": 1e-13,
-                                "maxfev": 120 * (N + 1)})
-        z = res.x
+            nfev += res.nfev
 
-        lamN, costN, _ = funcs[N]
+        lamN, costN = funcs[N].lam_min, funcs[N].cost
         fixed = _project_feasible(z[1:], lamN, a, margin=1e-12)
-        if lamN(fixed.tolist()) < a - FEAS_TOL:
-            continue
+        if lamN(fixed) < a:
+            # a = b: dilation cannot reach the shell, cancel the phasor sum
+            fixed = _repair_last_pair(fixed, a, T)
+            if fixed is None or lamN(fixed) < a - FEAS_TOL:
+                continue
         z = np.concatenate([[z[0]], fixed])
         used += 1
         c = costN(z)
@@ -283,11 +306,11 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
         raise RuntimeError(f"no feasible local minimum over {n_seeds} seeds "
                            f"for (a, b, N) = ({a}, {b}, {N})")
 
-    lamN, _, _ = funcs[N]
-    lam = lam_final = lamN(best_z[1:].tolist())
-    residual = max(0.0, a - lam, (T - lam_final) - b)
+    lam = funcs[N].lam_min(best_z[1:])
+    residual = max(0.0, a - lam, (T - lam) - b)
     control = _signal_from_angles(best_z[1:], T)
     omega0 = np.array([math.cos(best_z[0]), math.sin(best_z[0])])
     mu_hat = cost_J(control, omega0, T=T, tol=1e-9)
     return OracleResult(mu_hat=float(mu_hat), control=control, omega0=omega0,
-                        constraint_residual=float(residual), seeds_used=used)
+                        constraint_residual=float(residual), seeds_used=used,
+                        nfev=nfev)

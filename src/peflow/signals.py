@@ -137,8 +137,11 @@ class _SegmentedSignal:
             k1 = np.ceil((t1 - self.t_start) / self.period)
             shifts = np.arange(k0, k1 + 1)[:, None] * self.period
             inner = (bounds[None, :] + shifts).ravel()
-        inner = inner[(inner > t0 + 1e-12) & (inner < t1 - 1e-12)]
-        return np.unique(inner)
+        inner = np.unique(inner[(inner > t0 + 1e-12) & (inner < t1 - 1e-12)])
+        # periodic unrolling can round one boundary to two adjacent floats;
+        # an integrator landing on both would need a step of one ulp
+        gaps = np.diff(inner, prepend=-np.inf)
+        return inner[gaps > 1e-12 * np.maximum(1.0, np.abs(inner))]
 
 
 @dataclass(frozen=True)

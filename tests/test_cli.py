@@ -64,6 +64,18 @@ class TestExitCodes:
         assert doc["passed"] is False
         assert "error" in doc and doc["error"]["type"]
 
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "--a", "1", "--b", "3", "--segments", "2"],
+        ["oracle", "--a", "1", "--b", "3", "--seeds", "0"],
+        ["gain", "--a", "1", "--b", "3", "--periods", "0"],
+        ["gpe", "--a", "1", "--b", "1", "--periods", "-3"],
+        ["mu", "--a", "inf", "--b", "inf"],
+    ])
+    def test_bad_config_value_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+
     def test_bad_flag_value_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["mu", "--a", "one", "--b", "3"])

@@ -94,6 +94,13 @@ class TestGainEstimate:
         assert r2.upper == 2.0 * r1.upper
         assert r2.simulated == 2.0 * r1.simulated
 
+    def test_small_a_long_horizon_completes(self):
+        # near-duplicate breakpoints once forced a one-ulp step here and
+        # raised IntegrationError (step size underflow at t = 7.8)
+        report = gain.gain_estimate(0.3, 1.0, 1.0, k_periods=50)
+        assert math.isfinite(report.simulated)
+        assert report.lower < report.upper
+
     def test_requires_strict_bounds(self):
         with pytest.raises(ValueError):
             gain.gain_estimate(1.0, 1.0, 1.0)

@@ -1,4 +1,4 @@
-"""Derivative-free search over piecewise-constant rank-one controls.
+"""Gradient search over piecewise-constant rank-one controls.
 
 The oracle must stay independent of the pendulum synthesis: it only
 shares the flow integrator for the final cost evaluation.  Tests here
@@ -84,3 +84,43 @@ class TestBruteForce:
         params = extremal2d.solve_params(0.5, 4.0)
         mu_ext = extremal2d.integrate_extremal(params, tol=1e-10).mu
         assert result.mu_hat >= mu_ext - 1e-3
+
+    def test_nfev_budget(self):
+        # exact counter: a regression in the optimizer shows without timing;
+        # derivative-free search needs tens of thousands of evaluations here
+        result = oracle.brute_force_mu2(1.0, 3.0, N=20, n_seeds=4)
+        assert 0 < result.nfev <= 2000
+
+    def test_equal_bounds_below_a(self):
+        # a = b admits controls that contract by less than a per window
+        result = oracle.brute_force_mu2(1.0, 1.0, N=20, n_seeds=4)
+        assert result.constraint_residual <= oracle.FEAS_TOL
+        assert result.mu_hat < 1.0
+
+
+def _central_diff(f, z, h=1e-6):
+    out = np.empty_like(z)
+    for k in range(len(z)):
+        e = np.zeros_like(z)
+        e[k] = h
+        out[k] = (f(z + e) - f(z - e)) / (2.0 * h)
+    return out
+
+
+class TestGradients:
+    @pytest.fixture
+    def setup(self):
+        funcs = oracle._make_funcs(1.0, 3.0, 12)
+        z = np.random.default_rng(11).uniform(0.0, 2.0 * np.pi, size=13)
+        return funcs, z
+
+    def test_adjoint_matches_finite_differences(self, setup):
+        funcs, z = setup
+        value, grad = funcs.cost_grad(z)
+        assert value == pytest.approx(funcs.cost(z), abs=1e-14)
+        assert np.allclose(grad, _central_diff(funcs.cost, z), rtol=0.0, atol=1e-7)
+
+    def test_constraint_jacobian_matches_finite_differences(self, setup):
+        funcs, z = setup
+        gap, jac = funcs.constraint["fun"], funcs.constraint["jac"]
+        assert np.allclose(jac(z), _central_diff(gap, z), rtol=0.0, atol=1e-7)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from peflow import signals
+from peflow import extremal2d, signals
 
 
 def const_angle_signal(phi: float, T: float, period: float | None = None):
@@ -72,6 +72,12 @@ class TestRankOne:
         sig = const_angle_signal(0.3, 1.0)
         with pytest.raises(ValueError):
             sig.c(1.5)
+
+    def test_breakpoints_have_no_near_duplicates(self):
+        # periodic unrolling once returned both 7.8 and 7.800000000000001
+        sig = extremal2d.build_optimal_control(0.15, 0.5)[0]
+        bp = sig.breakpoints(0.0, 60.0)
+        assert np.all(np.diff(bp) > 1e-12 * np.maximum(1.0, np.abs(bp[1:])))
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     @settings(max_examples=40, deadline=None)
