@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -89,12 +88,10 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    tmp = f"{out}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    os.replace(tmp, out)
+    try:
+        signals.write_atomic(out, text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out}: {exc}") from exc
 
 
 def _emit_json(doc: dict, cfg: RunConfig) -> None:
@@ -111,22 +108,12 @@ def _emit_csv(header: list[str], rows, cfg: RunConfig) -> None:
     _emit(buf.getvalue(), cfg.out)
 
 
-def _mu_value(a: float, b: float, n: int) -> float:
-    """mu(a, b, n) for n in {1, 2}: trivial in 1D, pendulum or axis-hopping in 2D."""
-    if n == 1:
-        return a
-    if abs(a - b) <= 1e-12 * b:
-        return a
-    params = extremal2d.solve_params(a, b)
-    return extremal2d.integrate_extremal(params, tol=1e-10).mu
-
-
 def _cmd_mu(cfg: RunConfig) -> int:
     if cfg.a is None or cfg.b is None:
         raise _UsageError("mu requires --a and --b")
     if cfg.n > 2:
         raise _UsageError("mu synthesis is available for n <= 2 only")
-    mu = _mu_value(cfg.a, cfg.b, cfg.n)
+    mu = cfg.a if cfg.n == 1 else extremal2d.mu(cfg.a, cfg.b)
     passed = mu <= cfg.a + 1e-6
     _emit_json({
         "mu": mu,
@@ -140,10 +127,10 @@ def _cmd_mu(cfg: RunConfig) -> int:
 def _cmd_extremal(cfg: RunConfig) -> int:
     if cfg.a is None or cfg.b is None:
         raise _UsageError("extremal requires --a and --b")
-    if not cfg.a < cfg.b:
+    ext = extremal2d.solve_extremal(cfg.a, cfg.b)
+    if ext is None:
         raise _UsageError("the pendulum extremal needs a < b (a = b is axis-hopping)")
-    params = extremal2d.solve_params(cfg.a, cfg.b)
-    traj = extremal2d.integrate_extremal(params, tol=1e-10)
+    params, traj = ext
     tol = cfg.tol if cfg.tol is not None else 1e-6
     report = extremal2d.verify_extremal(traj, params, tol=tol)
     if cfg.format == "csv":
@@ -154,9 +141,7 @@ def _cmd_extremal(cfg: RunConfig) -> int:
                   [[repr(float(v)) for v in row] for row in rows], cfg)
     else:
         _emit_json({
-            "params": {"a": params.a, "b": params.b, "T": params.T,
-                       "alpha": params.alpha, "d": params.d, "nu": params.nu,
-                       "phi0": params.phi0, "kappa": params.kappa},
+            "params": asdict(params),
             "mu": report.mu,
             "residuals": report.residuals,
             "passed": report.passed,
@@ -169,7 +154,7 @@ def _cmd_oracle(cfg: RunConfig) -> int:
         raise _UsageError("oracle requires --a and --b")
     result = oracle.brute_force_mu2(cfg.a, cfg.b, N=cfg.segments, n_seeds=cfg.seeds,
                                     rng_seed=_ORACLE_RNG_SEED)
-    mu_ref = _mu_value(cfg.a, cfg.b, 2)
+    mu_ref = extremal2d.mu(cfg.a, cfg.b)
     passed = mu_ref - 1e-3 <= result.mu_hat <= 1.05 * mu_ref
     _emit_json({
         "mu_hat": result.mu_hat,
@@ -212,10 +197,9 @@ def _cmd_gain(cfg: RunConfig) -> int:
     if cfg.format == "csv":
         c2, omega_star, mu_half = extremal2d.build_optimal_control(cfg.a / 2, cfg.b / 2)
         u = gain.worst_input(c2, omega_star, mu_half)
-        _, ts, x_norms, u_norms = gain._simulate_gain_full(c2, u, k, tol=tol)
-        rows = [[repr(float(t)), repr(float(x)), repr(float(un))]
-                for t, x, un in zip(ts, x_norms, u_norms)]
-        _emit_csv(["t", "x_norm", "u_norm"], rows, cfg)
+        _, trace = gain.simulate_gain(c2, u, k, tol=tol)
+        _emit_csv(["t", "x_norm", "u_norm"],
+                  [[repr(float(v)) for v in row] for row in trace], cfg)
         return 0
     report = gain.gain_estimate(cfg.a, cfg.b, T, k_periods=k, tol=tol)
     conv_tol = 0.02  # worst-input ratio approaches its limit from below
@@ -269,7 +253,7 @@ def _cmd_verify(cfg: RunConfig) -> int:
     T = cfg.T if cfg.T is not None else cfg.a + cfg.b
     tol = cfg.tol if cfg.tol is not None else 1e-6
 
-    window_report = signals.verify_int(sig, cfg.a, cfg.b, T, tol=tol)
+    window_report = signals.verify_pe(sig, cfg.a, cfg.b, T, [sig.t_start], tol=tol)[0]
     checks = {"verify_int": asdict(window_report)}
     passed = window_report.satisfies
 
@@ -289,12 +273,12 @@ def _cmd_verify(cfg: RunConfig) -> int:
     # (rank-one in the plane, periodic with the reflected-half period
     # 2(a+b)); admissible samples without it get the window checks alone
     claims_extremal = (isinstance(sig, signals.RankOneSignal) and sig.dim == 2
-                       and cfg.a < cfg.b and sig.period is not None
+                       and sig.period is not None
                        and math.isclose(sig.period, 2.0 * (cfg.a + cfg.b),
                                         rel_tol=1e-9))
-    if claims_extremal:
-        params = extremal2d.solve_params(cfg.a, cfg.b)
-        traj = extremal2d.integrate_extremal(params, tol=1e-10)
+    ext = extremal2d.solve_extremal(cfg.a, cfg.b) if claims_extremal else None
+    if ext is not None:
+        params, traj = ext
         report = extremal2d.verify_extremal(traj, params, tol=tol)
         ts = np.linspace(sig.t_start, sig.t_start + min(params.T, span), 257)
         dots = np.sum(sig.c_many(ts) * traj.c(ts - sig.t_start), axis=1)
@@ -362,14 +346,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        try:
+            return _COMMANDS[cfg.subcommand](cfg)
+        except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+            _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)},
+                        "passed": False}, cfg)
+            return 1
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
-        _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)},
-                    "passed": False}, cfg)
-        return 1
 
 
 if __name__ == "__main__":

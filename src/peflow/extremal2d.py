@@ -16,7 +16,7 @@ monotone, so plain bisection is exact to machine precision.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,7 +24,7 @@ from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
 from .flow import adaptive_rk45
-from .signals import RankOneSignal, Segment, gram, reflect_extend
+from .signals import RankOneSignal, Segment, reflect_extend
 
 __all__ = [
     "ExtremalParams",
@@ -40,6 +40,8 @@ __all__ = [
     "solve_params",
     "initial_conditions",
     "integrate_extremal",
+    "solve_extremal",
+    "mu",
     "build_optimal_control",
     "cost_closed_form",
     "verify_extremal",
@@ -47,6 +49,10 @@ __all__ = [
 
 _GL200 = np.polynomial.legendre.leggauss(200)
 _GL5 = np.polynomial.legendre.leggauss(5)
+
+_TOL = 1e-10  # RK45 tolerance of every extremal integration
+_SAMPLES = 2048  # angle samples of the synthesized half-period control
+_CHECK_SAMPLES = 2001  # sample times of the extremality certificate
 
 
 def _agm_pair(x: float) -> tuple[float, float]:
@@ -103,11 +109,11 @@ def K_minus(phi0: float) -> float:
 
 @dataclass(frozen=True)
 class ExtremalParams:
-    """Synthesis parameters for the planar extremal with kappa oscillation arcs.
+    """Synthesis parameters for the planar extremal with one oscillation arc.
 
     Invariants enforced at construction: T = a + b, the pendulum frequency
     relation nu = sqrt((1-alpha+d)/(2(alpha+d))), the half-period equations
-    a = nu*kappa*K_plus(phi0) and b = nu*kappa*K_minus(phi0), and the
+    a = nu*K_plus(phi0) and b = nu*K_minus(phi0), and the
     turning-angle relation cos phi0 = -1 + 2d(1+d)/((alpha+d)(1-alpha+d)).
     """
 
@@ -118,7 +124,6 @@ class ExtremalParams:
     d: float
     nu: float
     phi0: float
-    kappa: int = 1
 
     def __post_init__(self) -> None:
         if abs(self.T - (self.a + self.b)) > 1e-12 * (self.a + self.b):
@@ -132,15 +137,11 @@ class ExtremalParams:
             (self.alpha + self.d) * (1 - self.alpha + self.d))
         if abs(cos_chk - np.cos(self.phi0)) > 1e-10:
             raise ValueError("phi0 inconsistent with (alpha, d)")
-        a_chk = self.nu * self.kappa * K_plus(self.phi0)
-        b_chk = self.nu * self.kappa * K_minus(self.phi0)
+        a_chk = self.nu * K_plus(self.phi0)
+        b_chk = self.nu * K_minus(self.phi0)
         if abs(a_chk - self.a) > 1e-8 * self.a or abs(b_chk - self.b) > 1e-8 * self.b:
-            raise ValueError(f"(a, b) inconsistent with (nu, kappa, phi0): "
+            raise ValueError(f"(a, b) inconsistent with (nu, phi0): "
                              f"got ({a_chk}, {b_chk}) vs ({self.a}, {self.b})")
-
-    @property
-    def mu_bar(self) -> float:
-        return 1.0 / (1.0 - self.alpha + self.d)
 
 
 @dataclass(frozen=True)
@@ -156,7 +157,7 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
     """Solve K_plus(phi0)/K_minus(phi0) = a/b for phi0, then nu = b/K_minus.
 
     The ratio decreases strictly from +inf (phi0 -> 0) to 0 (phi0 -> pi),
-    so bisection with kappa = 1 is exact.  Requires 0 < a < b.
+    so bisection is exact.  Requires 0 < a < b.
     """
     if not 0.0 < a < b:
         raise ValueError(f"solve_shape needs 0 < a < b, got ({a}, {b})")
@@ -226,7 +227,7 @@ def solve_multipliers(phi0: float, nu: float) -> tuple[float, float]:
 
 
 def solve_params(a: float, b: float) -> ExtremalParams:
-    """Full parameter solve (a, b) -> ExtremalParams with kappa = 1."""
+    """Full parameter solve (a, b) -> ExtremalParams."""
     phi0, nu = solve_shape(a, b)
     alpha, d = solve_multipliers(phi0, nu)
     return ExtremalParams(a=a, b=b, T=a + b, alpha=alpha, d=d, nu=nu, phi0=phi0)
@@ -299,7 +300,7 @@ class ExtremalTrajectory:
         return float(self.cost[-1])
 
 
-def integrate_extremal(params: ExtremalParams, tol: float = 1e-9) -> ExtremalTrajectory:
+def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
     """Integrate the reduced extremal system on [0, T].
 
     thetadot = sin(theta - phi)
@@ -320,12 +321,32 @@ def integrate_extremal(params: ExtremalParams, tol: float = 1e-9) -> ExtremalTra
         return np.array([s, -0.5 * (s + 2.0 * y[1] * c), 2.0 * y[1] / den,
                          0.5 * (1.0 + c)])
 
-    ts, ys, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=tol)
+    ts, ys, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
     eta_T = abs(float(ys[-1, 1]))
-    if eta_T > max(100.0 * tol, 1e-10):
+    if eta_T > 100.0 * _TOL:
         raise ArithmeticError(f"eta(T) = {eta_T:.3e} does not vanish; "
                               "parameters are inconsistent with the boundary conditions")
     return ExtremalTrajectory(ts, ys[:, :3], ys[:, 3])
+
+
+def solve_extremal(a: float, b: float) -> tuple[ExtremalParams, ExtremalTrajectory] | None:
+    """Solve and integrate the pendulum extremal for window bounds (a, b).
+
+    Returns None in the equal-bounds case b - a <= 1e-12 b, which lies
+    outside the pendulum family and is served by axis hopping.
+    """
+    if not 0.0 < a <= b:
+        raise ValueError(f"need 0 < a <= b, got ({a}, {b})")
+    if b - a <= 1e-12 * b:
+        return None
+    params = solve_params(a, b)
+    return params, integrate_extremal(params)
+
+
+def mu(a: float, b: float) -> float:
+    """Optimal per-window contraction mu(a, b) in the plane; a at a = b (axis hopping)."""
+    ext = solve_extremal(a, b)
+    return a if ext is None else ext[1].mu
 
 
 def _axis_hopping_rank_one(a: float) -> tuple[RankOneSignal, NDArray, float]:
@@ -341,8 +362,7 @@ def _axis_hopping_rank_one(a: float) -> tuple[RankOneSignal, NDArray, float]:
     return sig, np.array([1.0, 0.0]), a
 
 
-def build_optimal_control(a: float, b: float, samples: int = 2048,
-                          tol: float = 1e-10) -> tuple[RankOneSignal, NDArray, float]:
+def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
     """Synthesize the 2T-periodic worst-case control for window bounds (a, b).
 
     Returns (signal, omega0, mu): the control as a rank-one angle signal
@@ -350,16 +370,13 @@ def build_optimal_control(a: float, b: float, samples: int = 2048,
     mu = J over [0, T].  The case a = b falls outside the pendulum family
     and is served by the axis-hopping control (cost exactly a).
     """
-    if not 0.0 < a <= b:
-        raise ValueError(f"need 0 < a <= b, got ({a}, {b})")
-    if abs(a - b) <= 1e-12 * b:
+    ext = solve_extremal(a, b)
+    if ext is None:
         return _axis_hopping_rank_one(a)
-
-    params = solve_params(a, b)
-    traj = integrate_extremal(params, tol=tol)
+    params, traj = ext
     T = params.T
 
-    ts = np.linspace(0.0, T, samples)
+    ts = np.linspace(0.0, T, _SAMPLES)
     phis = traj.phi(ts)
     half_signal = RankOneSignal((Segment(0.0, T, phis),), dim=2)
 
@@ -424,7 +441,7 @@ class ExtremalReport:
 
 
 def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
-                    tol: float = 1e-6, samples: int = 2001) -> ExtremalReport:
+                    tol: float = 1e-6) -> ExtremalReport:
     """Check the full set of extremality conditions along a trajectory.
 
     At sampled times the matrix M = diag(alpha, -d) - (omega p^T + p omega^T
@@ -435,7 +452,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     """
     al, d = params.alpha, params.d
     T = params.T
-    ts = np.linspace(0.0, T, samples)
+    ts = np.linspace(0.0, T, _CHECK_SAMPLES)
     th = traj.theta(ts)
     eta = traj.eta(ts)
     ph = traj.phi(ts)
@@ -495,5 +512,4 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "pendulum_energy": float(np.max(np.abs(energy - np.cos(params.phi0)))),
     }
     passed = all(residuals[k] < tol for k in ExtremalReport.PRIMARY)
-    mu = float(traj.cost_at(T))
-    return ExtremalReport(residuals=residuals, mu=mu, passed=passed)
+    return ExtremalReport(residuals=residuals, mu=float(traj.cost_at(T)), passed=passed)

@@ -13,7 +13,7 @@ are integrated without order loss.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -130,7 +130,6 @@ class Trajectory:
     ts: NDArray[np.float64]
     omegas: NDArray[np.float64]
     log_r: NDArray[np.float64]
-    interpolation: str = "cubic"
     renorm_drift: float = 0.0
 
     @cached_property

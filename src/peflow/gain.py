@@ -27,7 +27,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
-from .extremal2d import build_optimal_control, integrate_extremal, solve_params
+from .extremal2d import build_optimal_control, solve_extremal
 from .flow import adaptive_rk45
 from .signals import RankOneSignal
 
@@ -40,6 +40,8 @@ __all__ = [
     "simulate_gain",
     "gain_estimate",
 ]
+
+_TAIL_PERIODS = 20  # cap on the input-free decay tail of simulate_gain
 
 
 @dataclass(frozen=True)
@@ -128,8 +130,7 @@ class WorstInput:
         return self.v(xi) * np.asarray(self.m(xi))
 
 
-def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float,
-                tol: float = 1e-11) -> WorstInput:
+def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float) -> WorstInput:
     """Build the gain-saturating input for a periodic extremal control.
 
     omega_star must be the slow eigenvector of the period map (for the
@@ -149,7 +150,7 @@ def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float,
 
     bps = c_star.breakpoints(c_star.t_start, c_star.t_start + P)
     ts, ys, _ = adaptive_rk45(f, c_star.t_start, c_star.t_start + P, omega_star,
-                              tol=tol, breakpoints=bps)
+                              tol=1e-11, breakpoints=bps)
     rho_hat = float(np.exp(-2.0 * mu))
     seam = float(np.linalg.norm(ys[-1] - rho_hat * omega_star))
     if seam > 1e-6:
@@ -159,8 +160,15 @@ def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float,
                       omega_star=omega_star, _m_ts=ts - c_star.t_start, _m_ys=ys)
 
 
-def _simulate_gain_full(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9,
-                        tail_periods: int = 20):
+def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
+    """Measured L2 input-output ratio ||x||_2 / ||u||_2 with its trace.
+
+    u is applied on [0, k_periods * period] and switched off; integration
+    continues through a decay tail (up to 20 more periods or
+    ||x|| <= 1e-12, whichever first) so the response mass is not clipped.
+    An identically zero input raises: the ratio is undefined.  Returns the
+    ratio and the (t, |x|, |u|) trace, one row per accepted step.
+    """
     if c.period is None:
         raise ValueError("simulate_gain needs a periodic control")
     P = float(c.period)
@@ -192,16 +200,16 @@ def _simulate_gain_full(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9,
         return out
 
     y_tail = np.concatenate([ys[-1][:n], [ys[-1][n]]])
-    tail_ts, tail_ys = [], []
+    all_ts, x_norms = [ts], [np.linalg.norm(ys[:, :n], axis=1)]
     t_cur = t_end
-    for _ in range(tail_periods):
+    for _ in range(_TAIL_PERIODS):
         if np.linalg.norm(y_tail[:n]) <= 1e-12:
             break
         bps = c.breakpoints(t_cur, t_cur + P)
         ts2, ys2, _ = adaptive_rk45(f_tail, t_cur, t_cur + P, y_tail, tol=tol,
                                     breakpoints=bps)
-        tail_ts.append(ts2[1:])
-        tail_ys.append(ys2[1:])
+        all_ts.append(ts2[1:])
+        x_norms.append(np.linalg.norm(ys2[1:, :n], axis=1))
         y_tail = ys2[-1]
         t_cur += P
 
@@ -210,30 +218,11 @@ def _simulate_gain_full(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9,
     if Iu <= 0.0:
         raise ValueError("input is identically zero over the horizon; "
                          "the gain ratio is undefined")
-    ratio = float(np.sqrt(Ix / Iu))
-
-    all_ts = np.concatenate([ts] + tail_ts) if tail_ts else ts
-    x_norms = np.concatenate(
-        [np.linalg.norm(ys[:, :n], axis=1)]
-        + [np.linalg.norm(y[:, :n], axis=1) for y in tail_ys]) if tail_ys else \
-        np.linalg.norm(ys[:, :n], axis=1)
+    all_ts = np.concatenate(all_ts)
     u_norms = np.array([np.linalg.norm(np.asarray(u(t), dtype=float))
                         if t <= t_end else 0.0 for t in all_ts])
-    return ratio, all_ts, x_norms, u_norms
-
-
-def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9,
-                  tail_periods: int = 20) -> float:
-    """Measured L2 input-output ratio ||x||_2 / ||u||_2.
-
-    u is applied on [0, k_periods * period] and switched off; integration
-    continues through a decay tail (up to tail_periods more periods or
-    ||x|| <= 1e-12, whichever first) so the response mass is not clipped.
-    An identically zero input raises: the ratio is undefined.
-    """
-    ratio, _, _, _ = _simulate_gain_full(c, u, k_periods, tol=tol,
-                                         tail_periods=tail_periods)
-    return ratio
+    trace = np.column_stack([all_ts, np.concatenate(x_norms), u_norms])
+    return float(np.sqrt(Ix / Iu)), trace
 
 
 def gain_estimate(a: float, b: float, T: float, k_periods: int = 50,
@@ -245,14 +234,14 @@ def gain_estimate(a: float, b: float, T: float, k_periods: int = 50,
     clock, and rescales everything to the user window by homogeneity
     (gamma(a, b, T) = T * gamma(a, b, 1)).
     """
-    if not 0.0 < a < b:
+    ext = solve_extremal(a, b)
+    if ext is None:
         raise ValueError("gain_estimate needs 0 < a < b")
-    params = solve_params(a, b)
-    mu = integrate_extremal(params, tol=1e-10).mu
+    mu = ext[1].mu
 
     c2, omega_star, mu_half = build_optimal_control(a / 2.0, b / 2.0)
     u = worst_input(c2, omega_star, mu_half)
-    ratio_nat = simulate_gain(c2, u, k_periods, tol=tol)
+    ratio_nat, _ = simulate_gain(c2, u, k_periods, tol=tol)
 
     T_half = 0.5 * (a + b)  # natural half-window; c2 has period 2*T_half
     ratio_norm = ratio_nat / T_half

@@ -17,16 +17,15 @@ exp(-sum of mu) by construction.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .extremal2d import integrate_extremal, solve_params
+from .extremal2d import mu, solve_extremal
 from .flow import integrate_flow
-from .signals import MatrixSignal, Segment, gram
+from .signals import MatrixSignal, Segment, gram, write_atomic
 
 __all__ = [
     "GPESchedule",
@@ -39,6 +38,8 @@ __all__ = [
     "save_schedule",
     "load_schedule",
 ]
+
+_SAMPLES = 2048  # matrix samples of each rescaled pendulum window
 
 
 @dataclass(frozen=True)
@@ -120,22 +121,19 @@ def _rotation_to(target: NDArray, source: NDArray) -> NDArray:
 
 def _synthesize_window(a: float, b: float, cache: dict):
     """Natural-clock window minimizer: (c(t) sampler over [0, a+b], omega0,
-    omegaT, mu).  None sampler marks the axis-hopping case a = b."""
+    omegaT).  None sampler marks the axis-hopping case a = b."""
     key = (a, b)
-    if key in cache:
-        return cache[key]
-    if abs(a - b) <= 1e-12 * b:
-        out = (None, np.array([1.0, 0.0]), np.array([1.0, 0.0]), a)
-    else:
-        params = solve_params(a, b)
-        traj = integrate_extremal(params, tol=1e-10)
-        out = (traj, traj.omega(0.0), traj.omega(params.T), traj.mu)
-    cache[key] = out
-    return out
+    if key not in cache:
+        ext = solve_extremal(a, b)
+        if ext is None:
+            cache[key] = (None, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+        else:
+            params, traj = ext
+            cache[key] = (traj, traj.omega(0.0), traj.omega(params.T))
+    return cache[key]
 
 
-def build_gpe_signal(schedule: GPESchedule, L: int | None = None,
-                     samples: int = 2048) -> tuple[MatrixSignal, NDArray]:
+def build_gpe_signal(schedule: GPESchedule) -> tuple[MatrixSignal, NDArray]:
     """Chain per-window worst-case controls into one signal on [0, tau_L].
 
     Each window carries the (a_ell, b_ell) minimizer, time-rescaled to the
@@ -144,19 +142,15 @@ def build_gpe_signal(schedule: GPESchedule, L: int | None = None,
     the axis-hopping control.  Returns the signal and the worst initial
     direction omega0.
     """
-    if L is None:
-        L = schedule.length
-    if not 1 <= L <= schedule.length:
-        raise ValueError(f"L must be in [1, {schedule.length}]")
     cache: dict = {}
     segs: list[Segment] = []
     w = None
     omega0 = None
-    for ell in range(L):
+    for ell in range(schedule.length):
         a, b, t0, t1 = schedule.window(ell)
         T_win = t1 - t0
         try:
-            traj, om0, omT, _mu = _synthesize_window(a, b, cache)
+            traj, om0, omT = _synthesize_window(a, b, cache)
         except Exception as exc:
             raise RuntimeError(f"window {ell} synthesis failed for "
                                f"(a, b) = ({a}, {b})") from exc
@@ -173,7 +167,7 @@ def build_gpe_signal(schedule: GPESchedule, L: int | None = None,
                                     mat[None, :, :]))
         else:
             lam = (a + b) / T_win
-            grid = np.linspace(0.0, T_win, samples)
+            grid = np.linspace(0.0, T_win, _SAMPLES)
             cs = traj.c(lam * grid) @ U.T
             mats = lam * np.einsum("ki,kj->kij", cs, cs)
             segs.append(Segment(t0, t1, mats))
@@ -200,7 +194,7 @@ class GPEAsymptotics:
 
 
 def asymptotic_norm(signal: MatrixSignal, omega0: NDArray, L: int,
-                    tau_seq=None, tol: float = 1e-9) -> GPEAsymptotics:
+                    tau_seq=None) -> GPEAsymptotics:
     """State norms at the window ends against the exp(-sum mu) prediction.
 
     tau_seq gives the window right-endpoints; when omitted, each signal
@@ -227,11 +221,7 @@ def asymptotic_norm(signal: MatrixSignal, omega0: NDArray, L: int,
         a, b = float(ev[0]), float(ev[-1])
         key = (round(a, 12), round(b, 12))
         if key not in mu_cache:
-            if b - a <= 1e-9 * b:
-                mu_cache[key] = a
-            else:
-                params = solve_params(a, b)
-                mu_cache[key] = integrate_extremal(params, tol=1e-10).mu
+            mu_cache[key] = mu(a, b)
         mus.append(mu_cache[key])
         t_prev = tau
 
@@ -240,7 +230,7 @@ def asymptotic_norm(signal: MatrixSignal, omega0: NDArray, L: int,
     log_r = 0.0
     t_prev = 0.0
     for tau in taus:
-        traj = integrate_flow(signal, omega, t_prev, tau, tol=tol)
+        traj = integrate_flow(signal, omega, t_prev, tau)
         log_r += float(traj.log_r[-1])
         omega = traj.omegas[-1]
         log_norms.append(log_r)
@@ -269,11 +259,7 @@ def schedule_from_dict(doc: dict) -> GPESchedule:
 
 
 def save_schedule(schedule: GPESchedule, path: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(schedule_to_dict(schedule), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    write_atomic(path, json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True))
 
 
 def load_schedule(path: str) -> GPESchedule:

@@ -36,11 +36,10 @@ from scipy.optimize import minimize
 from .flow import cost_J
 from .signals import RankOneSignal, Segment
 
-__all__ = ["OracleResult", "sample_admissible", "brute_force_mu2"]
+__all__ = ["OracleResult", "brute_force_mu2"]
 
 FEAS_TOL = 1e-6
 _MARGIN = 2e-9  # slack in b - a kept by the optimizer's constraint
-_SAMPLE_BUDGET = 500
 
 
 @dataclass(frozen=True)
@@ -210,35 +209,6 @@ def _repair_last_pair(psis: NDArray, a: float, T: float) -> NDArray | None:
     out[-2] = 0.5 * (base + spread)
     out[-1] = 0.5 * (base - spread)
     return out
-
-
-def sample_admissible(a: float, b: float, N: int, rng_seed: int = 0) -> RankOneSignal:
-    """Random feasible piecewise-constant control on N equal segments.
-
-    Uniform random directions, repaired when the Gram eigenvalue falls
-    below a: first by dilation about the circular mean (shape-preserving),
-    then by re-aiming the last two directions (exact), and redrawn when
-    neither lands in the feasible set.  Raises after a fixed rejection
-    budget (e.g. N = 1 can never be feasible: a rank-one Gram has
-    eigenvalues {a+b, 0}).
-    """
-    if not 0.0 < a <= b:
-        raise ValueError("need 0 < a <= b")
-    if N < 1:
-        raise ValueError("need N >= 1")
-    T = a + b
-    lam_min = _make_funcs(a, b, N).lam_min
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(_SAMPLE_BUDGET):
-        psis = rng.uniform(0.0, 2.0 * np.pi, size=N)
-        fixed = _project_feasible(psis, lam_min, a, margin=0.0)
-        if lam_min(fixed) >= a - 1e-12:
-            return _signal_from_angles(fixed, T)
-        repaired = _repair_last_pair(fixed, a, T)
-        if repaired is not None and lam_min(repaired) >= a - 1e-9:
-            return _signal_from_angles(repaired, T)
-    raise RuntimeError(f"no feasible control found in {_SAMPLE_BUDGET} draws "
-                       f"for (a, b, N) = ({a}, {b}, {N})")
 
 
 def _upsample(z: NDArray, n_new: int) -> NDArray:

@@ -17,6 +17,7 @@ Instances are immutable after construction.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from bisect import bisect_right
@@ -34,16 +35,13 @@ __all__ = [
     "MatrixSignal",
     "PEWindowReport",
     "gram",
-    "verify_int",
     "verify_pe",
-    "normalize_trace",
-    "embed_signal",
     "axis_hopping_control",
     "reflect_extend",
-    "compose_block_control",
     "time_rescale",
     "signal_to_dict",
     "signal_from_dict",
+    "write_atomic",
     "save_signal",
     "load_signal",
 ]
@@ -52,6 +50,7 @@ PSD_TOL = 1e-10
 UNIT_TOL = 1e-12
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
+_GRAM_SUBINTERVALS = 256  # quadrature cells per signal segment
 
 
 @dataclass(frozen=True)
@@ -196,16 +195,6 @@ class RankOneSignal(_SegmentedSignal):
         v = self.c(t)
         return np.outer(v, v)
 
-    def as_matrix_signal(self, samples_per_segment: int = 512) -> MatrixSignal:
-        """Resample into an explicit MatrixSignal."""
-        segs = []
-        for seg in self.segments:
-            m = 1 if len(seg.data) == 1 else samples_per_segment
-            ts = np.linspace(seg.t0, seg.t1, max(m, 1)) if m > 1 else np.array([seg.t0])
-            mats = np.stack([self.matrix(t) for t in ts])
-            segs.append(Segment(seg.t0, seg.t1, mats))
-        return MatrixSignal(tuple(segs), dim=self.dim, period=self.period)
-
 
 @dataclass(frozen=True)
 class MatrixSignal(_SegmentedSignal):
@@ -235,9 +224,6 @@ class MatrixSignal(_SegmentedSignal):
         m = np.asarray(seg.values(tt), dtype=float)
         return 0.5 * (m + m.T)
 
-    def trace(self, t: float) -> float:
-        return float(np.trace(self.matrix(t)))
-
 
 @dataclass(frozen=True)
 class PEWindowReport:
@@ -249,14 +235,14 @@ class PEWindowReport:
     satisfies: bool
 
 
-def _piece_quadrature(signal, u0: float, u1: float, seg_len: float, subintervals: int):
+def _piece_quadrature(u0: float, u1: float, seg_len: float):
     """Yield (node, weight) pairs of composite 5-point Gauss-Legendre on [u0, u1].
 
     The subinterval size is tied to the owning segment's length so that
     resolution matches the sample density regardless of how the window
     cuts the segment.
     """
-    n_sub = max(1, int(np.ceil((u1 - u0) / seg_len * subintervals)))
+    n_sub = max(1, int(np.ceil((u1 - u0) / seg_len * _GRAM_SUBINTERVALS)))
     edges = np.linspace(u0, u1, n_sub + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -265,8 +251,7 @@ def _piece_quadrature(signal, u0: float, u1: float, seg_len: float, subintervals
     return nodes, weights
 
 
-def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float,
-         subintervals: int = 256) -> NDArray[np.float64]:
+def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float) -> NDArray[np.float64]:
     """Windowed Gram matrix int_{t0}^{t1} S(tau) dtau.
 
     Composite Gauss-Legendre quadrature aligned to segment boundaries, so
@@ -281,7 +266,7 @@ def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float,
     total = np.zeros((signal.dim, signal.dim))
     for u0, u1 in zip(cuts[:-1], cuts[1:]):
         seg, _ = signal._local(0.5 * (u0 + u1))
-        nodes, weights = _piece_quadrature(signal, u0, u1, seg.t1 - seg.t0, subintervals)
+        nodes, weights = _piece_quadrature(u0, u1, seg.t1 - seg.t0)
         if isinstance(signal, RankOneSignal):
             cs = signal.c_many(nodes)
             total += np.einsum("k,ki,kj->ij", weights, cs, cs)
@@ -289,16 +274,6 @@ def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float,
             mats = np.stack([signal.matrix(t) for t in nodes])
             total += np.einsum("k,kij->ij", weights, mats)
     return 0.5 * (total + total.T)
-
-
-def verify_int(signal, a: float, b: float, T: float, tol: float = 1e-6) -> PEWindowReport:
-    """Check a*I <= int_0^T S <= b*I on the leading window."""
-    if not 0 < a <= b:
-        raise ValueError("need 0 < a <= b")
-    g = gram(signal, signal.t_start, signal.t_start + T)
-    ev = np.linalg.eigvalsh(g)
-    lo, hi = float(ev[0]), float(ev[-1])
-    return PEWindowReport(signal.t_start, lo, hi, bool(a - tol <= lo and hi <= b + tol))
 
 
 def verify_pe(signal, a: float, b: float, T: float, window_starts,
@@ -315,69 +290,6 @@ def verify_pe(signal, a: float, b: float, T: float, window_starts,
         lo, hi = float(ev[0]), float(ev[-1])
         reports.append(PEWindowReport(float(t), lo, hi, bool(a - tol <= lo and hi <= b + tol)))
     return reports
-
-
-def normalize_trace(signal: MatrixSignal, a: float | None = None,
-                    eps_rel: float = 1e-8, n_out: int = 2048) -> MatrixSignal:
-    """Reparametrize time so the trace becomes constant, preserving the Gram.
-
-    With F(t) = int_0^t Tr S, the new clock is s = T*F(t)/F(T) and the
-    output is S(t(s)) * F(T) / (T * Tr S(t(s))), which has constant trace
-    F(T)/T and the same integral over [0, T].  When `a` is given, the
-    signal is first mixed as a/(a+eps) * (S + eps*I/T) with eps = eps_rel*a
-    to keep the trace positive without lowering the Gram floor below a.
-    """
-    T0, T1 = signal.t_start, signal.horizon
-    T = T1 - T0
-    n = signal.dim
-
-    if a is not None:
-        eps = eps_rel * a
-        mixed = []
-        for seg in signal.segments:
-            data = (a / (a + eps)) * (seg.data + (eps / T) * np.eye(n))
-            mixed.append(Segment(seg.t0, seg.t1, data))
-        signal = MatrixSignal(tuple(mixed), dim=n, period=signal.period)
-
-    grid = np.linspace(T0, T1, n_out + 1)
-    traces = np.array([signal.trace(t) for t in grid])
-    if np.min(traces) <= 1e-300:
-        raise ValueError("trace vanishes on the grid; normalize_trace needs Tr S > 0 a.e.")
-    # cumulative trace mass F on the grid by per-cell Gauss-Legendre
-    cell_mass = np.empty(n_out)
-    for i in range(n_out):
-        mid = 0.5 * (grid[i] + grid[i + 1])
-        half = 0.5 * (grid[i + 1] - grid[i])
-        nodes = mid + half * _GL_NODES
-        cell_mass[i] = half * np.dot(_GL_WEIGHTS, [signal.trace(t) for t in nodes])
-    F = np.concatenate([[0.0], np.cumsum(cell_mass)])
-    total = F[-1]
-
-    s_grid = np.linspace(0.0, T, n_out + 1)
-    t_of_s = np.interp(s_grid * total / T, F, grid - T0) + T0
-    mats = np.stack([
-        signal.matrix(t) * total / (T * signal.trace(t)) for t in t_of_s
-    ])
-    seg = Segment(T0, T1, mats)
-    return MatrixSignal((seg,), dim=n, period=signal.period)
-
-
-def embed_signal(signal: MatrixSignal, m: int, a: float, T: float) -> MatrixSignal:
-    """Block-diagonal extension diag(S, (a/T) I_{m-n}) into dimension m."""
-    n = signal.dim
-    if m < n:
-        raise ValueError(f"target dimension {m} below signal dimension {n}")
-    if m == n:
-        return signal
-    pad = (a / T) * np.eye(m - n)
-    segs = []
-    for seg in signal.segments:
-        k = len(seg.data)
-        out = np.zeros((k, m, m))
-        out[:, :n, :n] = seg.data
-        out[:, n:, n:] = pad
-        segs.append(Segment(seg.t0, seg.t1, out))
-    return MatrixSignal(tuple(segs), dim=m, period=signal.period)
 
 
 def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
@@ -444,38 +356,6 @@ def reflect_extend(c: RankOneSignal, D: NDArray, tol: float = 1e-6) -> RankOneSi
     return RankOneSignal(tuple(segs), dim=c.dim, period=2 * T)
 
 
-def compose_block_control(S0: MatrixSignal, S1: MatrixSignal | None, T: float,
-                          samples_per_segment: int = 512) -> MatrixSignal:
-    """Time-compress two controls into complementary diagonal blocks.
-
-    Output on [0, T]: 2*diag(S0(2t), 0) for t in [0, T/2] and
-    2*diag(0, S1(2t - T)) for t in [T/2, T].  Gram over [0, T] is the
-    block-diagonal combination of the input Grams.
-    """
-    n0 = S0.dim
-    n1 = S1.dim if S1 is not None else 0
-    n = n0 + n1
-    segs = []
-    for seg in S0.segments:
-        k = 1 if len(seg.data) == 1 else samples_per_segment
-        t0, t1 = seg.t0 / 2, seg.t1 / 2
-        ts = np.linspace(seg.t0, seg.t1, k) if k > 1 else np.array([seg.t0])
-        out = np.zeros((k, n, n))
-        for i, u in enumerate(ts):
-            out[i, :n0, :n0] = 2.0 * S0.matrix(u)
-        segs.append(Segment(t0, t1, out))
-    if S1 is not None:
-        for seg in S1.segments:
-            k = 1 if len(seg.data) == 1 else samples_per_segment
-            t0, t1 = T / 2 + seg.t0 / 2, T / 2 + seg.t1 / 2
-            ts = np.linspace(seg.t0, seg.t1, k) if k > 1 else np.array([seg.t0])
-            out = np.zeros((k, n, n))
-            for i, u in enumerate(ts):
-                out[i, n0:, n0:] = 2.0 * S1.matrix(u)
-            segs.append(Segment(t0, t1, out))
-    return MatrixSignal(tuple(segs), dim=n)
-
-
 def time_rescale(signal: MatrixSignal, lam: float,
                  samples_per_segment: int = 512) -> MatrixSignal:
     """Class-preserving time change S~(s) = lam * S(lam * s).
@@ -501,8 +381,7 @@ def signal_to_dict(signal: RankOneSignal | MatrixSignal) -> dict:
     for seg in signal.segments:
         if isinstance(signal, RankOneSignal):
             if seg.data.ndim != 1:
-                raise ValueError("only angle-encoded rank-one signals serialize directly; "
-                                 "convert vector signals with as_matrix_signal()")
+                raise ValueError("only angle-encoded rank-one signals serialize")
             kind: Literal["angles", "matrices"] = "angles"
         else:
             kind = "matrices"
@@ -523,13 +402,29 @@ def signal_from_dict(doc: dict) -> RankOneSignal | MatrixSignal:
     raise ValueError(f"unsupported or mixed segment kinds: {sorted(kinds)}")
 
 
-def save_signal(signal, path: str) -> None:
-    """Atomic JSON write (temp file then rename)."""
+def write_atomic(path: str, text: str) -> None:
+    """Write text, newline-terminated, to path through a temp file and a rename.
+
+    Readers never see a partial file, and a failed write leaves nothing
+    behind.  Serialize before calling, so that encoding errors raise
+    before any file is opened.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(signal_to_dict(signal), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def save_signal(signal, path: str) -> None:
+    """Atomic JSON write of signal_to_dict(signal)."""
+    write_atomic(path, json.dumps(signal_to_dict(signal), indent=2, sort_keys=True))
 
 
 def load_signal(path: str) -> RankOneSignal | MatrixSignal:

@@ -22,10 +22,7 @@ def report(n: int, ok: bool, detail: str) -> None:
 
 
 def solve_mu(a: float, b: float) -> float:
-    if a == b:
-        return a
-    params = extremal2d.solve_params(a, b)
-    return extremal2d.integrate_extremal(params, tol=1e-10).mu
+    return extremal2d.mu(a, b)
 
 
 def test_acceptance_01_mu_never_exceeds_a():
@@ -56,7 +53,7 @@ def test_acceptance_03_extremal_certificates():
     worst = {"residual": 0.0, "gram": 0.0, "eta": 0.0, "omega_sq": 0.0}
     for a, b in ((1.0, 3.0), (1.0, 5.0), (0.5, 4.0)):
         params = extremal2d.solve_params(a, b)
-        traj = extremal2d.integrate_extremal(params, tol=1e-10)
+        traj = extremal2d.integrate_extremal(params)
         cert = extremal2d.verify_extremal(traj, params, tol=1e-6)
         worst["residual"] = max(worst["residual"],
                                 max(cert.residuals[k]
@@ -174,7 +171,7 @@ def test_acceptance_10_closed_form_cost():
     worst = 0.0
     for a, b in ((1.0, 3.0), (1.0, 10.0)):
         params = extremal2d.solve_params(a, b)
-        mu_int = extremal2d.integrate_extremal(params, tol=1e-10).mu
+        mu_int = extremal2d.integrate_extremal(params).mu
         mu_cf = extremal2d.cost_closed_form(params.alpha, params.d)
         worst = max(worst, abs(mu_cf - mu_int) / mu_int)
     ok = worst < 1e-6

@@ -6,11 +6,12 @@ failed check or pipeline error (reported as JSON), 2 is bad usage.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from peflow import cli, extremal2d, gpe, oracle, signals
+from peflow import cli, extremal2d, gain, gpe, signals
 
 
 def run_cli(capsys, *argv):
@@ -76,6 +77,15 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "mu.json"
+        code = cli.main(["mu", "--a", "1", "--b", "3", "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_flag_value_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["mu", "--a", "one", "--b", "3"])
@@ -96,14 +106,34 @@ class TestMu:
         assert code == 0
         assert doc["mu"] == pytest.approx(2.0)
 
+    def test_every_path_reports_same_mu(self, capsys):
+        for a, b in ((1.0, 3.0), (1.0, 1.0)):
+            _, doc = run_json(capsys, "mu", "--a", repr(a), "--b", repr(b))
+            mu = extremal2d.mu(a, b)
+            assert doc["mu"] == mu
+            if a < b:
+                assert gain.gain_estimate(a, b, 1.0, k_periods=8).mu == mu
+            # the GPE chain reads mu back from each window's Gram, whose
+            # 2048-sample resampling moves mu(1, 3) by 1.5e-8 relative
+            sched = gpe.GPESchedule.constant(a, b, 1.0, 2)
+            sig, om0 = gpe.build_gpe_signal(sched)
+            asym = gpe.asymptotic_norm(sig, om0, 2, tau_seq=sched.tau_seq)
+            assert asym.mu_seq == pytest.approx([mu, mu], rel=2e-8)
+        # 0 < b - a <= 1e-12 b counts as a = b on every path
+        b = repr(1.0 + 1e-13)
+        _, doc = run_json(capsys, "mu", "--a", "1", "--b", b)
+        assert doc["mu"] == extremal2d.mu(1.0, 1.0 + 1e-13) == 1.0
+        assert cli.main(["extremal", "--a", "1", "--b", b]) == 2
+        assert cli.main(["extremal", "--a", "1", "--b", "1"]) == 2
+        capsys.readouterr()
+
 
 class TestExtremal:
     def test_json_report(self, capsys):
         code, doc = run_json(capsys, "extremal", "--a", "1", "--b", "3")
         assert code == 0
         assert doc["passed"] is True
-        assert set(doc["params"]) == {"a", "b", "T", "alpha", "d", "nu",
-                                      "phi0", "kappa"}
+        assert set(doc["params"]) == {"a", "b", "T", "alpha", "d", "nu", "phi0"}
         assert all(v < 1e-6 for k, v in doc["residuals"].items()
                    if k in extremal2d.ExtremalReport.PRIMARY)
 
@@ -202,9 +232,10 @@ class TestVerify:
         assert cert["control_alignment_gap"] < 1e-6
 
     def test_admissible_sample_passes_without_certificate(self, capsys, tmp_path):
-        # an aperiodic admissible draw is PE but is not the extremal; it
+        # an aperiodic admissible control is PE but is not the extremal; it
         # must pass the window checks and never face the alignment gate
-        sig = oracle.sample_admissible(1.0, 3.0, 12, rng_seed=3)
+        sig = signals.RankOneSignal((signals.Segment(0.0, 3.0, np.array([0.0])),
+                                     signals.Segment(3.0, 4.0, np.array([math.pi]))))
         path = tmp_path / "sample.json"
         signals.save_signal(sig, str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),

@@ -70,8 +70,8 @@ class TestShapeSolve:
     def test_window_bounds_reproduced(self, a, b):
         # the solved shape must reproduce (a, b) through the kernel pair
         params = extremal2d.solve_params(a, b)
-        got_a = params.nu * params.kappa * extremal2d.K_plus(params.phi0)
-        got_b = params.nu * params.kappa * extremal2d.K_minus(params.phi0)
+        got_a = params.nu * extremal2d.K_plus(params.phi0)
+        got_b = params.nu * extremal2d.K_minus(params.phi0)
         assert got_a == pytest.approx(a, rel=1e-8)
         assert got_b == pytest.approx(b, rel=1e-8)
         assert params.T == pytest.approx(a + b, rel=1e-12)
@@ -101,7 +101,7 @@ class TestShapeSolve:
 @pytest.fixture(scope="module")
 def solved():
     params = extremal2d.solve_params(1.0, 3.0)
-    traj = extremal2d.integrate_extremal(params, tol=1e-10)
+    traj = extremal2d.integrate_extremal(params)
     return params, traj
 
 
@@ -138,7 +138,7 @@ class TestClosedFormCost:
     @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1.0, 10.0), (0.5, 4.0)])
     def test_matches_integrated_cost(self, a, b):
         params = extremal2d.solve_params(a, b)
-        traj = extremal2d.integrate_extremal(params, tol=1e-10)
+        traj = extremal2d.integrate_extremal(params)
         closed = extremal2d.cost_closed_form(params.alpha, params.d)
         assert closed == pytest.approx(traj.mu, rel=1e-6)
 

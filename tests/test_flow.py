@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from peflow import flow, signals
+from peflow import extremal2d, flow, gain, signals
 
 
 class TestAdaptiveRK45:
@@ -156,3 +156,39 @@ class TestDecayRate:
         r1 = flow.decay_rate(signals.axis_hopping_control(0.4, 1.0, 2)).rate
         r2 = flow.decay_rate(signals.axis_hopping_control(0.8, 1.0, 2)).rate
         assert r2 == pytest.approx(2.0 * r1, rel=1e-8)
+
+
+class TestWorkCounters:
+    """Right-hand-side evaluations are exact and rerun-stable, so they gate
+    integrator regressions without timing.  The bounds are the counts of
+    the breakpoint-landing RK45; a better propagator may lower them."""
+
+    @pytest.fixture
+    def rhs_count(self, monkeypatch):
+        count = [0]
+        original = flow.adaptive_rk45
+
+        def counting(f, *args, **kwargs):
+            def counted(t, y):
+                count[0] += 1
+                return f(t, y)
+            return original(counted, *args, **kwargs)
+
+        monkeypatch.setattr(flow, "adaptive_rk45", counting)
+        monkeypatch.setattr(gain, "adaptive_rk45", counting)
+
+        def measure(call):
+            count[0] = 0
+            call()
+            return count[0]
+        return measure
+
+    def test_rhs_evaluations(self, rhs_count):
+        sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
+        P = sig.period
+        assert rhs_count(lambda: flow.integrate_flow(sig, om0, 0.0, P)) <= 540
+        assert rhs_count(lambda: flow.fundamental_matrix(sig, 0.0, P)) <= 495
+        c2, omega_star, mu_half = extremal2d.build_optimal_control(0.5, 1.5)
+        assert rhs_count(lambda: gain.worst_input(c2, omega_star, mu_half)) <= 783
+        u = gain.worst_input(c2, omega_star, mu_half)
+        assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3373

@@ -66,7 +66,7 @@ class TestBuildAndMeasure:
         sig, om0 = gpe.build_gpe_signal(s)
         asym = gpe.asymptotic_norm(sig, om0, 1, tau_seq=s.tau_seq)
         params = extremal2d.solve_params(1.0, 3.0)
-        mu = extremal2d.integrate_extremal(params, tol=1e-10).mu
+        mu = extremal2d.integrate_extremal(params).mu
         assert asym.mu_seq[0] == pytest.approx(mu, rel=1e-7)
         assert asym.norms[0] == pytest.approx(math.exp(-mu), rel=1e-7)
         assert asym.max_rel_dev < 1e-6

@@ -2,14 +2,12 @@
 
 Covers: segment validation, rank-one and matrix evaluation, periodic
 wrapping, Gram quadrature against a dense Riemann oracle, window checks,
-trace normalization, block embedding, axis hopping, reflection extension,
-time rescaling, and JSON round-trips.
+axis hopping, reflection extension, time rescaling, and JSON round-trips.
 """
 from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -87,14 +85,6 @@ class TestRankOne:
         for t in (0.0, 0.25, 0.75, 1.0):
             assert np.linalg.norm(sig.c(t)) == pytest.approx(1.0, abs=1e-9)
 
-    def test_as_matrix_signal_matches(self):
-        rng = np.random.default_rng(3)
-        seg = signals.Segment(0.0, 2.0, rng.uniform(-3, 3, size=9))
-        sig = signals.RankOneSignal((seg,), period=2.0)
-        mat = sig.as_matrix_signal()
-        for t in np.linspace(0.0, 2.0, 17):
-            assert mat.matrix(t) == pytest.approx(sig.matrix(t), abs=1e-6)
-
 
 class TestMatrixSignal:
     def test_psd_validation(self):
@@ -110,8 +100,8 @@ class TestMatrixSignal:
     def test_trace(self):
         data = np.stack([np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
         sig = signals.MatrixSignal((signals.Segment(0.0, 1.0, data),))
-        assert sig.trace(0.0) == pytest.approx(3.0)
-        assert sig.trace(1.0) == pytest.approx(7.0)
+        assert np.trace(sig.matrix(0.0)) == pytest.approx(3.0)
+        assert np.trace(sig.matrix(1.0)) == pytest.approx(7.0)
 
 
 class TestGram:
@@ -146,14 +136,14 @@ class TestGram:
 class TestWindowChecks:
     def test_axis_hopping_satisfies_tight_bounds(self):
         sig = signals.axis_hopping_control(1.0, 1.0, 3)
-        report = signals.verify_int(sig, 1.0, 1.0, 1.0)
+        report, = signals.verify_pe(sig, 1.0, 1.0, 1.0, [sig.t_start])
         assert report.satisfies
         assert report.gram_eigen_min == pytest.approx(1.0, abs=1e-9)
         assert report.gram_eigen_max == pytest.approx(1.0, abs=1e-9)
 
     def test_violation_detected(self):
         sig = const_angle_signal(0.0, 1.0, period=1.0)  # rank one, never excites e2
-        report = signals.verify_int(sig, 0.1, 2.0, 1.0)
+        report, = signals.verify_pe(sig, 0.1, 2.0, 1.0, [sig.t_start])
         assert not report.satisfies
         assert report.gram_eigen_min == pytest.approx(0.0, abs=1e-12)
 
@@ -168,46 +158,7 @@ class TestWindowChecks:
             signals.verify_pe(sig, 0.1, 1.0, 1.0, [0.5])
 
 
-class TestNormalizeTrace:
-    def test_constant_trace_and_gram_preserved(self):
-        # smooth PSD path: rotating rank-one plus a breathing isotropic part
-        grid = np.linspace(0.0, 1.2, 64)
-        mats = []
-        for t in grid:
-            c = np.array([math.cos(2.1 * t), math.sin(2.1 * t)])
-            w = 1.5 + math.sin(2 * math.pi * t / 1.2)
-            mats.append(w * np.outer(c, c) + (0.3 + 0.2 * math.cos(5 * t)) * np.eye(2))
-        sig = signals.MatrixSignal(
-            (signals.Segment(0.0, 1.2, np.stack(mats)),), period=1.2)
-        total = signals.gram(sig, 0.0, 1.2)
-        out = signals.normalize_trace(sig)
-        ts = np.linspace(out.t_start, out.horizon, 50)
-        traces = [out.trace(t) for t in ts]
-        assert np.ptp(traces) < 1e-6 * np.mean(traces)
-        G = signals.gram(out, out.t_start, out.horizon)
-        # resampling the warped path on the default grid costs ~1e-4
-        assert G == pytest.approx(total, rel=5e-4)
-
-    def test_mixing_floor(self):
-        # a rank-one constant direction has trace zero nowhere, but the mixed
-        # version must keep the Gram of the identity fraction
-        sig = const_angle_signal(0.0, 1.0, period=1.0).as_matrix_signal()
-        out = signals.normalize_trace(sig, a=1.0)
-        G = signals.gram(out, out.t_start, out.horizon)
-        assert np.linalg.eigvalsh(G)[0] > 0
-
-
 class TestConstructions:
-    def test_embed_block_diag(self):
-        sig = signals.axis_hopping_control(1.0, 2.0, 2)
-        big = signals.embed_signal(sig, 4, 1.0, 2.0)
-        S = big.matrix(0.5)
-        assert S.shape == (4, 4)
-        assert S[:2, :2] == pytest.approx(sig.matrix(0.5))
-        assert S[2:, 2:] == pytest.approx(0.5 * np.eye(2))
-        G = signals.gram(big, 0.0, 2.0)
-        assert np.linalg.eigvalsh(G) == pytest.approx(np.full(4, 1.0), abs=1e-9)
-
     def test_axis_hopping_gram(self):
         for n in (2, 3, 5):
             sig = signals.axis_hopping_control(0.7, 1.4, n)
@@ -232,17 +183,6 @@ class TestConstructions:
             img = D @ sig.c(t)
             got = full.c(1.0 + t)
             assert min(np.linalg.norm(img - got), np.linalg.norm(img + got)) < 1e-7
-
-    def test_compose_block_doubles_speed(self):
-        s0 = signals.axis_hopping_control(1.0, 1.0, 2)
-        s1 = signals.axis_hopping_control(2.0, 1.0, 2)
-        comp = signals.compose_block_control(s0, s1, 1.0)
-        S_first = comp.matrix(0.25)  # s0 runs at double speed and amplitude
-        assert S_first[:2, :2] == pytest.approx(2.0 * s0.matrix(0.5), abs=1e-6)
-        assert S_first[2:, 2:] == pytest.approx(np.zeros((2, 2)), abs=1e-12)
-        G = signals.gram(comp, 0.0, 1.0)
-        assert G[:2, :2] == pytest.approx(signals.gram(s0, 0.0, 1.0), abs=1e-6)
-        assert G[2:, 2:] == pytest.approx(signals.gram(s1, 0.0, 1.0), abs=1e-6)
 
     def test_time_rescale_gram_invariant(self):
         sig = signals.axis_hopping_control(1.0, 2.0, 2)
@@ -291,6 +231,14 @@ class TestSerialization:
         with pytest.raises(OSError):
             signals.save_signal(sig, str(target))  # parent dir missing
         assert not target.exists()
+
+    def test_unserializable_signal_leaves_no_file(self, tmp_path):
+        grid = np.linspace(0, 1, 4)
+        data = np.column_stack([np.cos(grid), np.sin(grid)])
+        sig = signals.RankOneSignal((signals.Segment(0.0, 1.0, data),))
+        with pytest.raises(ValueError):
+            signals.save_signal(sig, str(tmp_path / "sig.json"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_schema_fields(self, tmp_path):
         sig = signals.axis_hopping_control(1.0, 1.0, 2)
