@@ -1,6 +1,8 @@
-"""Integration of the degenerate gradient flow xdot = -S(t) x.
+"""Integration of the degenerate gradient flow xdot = -S(t) x (+ u).
 
-The flow is integrated in spherical form: with x = r*omega, ||omega|| = 1,
+propagate holds the one right-hand side of the free and the driven flow,
+and every flow computation in the package goes through it.
+integrate_flow uses its spherical form: with x = r*omega, ||omega|| = 1,
 
     d(log r)/dt = -omega^T S omega,
     omega'      = -S omega + (omega^T S omega) omega,
@@ -25,6 +27,7 @@ __all__ = [
     "Trajectory",
     "DecayReport",
     "adaptive_rk45",
+    "propagate",
     "integrate_flow",
     "fundamental_matrix",
     "cost_J",
@@ -140,10 +143,6 @@ class Trajectory:
     def _logr_spline(self) -> CubicSpline:
         return CubicSpline(self.ts, self.log_r)
 
-    @property
-    def dim(self) -> int:
-        return self.omegas.shape[1]
-
     def omega(self, t: float | NDArray) -> NDArray[np.float64]:
         return self._omega_spline(t)
 
@@ -154,11 +153,6 @@ class Trajectory:
     def cost(self) -> float:
         """Accumulated cost int omega^T S omega dt over the full span."""
         return float(-self.log_r[-1] + self.log_r[0])
-
-    def to_csv(self, path: str) -> None:
-        header = "t," + ",".join(f"omega_{i + 1}" for i in range(self.dim)) + ",log_r"
-        table = np.column_stack([self.ts, self.omegas, self.log_r])
-        np.savetxt(path, table, delimiter=",", header=header, comments="")
 
 
 @dataclass(frozen=True)
@@ -179,23 +173,49 @@ class DecayReport:
     finite_horizon: bool = False
 
 
-def _omega_rhs(signal):
-    def f(t, y):
-        omega = y[:-1]
-        s_om = signal.matrix(t) @ omega
-        q = float(omega @ s_om)
-        out = np.empty_like(y)
-        out[:-1] = -s_om + q * omega
-        out[-1] = -q
-        return out
-    return f
-
-
 def _renormalize(t, y):
     out = y.copy()
     nrm = np.linalg.norm(out[:-1])
     out[:-1] /= nrm
     return out
+
+
+def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
+              spherical: bool = False):
+    """Integrate x' = -S(t) x (+ u(t)) on [t0, t1], landing on the signal's breakpoints.
+
+    x0 is a vector or an (n, k) column block; each state row holds x
+    flattened.  With an input u (a vector x0), the state is
+    (x, int |x|^2, int |u|^2), both integrals starting at zero.  With
+    spherical=True, x0 is a unit vector omega and the state is
+    (omega, log r), renormalized after every accepted step.
+
+    Returns (ts, ys, drift) as adaptive_rk45 does.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    shape, size = x0.shape, x0.size
+
+    def f(t, y):
+        x = y[:size].reshape(shape)
+        s_x = signal.matrix(t) @ x
+        if u is None and not spherical:
+            return -s_x.ravel()
+        out = np.empty_like(y)
+        if spherical:
+            q = float(x @ s_x)
+            out[:-1] = -s_x + q * x
+            out[-1] = -q
+        else:
+            uv = np.asarray(u(t), dtype=float)
+            out[:-2] = -s_x + uv
+            out[-2] = x @ x
+            out[-1] = uv @ uv
+        return out
+
+    extra = [0.0] if spherical else [] if u is None else [0.0, 0.0]
+    y0 = np.concatenate([x0.ravel(), extra])
+    return adaptive_rk45(f, t0, t1, y0, tol=tol, breakpoints=signal.breakpoints(t0, t1),
+                         post_step=_renormalize if spherical else None)
 
 
 def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = None,
@@ -208,22 +228,14 @@ def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = N
         t0 = signal.t_start
     if t1 is None:
         t1 = signal.horizon
-    y0 = np.concatenate([omega0, [0.0]])
-    bps = signal.breakpoints(t0, t1)
-    ts, ys, drift = adaptive_rk45(_omega_rhs(signal), t0, t1, y0, tol=tol,
-                                  breakpoints=bps, post_step=_renormalize)
+    ts, ys, drift = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
     return Trajectory(ts, ys[:, :-1], ys[:, -1], renorm_drift=drift)
 
 
 def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArray:
     """Phi(t1, t0) for xdot = -S(t) x, integrated column-block as one system."""
     n = signal.dim
-
-    def f(t, y):
-        return (-signal.matrix(t) @ y.reshape(n, n)).ravel()
-
-    bps = signal.breakpoints(t0, t1)
-    _, ys, _ = adaptive_rk45(f, t0, t1, np.eye(n).ravel(), tol=tol, breakpoints=bps)
+    _, ys, _ = propagate(signal, np.eye(n), t0, t1, tol=tol)
     return ys[-1].reshape(n, n)
 
 
@@ -249,36 +261,27 @@ def decay_rate(signal, n_periods: int = 10, horizon: float | None = None,
         P = signal.period
         phi = fundamental_matrix(signal, signal.t_start, signal.t_start + P, tol=tol)
         rho = float(np.max(np.abs(np.linalg.eigvals(phi))))
-        rate = -np.log(rho) / P
-        # slope diagnostic: accumulate log||Phi^k|| with renormalization
-        logs = np.empty(n_periods + 1)
-        logs[0] = 0.0
-        m = np.eye(signal.dim)
-        acc = 0.0
-        for k in range(1, n_periods + 1):
-            m = phi @ m
-            nrm = np.linalg.norm(m, 2)
-            acc += np.log(nrm)
-            m = m / nrm
-            logs[k] = acc
-        ks = np.arange(n_periods + 1) * P
-        slope = float(np.polyfit(ks, logs, 1)[0])
-        return DecayReport(rate=float(rate), horizon=n_periods * P, method="monodromy",
-                           contraction_per_period=rho, slope_rate=-slope)
-    if horizon is None:
-        horizon = signal.horizon - signal.t_start
-    edges = np.linspace(signal.t_start, signal.t_start + horizon, n_periods + 1)
+        times = np.arange(n_periods + 1) * P
+        phis = [phi] * n_periods
+    else:
+        if horizon is None:
+            horizon = signal.horizon - signal.t_start
+        edges = np.linspace(signal.t_start, signal.t_start + horizon, n_periods + 1)
+        times = edges - edges[0]
+        phis = (fundamental_matrix(signal, float(t0), float(t1), tol=tol)
+                for t0, t1 in zip(edges[:-1], edges[1:]))
+    # slope of log||Phi_k ... Phi_1||, accumulated with renormalization
+    logs = [0.0]
     m = np.eye(signal.dim)
-    logs = np.empty(n_periods + 1)
-    logs[0] = 0.0
-    acc = 0.0
-    for k in range(n_periods):
-        phi = fundamental_matrix(signal, float(edges[k]), float(edges[k + 1]), tol=tol)
-        m = phi @ m
+    for phi_k in phis:
+        m = phi_k @ m
         nrm = np.linalg.norm(m, 2)
-        acc += np.log(nrm)
+        logs.append(logs[-1] + np.log(nrm))
         m = m / nrm
-        logs[k + 1] = acc
-    slope = float(np.polyfit(edges - edges[0], logs, 1)[0])
-    return DecayReport(rate=-slope, horizon=float(horizon), method="slope",
-                       slope_rate=-slope, finite_horizon=True)
+    slope_rate = -float(np.polyfit(times, logs, 1)[0])
+    if signal.period is not None:
+        return DecayReport(rate=float(-np.log(rho) / P), horizon=n_periods * P,
+                           method="monodromy", contraction_per_period=rho,
+                           slope_rate=slope_rate)
+    return DecayReport(rate=slope_rate, horizon=float(horizon), method="slope",
+                       slope_rate=slope_rate, finite_horizon=True)

@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
 from .extremal2d import build_optimal_control, solve_extremal
-from .flow import adaptive_rk45
+from .flow import propagate
 from .signals import RankOneSignal
 
 __all__ = [
@@ -116,18 +116,15 @@ class WorstInput:
         """Antiderivative of v with V(0) = 0."""
         return np.exp(self.kappa * s) - 1.0
 
-    def z(self, s: float) -> float:
-        """Steady-state amplitude V(s) + rho_hat/(1-rho_hat) * V(period)."""
-        return self.V(s) + self.rho_hat / (1.0 - self.rho_hat) * self.V(self.period)
-
     @property
     def closure_residual(self) -> float:
         """|rho_hat/(1-rho_hat) * V(period) - 1|; zero identically in exact arithmetic."""
         return abs(self.rho_hat / (1.0 - self.rho_hat) * self.V(self.period) - 1.0)
 
-    def __call__(self, t: float) -> NDArray[np.float64]:
+    def __call__(self, t: float | NDArray) -> NDArray[np.float64]:
+        """u(t), shape (n,) at one time and (len(t), n) at an array of times."""
         xi = t % self.period
-        return self.v(xi) * np.asarray(self.m(xi))
+        return (self.v(xi) * self.m(xi).T).T
 
 
 def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float) -> WorstInput:
@@ -144,27 +141,23 @@ def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float) -> WorstI
     P = float(c_star.period)
     omega_star = np.asarray(omega_star, dtype=float)
 
-    def f(t, x):
-        cv = c_star.c(t)
-        return -cv * float(cv @ x)
-
-    bps = c_star.breakpoints(c_star.t_start, c_star.t_start + P)
-    ts, ys, _ = adaptive_rk45(f, c_star.t_start, c_star.t_start + P, omega_star,
-                              tol=1e-11, breakpoints=bps)
+    t0 = c_star.t_start
+    ts, ys, _ = propagate(c_star, omega_star, t0, t0 + P, tol=1e-11)
     rho_hat = float(np.exp(-2.0 * mu))
     seam = float(np.linalg.norm(ys[-1] - rho_hat * omega_star))
     if seam > 1e-6:
         raise ValueError(f"omega_star is not the slow monodromy eigenvector "
                          f"(|Phi(P,0) w - e^(-2mu) w| = {seam:.2e})")
     return WorstInput(period=P, mu=mu, kappa=2.0 * mu / P, rho_hat=rho_hat,
-                      omega_star=omega_star, _m_ts=ts - c_star.t_start, _m_ys=ys)
+                      omega_star=omega_star, _m_ts=ts - t0, _m_ys=ys)
 
 
 def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
     """Measured L2 input-output ratio ||x||_2 / ||u||_2 with its trace.
 
-    u is applied on [0, k_periods * period] and switched off; integration
-    continues through a decay tail (up to 20 more periods or
+    u maps a time to the input vector and an array of times to one row
+    per time.  It is applied on [0, k_periods * period] and switched off;
+    integration continues through a decay tail (up to 20 more periods or
     ||x|| <= 1e-12, whichever first) so the response mass is not clipped.
     An identically zero input raises: the ratio is undefined.  Returns the
     ratio and the (t, |x|, |u|) trace, one row per accepted step.
@@ -176,51 +169,31 @@ def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
     t0 = c.t_start
     t_end = t0 + k_periods * P
 
-    def f_driven(t, y):
-        x = y[:n]
-        cv = c.c(t)
-        uv = np.asarray(u(t), dtype=float)
-        out = np.empty(n + 2)
-        out[:n] = -cv * float(cv @ x) + uv
-        out[n] = float(x @ x)
-        out[n + 1] = float(uv @ uv)
-        return out
-
-    y0 = np.zeros(n + 2)
-    bps = c.breakpoints(t0, t_end)
-    ts, ys, _ = adaptive_rk45(f_driven, t0, t_end, y0, tol=tol, breakpoints=bps)
-
-    # decay tail: input off, response mass keeps accumulating
-    def f_tail(t, y):
-        x = y[:n]
-        cv = c.c(t)
-        out = np.empty(n + 1)
-        out[:n] = -cv * float(cv @ x)
-        out[n] = float(x @ x)
-        return out
-
-    y_tail = np.concatenate([ys[-1][:n], [ys[-1][n]]])
-    all_ts, x_norms = [ts], [np.linalg.norm(ys[:, :n], axis=1)]
-    t_cur = t_end
-    for _ in range(_TAIL_PERIODS):
-        if np.linalg.norm(y_tail[:n]) <= 1e-12:
-            break
-        bps = c.breakpoints(t_cur, t_cur + P)
-        ts2, ys2, _ = adaptive_rk45(f_tail, t_cur, t_cur + P, y_tail, tol=tol,
-                                    breakpoints=bps)
-        all_ts.append(ts2[1:])
-        x_norms.append(np.linalg.norm(ys2[1:, :n], axis=1))
-        y_tail = ys2[-1]
-        t_cur += P
-
-    Ix = float(y_tail[n])
+    ts, ys, _ = propagate(c, np.zeros(n), t0, t_end, tol=tol, u=u)
     Iu = float(ys[-1][n + 1])
     if Iu <= 0.0:
         raise ValueError("input is identically zero over the horizon; "
                          "the gain ratio is undefined")
+
+    # decay tail: input off, response mass keeps accumulating
+    def off(t):
+        return np.zeros(n)
+
+    x, Ix = ys[-1][:n], float(ys[-1][n])
+    all_ts, x_norms = [ts], [np.linalg.norm(ys[:, :n], axis=1)]
+    t_cur = t_end
+    for _ in range(_TAIL_PERIODS):
+        if np.linalg.norm(x) <= 1e-12:
+            break
+        ts2, ys2, _ = propagate(c, x, t_cur, t_cur + P, tol=tol, u=off)
+        all_ts.append(ts2[1:])
+        x_norms.append(np.linalg.norm(ys2[1:, :n], axis=1))
+        x, Ix = ys2[-1][:n], Ix + float(ys2[-1][n])
+        t_cur += P
+
     all_ts = np.concatenate(all_ts)
-    u_norms = np.array([np.linalg.norm(np.asarray(u(t), dtype=float))
-                        if t <= t_end else 0.0 for t in all_ts])
+    u_norms = np.zeros(len(all_ts))
+    u_norms[:len(ts)] = np.linalg.norm(u(ts), axis=-1)
     trace = np.column_stack([all_ts, np.concatenate(x_norms), u_norms])
     return float(np.sqrt(Ix / Iu)), trace
 

@@ -193,7 +193,7 @@ class RankOneSignal(_SegmentedSignal):
     def matrix(self, t: float) -> NDArray[np.float64]:
         """S(t) = c(t) c(t)^T."""
         v = self.c(t)
-        return np.outer(v, v)
+        return v[:, None] * v
 
 
 @dataclass(frozen=True)

@@ -44,10 +44,12 @@ class TestAdaptiveRK45:
         assert calls and calls[-1] == 1.0
 
     def test_step_underflow_raises(self):
+        # a step across a jump the integrator is not told about never
+        # passes the error test, so the step shrinks until it underflows
         def f(t, y):
-            return np.array([1.0 / (1e-300 + abs(0.5 - t)) ** 3])
+            return np.array([0.0 if t < 0.5 else 1e300])
 
-        with pytest.raises(flow.IntegrationError):
+        with pytest.raises(flow.IntegrationError, match="underflow"):
             flow.adaptive_rk45(f, 0.0, 1.0, np.array([0.0]), tol=1e-13)
 
 
@@ -101,15 +103,20 @@ class TestIntegrateFlow:
             assert np.linalg.norm(traj.omega(t)) == pytest.approx(1.0, abs=1e-7)
         assert traj.renorm_drift < 1e-6
 
-    def test_csv_export(self, tmp_path):
-        sig = constant_direction(0.0, 1.0)
-        traj = flow.integrate_flow(sig, np.array([1.0, 0.0]))
-        path = tmp_path / "traj.csv"
-        traj.to_csv(str(path))
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "t,omega_1,omega_2,log_r"
-        first = [float(v) for v in lines[1].split(",")]
-        assert first == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-12)
+
+class TestPropagate:
+    def test_input_path_on_zero_signal(self):
+        # S = 0: x = u t, int |x|^2 = |u|^2 t^3 / 3, int |u|^2 = |u|^2 t
+        sig = signals.MatrixSignal((signals.Segment(0.0, 2.0, np.zeros((1, 2, 2))),))
+        uv = np.array([0.6, -1.7])
+        ts, ys, _ = flow.propagate(sig, np.zeros(2), 0.0, 2.0, tol=1e-12,
+                                   u=lambda t: uv)
+        u2 = float(uv @ uv)
+        assert ts[-1] == 2.0
+        assert ys[-1, :2] == pytest.approx(2.0 * uv, rel=1e-12)
+        assert ys[-1, 2] == pytest.approx(u2 * 8.0 / 3.0, rel=1e-12)
+        assert ys[-1, 3] == pytest.approx(u2 * 2.0, rel=1e-12)
+        assert ys[:, :2] == pytest.approx(ts[:, None] * uv, rel=1e-12, abs=1e-15)
 
 
 class TestCostAndMonodromy:
@@ -175,7 +182,6 @@ class TestWorkCounters:
             return original(counted, *args, **kwargs)
 
         monkeypatch.setattr(flow, "adaptive_rk45", counting)
-        monkeypatch.setattr(gain, "adaptive_rk45", counting)
 
         def measure(call):
             count[0] = 0
@@ -191,4 +197,4 @@ class TestWorkCounters:
         c2, omega_star, mu_half = extremal2d.build_optimal_control(0.5, 1.5)
         assert rhs_count(lambda: gain.worst_input(c2, omega_star, mu_half)) <= 783
         u = gain.worst_input(c2, omega_star, mu_half)
-        assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3373
+        assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3301

@@ -66,6 +66,18 @@ class TestWorstInput:
         assert u.rho_hat == pytest.approx(math.exp(-2.0 * mu_half), rel=1e-8)
 
 
+class TestSimulateGain:
+    def test_trace_input_column(self, half_extremal):
+        # the |u| column is one vectorized evaluation over the driven rows
+        c2, omega_star, mu_half = half_extremal
+        u = gain.worst_input(c2, omega_star, mu_half)
+        _, trace = gain.simulate_gain(c2, u, k_periods=2)
+        t_end = c2.t_start + 2 * c2.period
+        per_row = [np.linalg.norm(u(t)) if t <= t_end else 0.0 for t in trace[:, 0]]
+        assert trace[:, 2] == pytest.approx(per_row, rel=1e-12, abs=0.0)
+        assert trace[-1, 0] > t_end
+
+
 class TestGainEstimate:
     def test_frozen_131(self):
         report = gain.gain_estimate(1.0, 3.0, 1.0, k_periods=50)
