@@ -321,7 +321,7 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
         return np.array([s, -0.5 * (s + 2.0 * y[1] * c), 2.0 * y[1] / den,
                          0.5 * (1.0 + c)])
 
-    ts, ys, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
+    ts, ys, _, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
     eta_T = abs(float(ys[-1, 1]))
     if eta_T > 100.0 * _TOL:
         raise ArithmeticError(f"eta(T) = {eta_T:.3e} does not vanish; "

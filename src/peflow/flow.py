@@ -8,19 +8,23 @@ integrate_flow uses its spherical form: with x = r*omega, ||omega|| = 1,
     omega'      = -S omega + (omega^T S omega) omega,
 
 so the radius lives in log space and never underflows, and the running
-cost int omega^T S omega dt is -log r(t) for free.  The integrator is an
-embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients) that lands
-exactly on signal segment boundaries, so discontinuous piecewise controls
-are integrated without order loss.
+cost int omega^T S omega dt is -log r(t) for free.  propagate walks the
+signal one piece at a time (signals.pieces): a constant piece without
+input is one exact step, exp(-dt cc^T) = I - (1 - e^{-dt}) cc^T for a
+rank-one control and eigh for a constant matrix, and every other piece
+goes to an embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients)
+that reads S from that piece's segment alone, so discontinuous piecewise
+controls are integrated without order loss.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
+
+from .signals import RankOneSignal
 
 __all__ = [
     "IntegrationError",
@@ -40,7 +44,7 @@ class IntegrationError(RuntimeError):
 
 
 # Dormand-Prince 5(4) tableau, FSAL form
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -59,37 +63,37 @@ _MAX_STEPS = 2_000_000
 
 
 def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
-                  breakpoints=(), post_step=None):
+                  post_step=None, h0: float | None = None):
     """Integrate y' = f(t, y) from t0 to t1, recording every accepted step.
 
-    breakpoints are mandatory landing times (the step never crosses one),
-    used to align with discontinuities of f.  post_step, if given, maps an
-    accepted (t, y) to a corrected y (e.g. renormalization); the correction
-    magnitude is accumulated and returned.
+    f must be smooth on [t0, t1]; a caller with a piecewise f integrates
+    one piece per call.  post_step, if given, maps an accepted (t, y) to a
+    corrected y (e.g. renormalization); the correction magnitude is
+    accumulated and returned.  h0 is the first trial step (default
+    (t1 - t0)/100).
 
-    Returns (ts, ys, drift) with ts shape (m,), ys shape (m, len(y0)).
+    Returns (ts, ys, drift, h) with ts shape (m,), ys shape (m, len(y0)),
+    and h the step the controller proposes next, so that a caller can carry
+    it into the following piece.
     """
     y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
     if span <= 0:
         raise ValueError("need t0 < t1")
-    bps = sorted(b for b in set(float(b) for b in breakpoints) if t0 < b < t1)
-    bps.append(t1)
+    snap = 1e-13 * max(1.0, abs(t1))
 
     ts = [t0]
     ys = [y.copy()]
     drift = 0.0
     t = t0
-    h = span / 100.0
+    h = span / 100.0 if h0 is None else h0
     k1 = f(t, y)
     ks = [None] * 7
     steps = 0
-    bi = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if steps >= _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
-        target = bps[bi]
-        h = min(h, target - t)
+        h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3e})")
         ks[0] = k1
@@ -103,51 +107,56 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
         steps += 1
         if err <= 1.0:
             t = t + h
+            if abs(t - t1) <= snap:
+                t = t1
             y = y5
             if post_step is not None:
                 y_new = post_step(t, y)
                 drift += float(np.max(np.abs(y_new - y)))
                 y = y_new
-            at_break = abs(t - target) <= 1e-13 * max(1.0, abs(target))
-            if at_break:
-                t = target
-                bi += 1
-                k1 = f(t, y)  # f may jump here; FSAL value is stale
-            else:
+            if t < t1:  # at t1 the next slope belongs to the caller's next piece
                 k1 = ks[6] if post_step is None else f(t, y)
             ts.append(t)
             ys.append(y.copy())
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
-    return np.array(ts), np.array(ys), drift
+    return np.array(ts), np.array(ys), drift, h
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled spherical state (t, omega, log_r) with interpolation.
+    """Time-sampled spherical state (t, omega, log_r) of a flow on signal.
 
-    Samples sit at accepted integrator steps; omega has unit norm at each
-    sample and log_r is non-increasing for PSD controls.
+    Samples sit at accepted integrator steps and at every piece boundary;
+    omega has unit norm at each sample and log_r is non-increasing for PSD
+    controls.  Between samples, omega(t) and log_radius(t) propagate from
+    the last sample at or before t, inside its piece (exactly on a constant
+    piece), so no evaluation reads across a breakpoint.
     """
 
+    signal: object
     ts: NDArray[np.float64]
     omegas: NDArray[np.float64]
     log_r: NDArray[np.float64]
     renorm_drift: float = 0.0
+    tol: float = 1e-9
 
-    @cached_property
-    def _omega_spline(self) -> CubicSpline:
-        return CubicSpline(self.ts, self.omegas, axis=0)
+    def _state(self, t: float) -> tuple[NDArray[np.float64], float]:
+        t = float(t)
+        if not self.ts[0] <= t <= self.ts[-1]:
+            raise ValueError(f"t={t} outside the trajectory [{self.ts[0]}, {self.ts[-1]}]")
+        k = int(np.searchsorted(self.ts, t, side="right")) - 1
+        if t == self.ts[k]:
+            return self.omegas[k], float(self.log_r[k])
+        _, ys, _ = propagate(self.signal, self.omegas[k], float(self.ts[k]), t,
+                             tol=self.tol, spherical=True)
+        return ys[-1, :-1], float(self.log_r[k] + ys[-1, -1])
 
-    @cached_property
-    def _logr_spline(self) -> CubicSpline:
-        return CubicSpline(self.ts, self.log_r)
+    def omega(self, t: float) -> NDArray[np.float64]:
+        return self._state(t)[0]
 
-    def omega(self, t: float | NDArray) -> NDArray[np.float64]:
-        return self._omega_spline(t)
-
-    def log_radius(self, t: float | NDArray):
-        return self._logr_spline(t)
+    def log_radius(self, t: float) -> float:
+        return self._state(t)[1]
 
     @property
     def cost(self) -> float:
@@ -180,9 +189,17 @@ def _renormalize(t, y):
     return out
 
 
+def _exact_map(signal, S: NDArray, dt: float) -> NDArray:
+    """exp(-dt S) for a constant S: closed form for S = cc^T, else by eigh."""
+    if isinstance(signal, RankOneSignal):
+        return np.eye(signal.dim) + np.expm1(-dt) * S
+    lam, V = np.linalg.eigh(S)
+    return (V * np.exp(-dt * lam)) @ V.T
+
+
 def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
               spherical: bool = False):
-    """Integrate x' = -S(t) x (+ u(t)) on [t0, t1], landing on the signal's breakpoints.
+    """Integrate x' = -S(t) x (+ u(t)) on [t0, t1], one signal piece at a time.
 
     x0 is a vector or an (n, k) column block; each state row holds x
     flattened.  With an input u (a vector x0), the state is
@@ -190,14 +207,22 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     spherical=True, x0 is a unit vector omega and the state is
     (omega, log r), renormalized after every accepted step.
 
-    Returns (ts, ys, drift) as adaptive_rk45 does.
+    A constant piece without input is one exact step, x <- exp(-dt S) x.
+    Any other piece is integrated by adaptive_rk45 with S read from the
+    piece's own segment (a stage on the piece's right end reads the left
+    limit there); the step size carries over from piece to piece.
+
+    Returns (ts, ys, drift): the piece ends and accepted steps, the states
+    there, and the summed renormalization drift.
     """
+    if not t1 > t0:
+        raise ValueError("need t0 < t1")
     x0 = np.asarray(x0, dtype=float)
     shape, size = x0.shape, x0.size
 
-    def f(t, y):
+    def f(t, y):  # reads S_at of the piece being integrated
         x = y[:size].reshape(shape)
-        s_x = signal.matrix(t) @ x
+        s_x = S_at(t) @ x
         if u is None and not spherical:
             return -s_x.ravel()
         out = np.empty_like(y)
@@ -213,9 +238,32 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         return out
 
     extra = [0.0] if spherical else [] if u is None else [0.0, 0.0]
-    y0 = np.concatenate([x0.ravel(), extra])
-    return adaptive_rk45(f, t0, t1, y0, tol=tol, breakpoints=signal.breakpoints(t0, t1),
-                         post_step=_renormalize if spherical else None)
+    y = np.concatenate([x0.ravel(), extra])
+    ts, ys = [np.array([t0], dtype=float)], [y[None]]
+    drift = 0.0
+    h = (t1 - t0) / 100.0
+    for u0, u1, seg, shift in signal.pieces(t0, t1):
+        S_at = signal.matrix_on(seg, shift)
+        if u is None and len(seg.data) == 1:
+            E = _exact_map(signal, S_at(u0), u1 - u0)
+            y = y.copy()
+            if spherical:
+                x = E @ y[:-1]
+                nrm = float(np.linalg.norm(x))
+                y[:-1] = x / nrm
+                y[-1] += math.log(nrm)
+            else:
+                y[:] = (E @ y.reshape(shape)).ravel()
+            ts.append(np.array([u1]))
+            ys.append(y[None])
+            continue
+        pts, pys, d, h = adaptive_rk45(f, u0, u1, y, tol=tol, h0=h,
+                                       post_step=_renormalize if spherical else None)
+        y = pys[-1]
+        ts.append(pts[1:])
+        ys.append(pys[1:])
+        drift += d
+    return np.concatenate(ts), np.concatenate(ys), drift
 
 
 def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = None,
@@ -229,7 +277,7 @@ def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = N
     if t1 is None:
         t1 = signal.horizon
     ts, ys, drift = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
-    return Trajectory(ts, ys[:, :-1], ys[:, -1], renorm_drift=drift)
+    return Trajectory(signal, ts, ys[:, :-1], ys[:, -1], renorm_drift=drift, tol=tol)
 
 
 def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArray:

@@ -29,7 +29,7 @@ from scipy.interpolate import CubicSpline
 
 from .extremal2d import build_optimal_control, solve_extremal
 from .flow import propagate
-from .signals import RankOneSignal
+from .signals import RankOneSignal, spline_at
 
 __all__ = [
     "GainReport",
@@ -105,9 +105,13 @@ class WorstInput:
     def _m_spline(self) -> CubicSpline:
         return CubicSpline(self._m_ts, self._m_ys, axis=0)
 
-    def m(self, xi: float) -> NDArray[np.float64]:
+    @cached_property
+    def _m_at(self):
+        return spline_at(self._m_spline)
+
+    def m(self, xi: float | NDArray) -> NDArray[np.float64]:
         """Flow of omega_star over one period: Phi(xi, 0) omega_star."""
-        return self._m_spline(xi)
+        return self._m_at(xi) if isinstance(xi, float) else self._m_spline(xi)
 
     def v(self, xi: float) -> float:
         return self.kappa * np.exp(self.kappa * xi)

@@ -21,7 +21,9 @@ where no dilation reaches the shell lam_min = a, the last two directions
 are re-aimed to cancel the phasor sum instead.
 
 The final reported value is recomputed with flow.cost_J on the assembled
-signal so the cost definition has a single source of truth.
+signal so the cost definition has a single source of truth; flow.propagate
+steps through constant segments exactly, so it agrees with the closed-form
+recursion to rounding.
 """
 from __future__ import annotations
 

@@ -14,16 +14,21 @@ Both types are segmented: each segment carries a uniform sample grid on
 [t0, t1] interpolated with a cubic spline, except single-sample segments
 which are exact constants (used for piecewise-constant controls).
 Instances are immutable after construction.
+
+A span [t0, t1] is walked one piece at a time: pieces() cuts it at the
+segment boundaries, and a piece's values are read from its own segment
+alone, so the value at a piece's right end is the left limit there.
 """
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +49,7 @@ __all__ = [
     "write_atomic",
     "save_signal",
     "load_signal",
+    "spline_at",
 ]
 
 PSD_TOL = 1e-10
@@ -51,6 +57,33 @@ UNIT_TOL = 1e-12
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _GRAM_SUBINTERVALS = 256  # quadrature cells per signal segment
+
+
+def spline_at(spline: CubicSpline) -> Callable[[float], float | NDArray[np.float64]]:
+    """Evaluator of spline at one scalar time, read from its coefficients.
+
+    It picks the interval and sums the powers as scipy's PPoly does (the
+    last knot at or before t, clamped to the knots), so it returns the same
+    bits without the per-call overhead of CubicSpline.__call__: a float for
+    scalar samples, else an array of the sample shape.
+    """
+    knots = spline.x.tolist()
+    last = len(knots) - 2
+    shape = spline.c.shape[2:]
+    coef = spline.c.reshape(4, last + 1, -1)  # a view: (power, interval, component)
+
+    def at(t: float):
+        i = bisect_right(knots, t) - 1
+        if i < 0:
+            i = 0
+        elif i > last:
+            i = last
+        s = t - knots[i]
+        s2 = s * s
+        s3 = s2 * s
+        vals = [((c3 + c2 * s) + c1 * s2) + c0 * s3 for c0, c1, c2, c3 in coef[:, i].T.tolist()]
+        return vals[0] if not shape else np.array(vals).reshape(shape)
+    return at
 
 
 @dataclass(frozen=True)
@@ -78,14 +111,20 @@ class Segment:
         ts = np.linspace(self.t0, self.t1, len(self.data))
         return CubicSpline(ts, self.data, axis=0)
 
-    def values(self, t: float | NDArray) -> NDArray[np.float64]:
-        """Interpolated raw samples at t (scalar or array)."""
+    def values(self, ts: NDArray) -> NDArray[np.float64]:
+        """Interpolated raw samples at an array of times."""
         if self._spline is None:
             base = self.data[0]
-            if np.ndim(t) == 0:
-                return base
-            return np.broadcast_to(base, np.shape(t) + base.shape).copy()
-        return self._spline(t)
+            return np.broadcast_to(base, np.shape(ts) + base.shape).copy()
+        return self._spline(ts)
+
+    @cached_property
+    def at(self) -> Callable[[float], float | NDArray[np.float64]]:
+        """Raw sample value at one scalar time."""
+        if self._spline is None:
+            base = self.data[0]
+            return lambda t: base
+        return spline_at(self._spline)
 
 
 def _as_segments(segments) -> tuple[Segment, ...]:
@@ -125,6 +164,34 @@ class _SegmentedSignal:
         idx = min(max(idx, 0), len(self.segments) - 1)
         seg = self.segments[idx]
         return seg, min(max(t, seg.t0), seg.t1)
+
+    def pieces(self, t0: float, t1: float) -> list[tuple[float, float, Segment, float]]:
+        """Cut [t0, t1] at the breakpoints into pieces (u0, u1, segment, shift).
+
+        On [u0, u1] the signal is that one segment read at local time
+        t - shift, where shift is a whole number of periods (0 for an
+        aperiodic signal).  This is the one place that cuts a span at
+        segment boundaries.
+        """
+        if self.period is None and (t0 < self.t_start - 1e-9 or t1 > self.horizon + 1e-9):
+            raise ValueError(f"[{t0}, {t1}] outside signal horizon "
+                             f"[{self.t_start}, {self.horizon}]")
+        cuts = [float(t0), *self.breakpoints(t0, t1).tolist(), float(t1)]
+        out = []
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            mid = 0.5 * (u0 + u1)
+            seg, local = self._local(mid)
+            out.append((u0, u1, seg, mid - local))
+        return out
+
+    def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], NDArray[np.float64]]:
+        """t -> S(t) on a piece of seg: local time t - shift, clamped to [seg.t0, seg.t1]."""
+        to_matrix = self._matrix_of
+        if len(seg.data) == 1:
+            S = to_matrix(seg.data[0])
+            return lambda t: S
+        at, lo, hi = seg.at, seg.t0, seg.t1
+        return lambda t: to_matrix(at(min(max(t - shift, lo), hi)))
 
     def breakpoints(self, t0: float, t1: float) -> NDArray[np.float64]:
         """Segment boundaries (periodically unrolled) that fall inside (t0, t1)."""
@@ -173,15 +240,30 @@ class RankOneSignal(_SegmentedSignal):
             else:
                 raise ValueError("rank-one segment data must be angles (m,) or vectors (m,n)")
 
+    @staticmethod
+    def _unit(raw) -> NDArray[np.float64]:
+        """Unit vector of one raw sample: an angle (dim 2) or a vector."""
+        if isinstance(raw, float):
+            half = 0.5 * raw
+            return np.array([math.cos(half), math.sin(half)])
+        return raw / np.linalg.norm(raw)
+
+    @staticmethod
+    def _units(raw: NDArray) -> NDArray[np.float64]:
+        """Unit vectors of a batch of raw samples, shape (k, dim)."""
+        if raw.ndim == 1:
+            half = 0.5 * raw
+            return np.column_stack([np.cos(half), np.sin(half)])
+        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+    def _matrix_of(self, raw) -> NDArray[np.float64]:
+        v = self._unit(raw)
+        return v[:, None] * v
+
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""
         seg, tt = self._local(t)
-        vals = seg.values(tt)
-        if vals.ndim == 0:
-            half = 0.5 * float(vals)
-            return np.array([np.cos(half), np.sin(half)])
-        v = np.asarray(vals, dtype=float)
-        return v / np.linalg.norm(v)
+        return self._unit(seg.at(tt))
 
     def c_many(self, ts: NDArray) -> NDArray[np.float64]:
         """Vectorized c over a time array, shape (len(ts), dim)."""
@@ -219,10 +301,13 @@ class MatrixSignal(_SegmentedSignal):
             if lo < -PSD_TOL:
                 raise ValueError(f"matrix samples not PSD (min eigenvalue {lo:.2e})")
 
+    @staticmethod
+    def _matrix_of(raw) -> NDArray[np.float64]:
+        return 0.5 * (raw + raw.T)
+
     def matrix(self, t: float) -> NDArray[np.float64]:
         seg, tt = self._local(t)
-        m = np.asarray(seg.values(tt), dtype=float)
-        return 0.5 * (m + m.T)
+        return self._matrix_of(seg.at(tt))
 
 
 @dataclass(frozen=True)
@@ -254,25 +339,21 @@ def _piece_quadrature(u0: float, u1: float, seg_len: float):
 def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float) -> NDArray[np.float64]:
     """Windowed Gram matrix int_{t0}^{t1} S(tau) dtau.
 
-    Composite Gauss-Legendre quadrature aligned to segment boundaries, so
-    piecewise-constant signals integrate exactly and smooth segments get
-    spectral accuracy.
+    Composite Gauss-Legendre quadrature on each piece, so piecewise-constant
+    signals integrate exactly and smooth segments get spectral accuracy.
+    A piece's nodes are evaluated in one vectorized call on its segment.
     """
     if not t1 > t0:
         raise ValueError("need t0 < t1")
-    if signal.period is None and (t0 < signal.t_start - 1e-9 or t1 > signal.horizon + 1e-9):
-        raise ValueError("integration window outside the horizon of an aperiodic signal")
-    cuts = np.concatenate([[t0], signal.breakpoints(t0, t1), [t1]])
     total = np.zeros((signal.dim, signal.dim))
-    for u0, u1 in zip(cuts[:-1], cuts[1:]):
-        seg, _ = signal._local(0.5 * (u0 + u1))
-        nodes, weights = _piece_quadrature(u0, u1, seg.t1 - seg.t0)
+    for u0, u1, seg, shift in signal.pieces(t0, t1):
+        nodes, weights = _piece_quadrature(u0 - shift, u1 - shift, seg.t1 - seg.t0)
+        vals = seg.values(nodes)
         if isinstance(signal, RankOneSignal):
-            cs = signal.c_many(nodes)
+            cs = signal._units(vals)
             total += np.einsum("k,ki,kj->ij", weights, cs, cs)
         else:
-            mats = np.stack([signal.matrix(t) for t in nodes])
-            total += np.einsum("k,kij->ij", weights, mats)
+            total += np.einsum("k,kij->ij", weights, vals)
     return 0.5 * (total + total.T)
 
 

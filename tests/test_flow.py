@@ -12,23 +12,23 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from peflow import extremal2d, flow, gain, signals
+from peflow import extremal2d, flow, gain, oracle, signals
 
 
 class TestAdaptiveRK45:
     def test_scalar_exponential(self):
-        ts, ys, _ = flow.adaptive_rk45(lambda t, y: -2.0 * y, 0.0, 3.0,
-                                       np.array([1.0]), tol=1e-11)
+        ts, ys, _, _ = flow.adaptive_rk45(lambda t, y: -2.0 * y, 0.0, 3.0,
+                                          np.array([1.0]), tol=1e-11)
         assert ts[-1] == 3.0
         assert ys[-1][0] == pytest.approx(math.exp(-6.0), rel=1e-9)
 
     def test_breakpoints_are_hit(self):
-        # piecewise-constant rate: exact answer requires landing on the jumps
-        def f(t, y):
-            return (-1.0 if t < 0.5 else -3.0) * y
-
-        ts, ys, _ = flow.adaptive_rk45(f, 0.0, 1.0, np.array([1.0]),
-                                       tol=1e-10, breakpoints=[0.5])
+        # piecewise-constant rate: exact answer requires landing on the jumps;
+        # two samples per segment make propagate integrate both pieces by RK45
+        segs = (signals.Segment(0.0, 0.5, np.ones((2, 1, 1))),
+                signals.Segment(0.5, 1.0, np.full((2, 1, 1), 3.0)))
+        ts, ys, _ = flow.propagate(signals.MatrixSignal(segs, dim=1), np.array([1.0]),
+                                   0.0, 1.0, tol=1e-10)
         assert 0.5 in ts
         assert ys[-1][0] == pytest.approx(math.exp(-0.5 - 1.5), rel=1e-8)
 
@@ -118,6 +118,41 @@ class TestPropagate:
         assert ys[-1, 3] == pytest.approx(u2 * 2.0, rel=1e-12)
         assert ys[:, :2] == pytest.approx(ts[:, None] * uv, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("kind", ["rank_one", "matrix"])
+    def test_constant_piece_is_exact(self, kind):
+        # one exact step per constant piece: exp(-dt S), not an RK approximation
+        if kind == "rank_one":
+            seg = signals.Segment(0.0, 1.7, np.array([1.1]))
+            sig = signals.RankOneSignal((seg,))
+            S = sig.matrix(0.0)
+        else:
+            B = np.random.default_rng(3).normal(size=(3, 3))
+            S = B @ B.T
+            sig = signals.MatrixSignal((signals.Segment(0.0, 1.7, S[None]),), dim=3)
+        Phi = flow.fundamental_matrix(sig, 0.0, 1.7)
+        assert np.max(np.abs(Phi - expm(-1.7 * S))) <= 1e-13
+
+    def test_jump_keeps_steps_large(self):
+        # a smooth segment followed by a jump: stages landing on the jump read
+        # the left limit, so the step size does not collapse there
+        grid = np.linspace(0.0, 1.0, 33)
+        first = np.stack([np.diag([1.0 + np.sin(3 * t), 2.0 - t]) for t in grid])
+        second = np.stack([np.diag([0.2 + t, 4.0 + np.cos(t)]) for t in grid + 1.0])
+        sig = signals.MatrixSignal((signals.Segment(0.0, 1.0, first),
+                                    signals.Segment(1.0, 2.0, second)))
+        ts, _, _ = flow.propagate(sig, np.array([0.6, 0.8]), 0.0, 2.0)
+        assert 1.0 in ts
+        assert np.min(np.diff(ts)) > 1e-4
+
+    def test_dense_output_on_smooth_pieces(self):
+        # between samples, omega and log r match a flow integrated up to t
+        sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
+        traj = flow.integrate_flow(sig, om0, 0.0, 8.0)
+        for t in 0.5 * (traj.ts[[3, 40, -2]] + traj.ts[[4, 41, -1]]):
+            ref = flow.integrate_flow(sig, om0, 0.0, t)
+            assert traj.omega(t) == pytest.approx(ref.omegas[-1], abs=1e-8)
+            assert traj.log_radius(t) == pytest.approx(ref.log_r[-1], abs=1e-8)
+
 
 class TestCostAndMonodromy:
     def test_cost_matches_gram_projection_constant(self):
@@ -168,7 +203,7 @@ class TestDecayRate:
 class TestWorkCounters:
     """Right-hand-side evaluations are exact and rerun-stable, so they gate
     integrator regressions without timing.  The bounds are the counts of
-    the breakpoint-landing RK45; a better propagator may lower them."""
+    the piecewise propagator; a better one may lower them."""
 
     @pytest.fixture
     def rhs_count(self, monkeypatch):
@@ -192,9 +227,15 @@ class TestWorkCounters:
     def test_rhs_evaluations(self, rhs_count):
         sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
         P = sig.period
-        assert rhs_count(lambda: flow.integrate_flow(sig, om0, 0.0, P)) <= 540
-        assert rhs_count(lambda: flow.fundamental_matrix(sig, 0.0, P)) <= 495
+        assert rhs_count(lambda: flow.integrate_flow(sig, om0, 0.0, P)) <= 539
+        assert rhs_count(lambda: flow.fundamental_matrix(sig, 0.0, P)) <= 494
         c2, omega_star, mu_half = extremal2d.build_optimal_control(0.5, 1.5)
-        assert rhs_count(lambda: gain.worst_input(c2, omega_star, mu_half)) <= 783
+        assert rhs_count(lambda: gain.worst_input(c2, omega_star, mu_half)) <= 782
         u = gain.worst_input(c2, omega_star, mu_half)
-        assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3301
+        assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3280
+
+    def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
+        result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)
+        assert rhs_count(lambda: flow.cost_J(result.control, result.omega0)) == 0
+        hopping = signals.axis_hopping_control(1.0, 1.0, 2)
+        assert rhs_count(lambda: flow.decay_rate(hopping)) == 0

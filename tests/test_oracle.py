@@ -29,6 +29,15 @@ class TestBruteForce:
         assert replay == pytest.approx(result.mu_hat, rel=1e-8)
         assert np.linalg.norm(result.omega0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_mu_hat_is_the_closed_form_cost(self):
+        # the flow propagates constant segments exactly, so the reported
+        # mu_hat equals the optimizer's closed-form recursion at the winner
+        result = oracle.brute_force_mu2(1.2, 3.1, N=20, n_seeds=4)
+        psis = [0.5 * float(seg.data[0]) for seg in result.control.segments]
+        z = np.array([np.arctan2(result.omega0[1], result.omega0[0]), *psis])
+        closed = oracle._make_funcs(1.2, 3.1, 20).cost(z)
+        assert result.mu_hat == pytest.approx(closed, rel=1e-12)
+
     def test_control_is_admissible(self):
         result = oracle.brute_force_mu2(1.0, 3.0, N=16, n_seeds=3)
         G = signals.gram(result.control, 0.0, 4.0)

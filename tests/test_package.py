@@ -36,6 +36,8 @@ def _callers(name: str) -> set[str]:
 
 
 def test_one_propagator():
-    # x' = -S(t) x (+ u) has one right-hand side and one breakpoint hand-off
+    # x' = -S(t) x (+ u) has one right-hand side, and one method cuts spans
+    # at segment boundaries for its two walkers
     assert _callers("adaptive_rk45") == {"flow.propagate", "extremal2d.integrate_extremal"}
-    assert _callers("breakpoints") == {"flow.propagate", "signals.gram"}
+    assert _callers("pieces") == {"flow.propagate", "signals.gram"}
+    assert _callers("breakpoints") == {"signals._SegmentedSignal"}

@@ -124,6 +124,21 @@ class TestGram:
         G = signals.gram(sig, 0.2, 2.9)
         assert G == pytest.approx(self.riemann(sig, 0.2, 2.9), abs=5e-4)
 
+    @pytest.mark.parametrize("make", ["rank_one", "matrix"])
+    def test_vectorized_equals_per_node_sum(self, make):
+        # the loop it replaced: one signal.matrix call per quadrature node
+        sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
+        if make == "matrix":
+            sig = signals.time_rescale(signals.RankOneSignal(sig.segments[:1]), 1.3)
+        t0, t1 = sig.t_start + 0.3, min(sig.horizon, sig.t_start + 5.5)
+        cuts = np.concatenate([[t0], sig.breakpoints(t0, t1), [t1]])
+        ref = np.zeros((2, 2))
+        for u0, u1 in zip(cuts[:-1], cuts[1:]):
+            seg, _ = sig._local(0.5 * (u0 + u1))
+            nodes, weights = signals._piece_quadrature(u0, u1, seg.t1 - seg.t0)
+            ref += sum(w * sig.matrix(t) for w, t in zip(weights, nodes))
+        assert np.max(np.abs(signals.gram(sig, t0, t1) - 0.5 * (ref + ref.T))) <= 1e-14
+
     def test_additivity(self):
         rng = np.random.default_rng(12)
         seg = signals.Segment(0.0, 1.0, rng.uniform(-2, 2, size=9))
