@@ -12,9 +12,25 @@ bound is achieved in the limit by a resonant periodic input built on the
 the rate the flow contracts it, so the response grows to a periodic
 steady state and the input-output ratio climbs toward its supremum.
 
-The simulation runs on the extremal's own (trace-one) clock, where the
-plant really is xdot = -cc^T x + u with unit c; the bridge to the
-T-window statement is the exact dilation identity
+The ratio over k periods needs no long simulation.  The input rides the
+flow of the slow eigenvector, u(t) = v(xi) m(xi) with m(xi) = Phi(xi, 0)
+omega_star and xi = t mod P, so by Duhamel's formula the response on
+period j is x = (e^{kappa xi} - rho_hat^j) m(xi), and after the input stops
+it decays by rho_hat per period.  With I_j = int_0^P e^{j kappa xi} |m|^2
+over one period,
+
+    int |x|^2 = k I2 - 2 I1 (1 - rho^k)/(1 - rho)
+                + I0 ((1 - rho^{2k}) + (1 - rho^k)^2)/(1 - rho^2),
+    int |u|^2 = k kappa^2 I2,
+
+whose ratio rises with k to 1/kappa, the lower bound.  The one period
+of m that worst_input integrates therefore gives the ratio at every
+horizon.  simulate_gain stays as the independent check and the source of
+the (t, |x|, |u|) trace.
+
+Everything runs on the extremal's own (trace-one) clock, where the plant
+really is xdot = -cc^T x + u with unit c; the bridge to the T-window
+statement is the exact dilation identity
 ratio_normalized = ratio_natural / T_half followed by the homogeneity
 scaling gamma(a, b, T) = T * gamma(a, b, 1).
 """
@@ -32,6 +48,7 @@ from .flow import propagate
 from .signals import RankOneSignal, spline_at
 
 __all__ = [
+    "CONVERGENCE_TOL",
     "GainReport",
     "WorstInput",
     "gain_upper",
@@ -42,16 +59,20 @@ __all__ = [
 ]
 
 _TAIL_PERIODS = 20  # cap on the input-free decay tail of simulate_gain
+_GL8 = np.polynomial.legendre.leggauss(8)
+CONVERGENCE_TOL = 0.02  # the k-period ratio must reach lower / (1 + this)
 
 
 @dataclass(frozen=True)
 class GainReport:
-    """Two-sided gain estimate with the measured input-output ratio.
+    """Two-sided gain bounds with the worst input's k-period ratio.
 
-    The simulated ratio converges to `lower` from below as the horizon
-    grows, so the pair satisfies lower <= simulated * (1 + tol) with the
-    convergence tolerance (2% at the default 50 periods), and
-    simulated <= upper outright.
+    `simulated` is the exact L2 input-output ratio of the resonant input
+    over `horizon_periods` periods plus the full decay tail, from the
+    closed form on one period.  It rises with the horizon to `lower`, so
+    simulated <= upper outright, and the sandwich certifies once
+    lower <= simulated * (1 + CONVERGENCE_TOL); `horizon_needed` is the
+    smallest horizon at which it does.
     """
 
     lower: float
@@ -60,6 +81,7 @@ class GainReport:
     mu: float
     params: tuple[float, float, int, float]
     horizon_periods: int
+    horizon_needed: int
     mu_half: float
 
 
@@ -124,6 +146,35 @@ class WorstInput:
     def closure_residual(self) -> float:
         """|rho_hat/(1-rho_hat) * V(period) - 1|; zero identically in exact arithmetic."""
         return abs(self.rho_hat / (1.0 - self.rho_hat) * self.V(self.period) - 1.0)
+
+    @cached_property
+    def moments(self) -> tuple[float, float, float]:
+        """(I0, I1, I2), I_j = int_0^P e^{j kappa xi} |m(xi)|^2 dxi.
+
+        An 8-point Gauss-Legendre rule on each accepted step of the
+        one-period solve, with m read from its spline in one call.
+        """
+        half = 0.5 * np.diff(self._m_ts)[:, None]
+        nodes = (self._m_ts[:-1, None] + half * (1.0 + _GL8[0])).ravel()
+        weights = (half * _GL8[1]).ravel()
+        m = self.m(nodes)
+        wm2 = weights * np.einsum("ij,ij->i", m, m)
+        e = np.exp(self.kappa * nodes)
+        I0, I1, I2 = float(wm2.sum()), float(wm2 @ e), float(wm2 @ (e * e))
+        if not (np.isfinite([I0, I1, I2]).all() and I2 > 0.0):
+            raise ArithmeticError(f"bad one-period moments {(I0, I1, I2)}")
+        return I0, I1, I2
+
+    def ratio(self, k_periods: int) -> float:
+        """||x||_2 / ||u||_2 of this input applied for k_periods periods from
+        x = 0, the decay tail included: what simulate_gain measures, exactly."""
+        I0, I1, I2 = self.moments
+        r = self.rho_hat
+        rk = r ** k_periods
+        Ix = (k_periods * I2 - 2.0 * I1 * (1.0 - rk) / (1.0 - r)
+              + I0 * ((1.0 - rk * rk) + (1.0 - rk) ** 2) / (1.0 - r * r))
+        Iu = k_periods * self.kappa ** 2 * I2
+        return float(np.sqrt(Ix / Iu))
 
     def __call__(self, t: float | NDArray) -> NDArray[np.float64]:
         """u(t), shape (n,) at one time and (len(t), n) at an array of times."""
@@ -202,15 +253,18 @@ def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
     return float(np.sqrt(Ix / Iu)), trace
 
 
-def gain_estimate(a: float, b: float, T: float, k_periods: int = 50,
-                  tol: float = 1e-9) -> GainReport:
+def gain_estimate(a: float, b: float, T: float, k_periods: int = 50) -> GainReport:
     """Two-sided gain estimate for window bounds (a, b) and window length T.
 
-    Computes mu(a, b) and mu(a/2, b/2) from the extremal pipeline, runs
-    the worst-input simulation on the (a/2, b/2) extremal in its natural
-    clock, and rescales everything to the user window by homogeneity
-    (gamma(a, b, T) = T * gamma(a, b, 1)).
+    Computes mu(a, b) and mu(a/2, b/2) from the extremal pipeline, builds
+    the worst input on the (a/2, b/2) extremal in its natural clock, takes
+    its k-period ratio in closed form (WorstInput.ratio), and rescales
+    everything to the user window by homogeneity
+    (gamma(a, b, T) = T * gamma(a, b, 1)).  The same closed form gives
+    the smallest horizon at which the sandwich certifies.
     """
+    if k_periods < 1:
+        raise ValueError("k_periods must be >= 1")
     ext = solve_extremal(a, b)
     if ext is None:
         raise ValueError("gain_estimate needs 0 < a < b")
@@ -218,13 +272,25 @@ def gain_estimate(a: float, b: float, T: float, k_periods: int = 50,
 
     c2, omega_star, mu_half = build_optimal_control(a / 2.0, b / 2.0)
     u = worst_input(c2, omega_star, mu_half)
-    ratio_nat, _ = simulate_gain(c2, u, k_periods, tol=tol)
-
     T_half = 0.5 * (a + b)  # natural half-window; c2 has period 2*T_half
-    ratio_norm = ratio_nat / T_half
-    simulated = 0.5 * T * ratio_norm
+    lower = gain_lower(mu_half, T)
 
-    return GainReport(lower=gain_lower(mu_half, T), upper=gain_upper(mu, T),
-                      simulated=float(simulated), mu=float(mu),
+    def simulated(k: int) -> float:
+        return 0.5 * T * (u.ratio(k) / T_half)
+
+    def certifies(k: int) -> bool:
+        return lower <= simulated(k) * (1.0 + CONVERGENCE_TOL)
+
+    # the ratio rises with k: double past the first certifying horizon, then bisect
+    hi = 1
+    while not certifies(hi):
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if certifies(mid) else (mid, hi)
+
+    return GainReport(lower=lower, upper=gain_upper(mu, T),
+                      simulated=simulated(k_periods), mu=float(mu),
                       params=(a, b, 2, T), horizon_periods=k_periods,
-                      mu_half=float(mu_half))
+                      horizon_needed=hi, mu_half=float(mu_half))

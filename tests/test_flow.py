@@ -234,6 +234,13 @@ class TestWorkCounters:
         u = gain.worst_input(c2, omega_star, mu_half)
         assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3280
 
+    def test_gain_estimate_work_is_independent_of_horizon(self, rhs_count):
+        # one period of worst_input at (0.5, 1.5) is all the RK work; the
+        # extremal solves integrate through extremal2d's own import
+        counts = [rhs_count(lambda: gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k))
+                  for k in (8, 5000)]
+        assert counts[0] == counts[1] <= 782
+
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)
         assert rhs_count(lambda: flow.cost_J(result.control, result.omega0)) == 0

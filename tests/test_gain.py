@@ -1,18 +1,20 @@
-"""Two-sided gain bounds and the worst-input simulation.
+"""Two-sided gain bounds, the worst input and its k-period ratio.
 
-Closed-form bounds are checked directly; the simulated ratio is pinned
-at the (1, 3, 1) reference point and checked for the structural facts
-that make the estimate trustworthy: seam continuity of the input,
-monotone approach from below, and exact linear scaling in T.
+Closed-form bounds are checked directly; the k-period ratio is pinned
+at the (1, 3, 1) reference point, checked against the RK45 simulation of
+the same input, and checked for the structural facts that make the
+estimate trustworthy: seam continuity of the input, monotone approach
+from below, exact linear scaling in T and a tight needed horizon.
 """
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from peflow import extremal2d, gain
+from peflow import cli, extremal2d, gain
 
 
 class TestClosedFormBounds:
@@ -116,3 +118,31 @@ class TestGainEstimate:
     def test_requires_strict_bounds(self):
         with pytest.raises(ValueError):
             gain.gain_estimate(1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_empty_horizon(self, k):
+        with pytest.raises(ValueError, match="k_periods"):
+            gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (2.0, 4.5)])
+    @pytest.mark.parametrize("k", [3, 50])
+    def test_closed_form_matches_simulation(self, a, b, k):
+        report = gain.gain_estimate(a, b, 1.0, k_periods=k)
+        c2, omega_star, mu_half = extremal2d.build_optimal_control(a / 2, b / 2)
+        u = gain.worst_input(c2, omega_star, mu_half)
+        ratio_nat, _ = gain.simulate_gain(c2, u, k)
+        measured = 0.5 * ratio_nat / (0.5 * (a + b))
+        assert report.simulated == pytest.approx(measured, rel=5e-8)
+
+    def test_horizon_needed_is_tight(self, capsys):
+        def run(k):
+            code = cli.main(["gain", "--a", "1", "--b", "3", "--T", "1",
+                             "--periods", str(k)])
+            return code, json.loads(capsys.readouterr().out)
+
+        code, doc = run(50)
+        needed = doc["gain"]["horizon_needed"]
+        assert code == 0 and 1 < needed < 50
+        assert run(needed)[0] == 0
+        code, doc = run(needed - 1)
+        assert code == 1 and doc["gain"]["horizon_needed"] == needed
