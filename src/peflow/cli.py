@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -127,10 +128,7 @@ def _cmd_mu(cfg: RunConfig) -> int:
 def _cmd_extremal(cfg: RunConfig) -> int:
     if cfg.a is None or cfg.b is None:
         raise _UsageError("extremal requires --a and --b")
-    ext = extremal2d.solve_extremal(cfg.a, cfg.b)
-    if ext is None:
-        raise _UsageError("the pendulum extremal needs a < b (a = b is axis-hopping)")
-    params, traj = ext
+    params, traj = extremal2d.solve_extremal(cfg.a, cfg.b)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     report = extremal2d.verify_extremal(traj, params, tol=tol)
     if cfg.format == "csv":
@@ -276,9 +274,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
                        and sig.period is not None
                        and math.isclose(sig.period, 2.0 * (cfg.a + cfg.b),
                                         rel_tol=1e-9))
-    ext = extremal2d.solve_extremal(cfg.a, cfg.b) if claims_extremal else None
-    if ext is not None:
-        params, traj = ext
+    if claims_extremal:
+        params, traj = extremal2d.solve_extremal(cfg.a, cfg.b)
         report = extremal2d.verify_extremal(traj, params, tol=tol)
         ts = np.linspace(sig.t_start, sig.t_start + min(params.T, span), 257)
         dots = np.sum(sig.c_many(ts) * traj.c(ts - sig.t_start), axis=1)
@@ -303,6 +300,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # one argparse tree per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="peflow",

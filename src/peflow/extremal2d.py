@@ -157,10 +157,11 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
     """Solve K_plus(phi0)/K_minus(phi0) = a/b for phi0, then nu = b/K_minus.
 
     The ratio decreases strictly from +inf (phi0 -> 0) to 0 (phi0 -> pi),
-    so bisection is exact.  Requires 0 < a < b.
+    so bisection is exact on all of 0 < a <= b; a = b is the interior
+    point phi0 = 0.8603.
     """
-    if not 0.0 < a < b:
-        raise ValueError(f"solve_shape needs 0 < a < b, got ({a}, {b})")
+    if not 0.0 < a <= b:
+        raise ValueError(f"solve_shape needs 0 < a <= b, got ({a}, {b})")
     target = a / b
 
     def ratio(phi0: float) -> float:
@@ -329,51 +330,25 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
     return ExtremalTrajectory(ts, ys[:, :3], ys[:, 3])
 
 
-def solve_extremal(a: float, b: float) -> tuple[ExtremalParams, ExtremalTrajectory] | None:
-    """Solve and integrate the pendulum extremal for window bounds (a, b).
-
-    Returns None in the equal-bounds case b - a <= 1e-12 b, which lies
-    outside the pendulum family and is served by axis hopping.
-    """
-    if not 0.0 < a <= b:
-        raise ValueError(f"need 0 < a <= b, got ({a}, {b})")
-    if b - a <= 1e-12 * b:
-        return None
+def solve_extremal(a: float, b: float) -> tuple[ExtremalParams, ExtremalTrajectory]:
+    """Solve and integrate the pendulum extremal for window bounds 0 < a <= b."""
     params = solve_params(a, b)
     return params, integrate_extremal(params)
 
 
 def mu(a: float, b: float) -> float:
-    """Optimal per-window contraction mu(a, b) in the plane; a at a = b (axis hopping)."""
-    ext = solve_extremal(a, b)
-    return a if ext is None else ext[1].mu
-
-
-def _axis_hopping_rank_one(a: float) -> tuple[RankOneSignal, NDArray, float]:
-    # a = b boundary: the pendulum family degenerates; the optimal control
-    # hops between the two coordinate axes with unit amplitude.  Built over
-    # one full 2T window to keep the 2T-periodic output shape.
-    T = 2.0 * a
-    segs = []
-    for j in range(4):
-        angle = 0.0 if j % 2 == 0 else np.pi
-        segs.append(Segment(j * a, (j + 1) * a, np.array([angle])))
-    sig = RankOneSignal(tuple(segs), dim=2, period=2 * T)
-    return sig, np.array([1.0, 0.0]), a
+    """Optimal per-window contraction mu(a, b) in the plane, 0 < a <= b."""
+    return solve_extremal(a, b)[1].mu
 
 
 def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
-    """Synthesize the 2T-periodic worst-case control for window bounds (a, b).
+    """Synthesize the 2T-periodic worst-case control for window bounds 0 < a <= b.
 
-    Returns (signal, omega0, mu): the control as a rank-one angle signal
-    with period 2T, the worst initial direction, and the per-window cost
-    mu = J over [0, T].  The case a = b falls outside the pendulum family
-    and is served by the axis-hopping control (cost exactly a).
+    Returns (signal, omega0, mu): the reflected pendulum extremal as a
+    rank-one angle signal with period 2T, the worst initial direction, and
+    the per-window cost mu = J over [0, T].
     """
-    ext = solve_extremal(a, b)
-    if ext is None:
-        return _axis_hopping_rank_one(a)
-    params, traj = ext
+    params, traj = solve_extremal(a, b)
     T = params.T
 
     ts = np.linspace(0.0, T, _SAMPLES)

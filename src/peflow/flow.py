@@ -43,18 +43,19 @@ class IntegrationError(RuntimeError):
     """Raised when the adaptive step size underflows."""
 
 
-# Dormand-Prince 5(4) tableau, FSAL form
+# Dormand-Prince 5(4) tableau, FSAL form: row i of _A weights the stages
+# before stage i, and the last row equals the fifth-order weights _B5
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = np.array([
+    [0, 0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+])
+_B5 = _A[6]
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
 _E = _B5 - _B4
@@ -87,8 +88,8 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
     drift = 0.0
     t = t0
     h = span / 100.0 if h0 is None else h0
-    k1 = f(t, y)
-    ks = [None] * 7
+    K = np.empty((7, y.size))  # stage slopes; row 0 is the slope at (t, y)
+    K[0] = f(t, y)
     steps = 0
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
         if steps >= _MAX_STEPS:
@@ -96,12 +97,10 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3e})")
-        ks[0] = k1
         for i in range(1, 7):
-            yi = y + h * sum(a * ks[j] for j, a in enumerate(_A[i]))
-            ks[i] = f(t + _C[i] * h, yi)
-        y5 = y + h * sum(b * ks[j] for j, b in enumerate(_B5) if b != 0.0)
-        err_vec = h * sum(e * ks[j] for j, e in enumerate(_E) if e != 0.0)
+            K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
+        y5 = y + h * (_B5 @ K)
+        err_vec = h * (_E @ K)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         steps += 1
@@ -115,7 +114,7 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
                 drift += float(np.max(np.abs(y_new - y)))
                 y = y_new
             if t < t1:  # at t1 the next slope belongs to the caller's next piece
-                k1 = ks[6] if post_step is None else f(t, y)
+                K[0] = K[6] if post_step is None else f(t, y)
             ts.append(t)
             ys.append(y.copy())
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
@@ -125,38 +124,17 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled spherical state (t, omega, log_r) of a flow on signal.
+    """Time-sampled spherical state (t, omega, log_r) of a flow.
 
     Samples sit at accepted integrator steps and at every piece boundary;
     omega has unit norm at each sample and log_r is non-increasing for PSD
-    controls.  Between samples, omega(t) and log_radius(t) propagate from
-    the last sample at or before t, inside its piece (exactly on a constant
-    piece), so no evaluation reads across a breakpoint.
+    controls.
     """
 
-    signal: object
     ts: NDArray[np.float64]
     omegas: NDArray[np.float64]
     log_r: NDArray[np.float64]
     renorm_drift: float = 0.0
-    tol: float = 1e-9
-
-    def _state(self, t: float) -> tuple[NDArray[np.float64], float]:
-        t = float(t)
-        if not self.ts[0] <= t <= self.ts[-1]:
-            raise ValueError(f"t={t} outside the trajectory [{self.ts[0]}, {self.ts[-1]}]")
-        k = int(np.searchsorted(self.ts, t, side="right")) - 1
-        if t == self.ts[k]:
-            return self.omegas[k], float(self.log_r[k])
-        _, ys, _ = propagate(self.signal, self.omegas[k], float(self.ts[k]), t,
-                             tol=self.tol, spherical=True)
-        return ys[-1, :-1], float(self.log_r[k] + ys[-1, -1])
-
-    def omega(self, t: float) -> NDArray[np.float64]:
-        return self._state(t)[0]
-
-    def log_radius(self, t: float) -> float:
-        return self._state(t)[1]
 
     @property
     def cost(self) -> float:
@@ -277,7 +255,7 @@ def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = N
     if t1 is None:
         t1 = signal.horizon
     ts, ys, drift = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
-    return Trajectory(signal, ts, ys[:, :-1], ys[:, -1], renorm_drift=drift, tol=tol)
+    return Trajectory(ts, ys[:, :-1], ys[:, -1], renorm_drift=drift)
 
 
 def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArray:

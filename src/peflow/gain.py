@@ -43,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
-from .extremal2d import build_optimal_control, solve_extremal
+from .extremal2d import build_optimal_control, mu as window_mu
 from .flow import propagate
 from .signals import RankOneSignal, spline_at
 
@@ -265,10 +265,7 @@ def gain_estimate(a: float, b: float, T: float, k_periods: int = 50) -> GainRepo
     """
     if k_periods < 1:
         raise ValueError("k_periods must be >= 1")
-    ext = solve_extremal(a, b)
-    if ext is None:
-        raise ValueError("gain_estimate needs 0 < a < b")
-    mu = ext[1].mu
+    mu = window_mu(a, b)
 
     c2, omega_star, mu_half = build_optimal_control(a / 2.0, b / 2.0)
     u = worst_input(c2, omega_star, mu_half)

@@ -7,10 +7,11 @@ trajectory converges to the origin; when it converges the construction
 below exhibits "freezing" — the state norm stalls at a positive plateau.
 
 The witness signal chains per-window worst-case controls: each window
-gets the planar minimizer for its own (a_ell, b_ell), time-rescaled to
-the window length (Gram and cost are invariant under s -> lam * S(lam t))
-and conjugated by the rotation aligning its optimal initial direction
-with the state direction reached so far.  The log-contraction over window
+is one segment carrying the planar pendulum minimizer for its own
+(a_ell, b_ell), a_ell = b_ell included, time-rescaled to the window
+length (Gram and cost are invariant under s -> lam * S(lam t)) and
+conjugated by the rotation aligning its optimal initial direction with
+the state direction reached so far.  The log-contraction over window
 ell is then exactly mu(a_ell, b_ell, 2), so the norm at tau_L is
 exp(-sum of mu) by construction.
 """
@@ -120,16 +121,11 @@ def _rotation_to(target: NDArray, source: NDArray) -> NDArray:
 
 
 def _synthesize_window(a: float, b: float, cache: dict):
-    """Natural-clock window minimizer: (c(t) sampler over [0, a+b], omega0,
-    omegaT).  None sampler marks the axis-hopping case a = b."""
+    """Natural-clock window minimizer: (trajectory on [0, a+b], omega0, omegaT)."""
     key = (a, b)
     if key not in cache:
-        ext = solve_extremal(a, b)
-        if ext is None:
-            cache[key] = (None, np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-        else:
-            params, traj = ext
-            cache[key] = (traj, traj.omega(0.0), traj.omega(params.T))
+        params, traj = solve_extremal(a, b)
+        cache[key] = (traj, traj.omega(0.0), traj.omega(params.T))
     return cache[key]
 
 
@@ -138,9 +134,8 @@ def build_gpe_signal(schedule: GPESchedule) -> tuple[MatrixSignal, NDArray]:
 
     Each window carries the (a_ell, b_ell) minimizer, time-rescaled to the
     window length and rotated so its optimal initial direction continues
-    the direction the state has reached; windows with a_ell = b_ell use
-    the axis-hopping control.  Returns the signal and the worst initial
-    direction omega0.
+    the direction the state has reached, as one segment per window.
+    Returns the signal and the worst initial direction omega0.
     """
     cache: dict = {}
     segs: list[Segment] = []
@@ -158,19 +153,11 @@ def build_gpe_signal(schedule: GPESchedule) -> tuple[MatrixSignal, NDArray]:
             w = om0
             omega0 = om0.copy()
         U = _rotation_to(w, om0)
-        if traj is None:
-            # axis hopping: amplitude 2a/T on each rotated axis in turn
-            amp = 2.0 * a / T_win
-            for j, axis in enumerate((U[:, 0], U[:, 1])):
-                mat = amp * np.outer(axis, axis)
-                segs.append(Segment(t0 + 0.5 * j * T_win, t0 + 0.5 * (j + 1) * T_win,
-                                    mat[None, :, :]))
-        else:
-            lam = (a + b) / T_win
-            grid = np.linspace(0.0, T_win, _SAMPLES)
-            cs = traj.c(lam * grid) @ U.T
-            mats = lam * np.einsum("ki,kj->kij", cs, cs)
-            segs.append(Segment(t0, t1, mats))
+        lam = (a + b) / T_win
+        grid = np.linspace(0.0, T_win, _SAMPLES)
+        cs = traj.c(lam * grid) @ U.T
+        mats = lam * np.einsum("ki,kj->kij", cs, cs)
+        segs.append(Segment(t0, t1, mats))
         w = U @ omT
     return MatrixSignal(tuple(segs), dim=2), omega0
 
@@ -198,11 +185,10 @@ def asymptotic_norm(signal: MatrixSignal, omega0: NDArray, L: int,
     """State norms at the window ends against the exp(-sum mu) prediction.
 
     tau_seq gives the window right-endpoints; when omitted, each signal
-    segment is taken to be one window (true for pure-pendulum schedules;
-    axis-hopping windows split into two segments, so pass tau_seq for
-    schedules that contain them).  Window bounds (a, b) are recovered from
-    the Gram eigenvalues of the signal itself.  Measured and predicted
-    norms must agree within 1% at every window.
+    segment is taken to be one window, as build_gpe_signal makes them.
+    Window bounds (a, b) are recovered from the Gram eigenvalues of the
+    signal itself.  Measured and predicted norms must agree within 1% at
+    every window.
     """
     if tau_seq is None:
         taus = [seg.t1 for seg in signal.segments]

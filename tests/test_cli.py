@@ -54,7 +54,7 @@ class TestExitCodes:
     def test_usage_errors_exit_2(self, capsys):
         assert cli.main(["mu", "--b", "3"]) == 2
         assert cli.main(["mu", "--a", "3", "--b", "1"]) == 2
-        assert cli.main(["extremal", "--a", "1", "--b", "1"]) == 2
+        assert cli.main(["extremal", "--a", "3", "--b", "1"]) == 2
         assert cli.main(["mu", "--a", "1", "--b", "3", "--n", "0"]) == 2
         capsys.readouterr()
 
@@ -91,6 +91,16 @@ class TestExitCodes:
             cli.main(["mu", "--a", "one", "--b", "3"])
         assert exc.value.code == 2
 
+    def test_parser_reuse_keeps_no_flags(self, capsys):
+        # one argparse tree serves every call in a process; a flag given to
+        # one call must not leak into the next
+        code, doc = run_json(capsys, "mu", "--a", "1", "--b", "3", "--tol", "0.5")
+        assert code == 0 and doc["config"]["tol"] == 0.5
+        code, doc = run_json(capsys, "mu", "--a", "0.5", "--b", "2")
+        assert code == 0
+        assert doc["config"]["tol"] is None and doc["config"]["a"] == 0.5
+        assert cli._build_parser() is cli._build_parser()
+
 
 class TestMu:
     def test_fields(self, capsys):
@@ -102,30 +112,30 @@ class TestMu:
         assert doc["upper_bound_a"] == 1.0
 
     def test_equal_bounds(self, capsys):
+        # a = b is an interior point of the pendulum family (phi0 = 0.8603);
+        # the oracle's mu_hat there is 1.3852 (N = 40, 20 seeds), not 2
         code, doc = run_json(capsys, "mu", "--a", "2", "--b", "2")
         assert code == 0
-        assert doc["mu"] == pytest.approx(2.0)
+        assert doc["mu"] == pytest.approx(1.3837532212, rel=1e-9)
 
     def test_every_path_reports_same_mu(self, capsys):
         for a, b in ((1.0, 3.0), (1.0, 1.0)):
             _, doc = run_json(capsys, "mu", "--a", repr(a), "--b", repr(b))
             mu = extremal2d.mu(a, b)
             assert doc["mu"] == mu
-            if a < b:
-                assert gain.gain_estimate(a, b, 1.0, k_periods=8).mu == mu
+            assert gain.gain_estimate(a, b, 1.0, k_periods=8).mu == mu
             # the GPE chain reads mu back from each window's Gram, whose
             # 2048-sample resampling moves mu(1, 3) by 1.5e-8 relative
             sched = gpe.GPESchedule.constant(a, b, 1.0, 2)
             sig, om0 = gpe.build_gpe_signal(sched)
             asym = gpe.asymptotic_norm(sig, om0, 2, tau_seq=sched.tau_seq)
             assert asym.mu_seq == pytest.approx([mu, mu], rel=2e-8)
-        # 0 < b - a <= 1e-12 b counts as a = b on every path
+        # mu is continuous at a = b: no threshold separates b = a + 1e-13 from a = b
         b = repr(1.0 + 1e-13)
         _, doc = run_json(capsys, "mu", "--a", "1", "--b", b)
-        assert doc["mu"] == extremal2d.mu(1.0, 1.0 + 1e-13) == 1.0
-        assert cli.main(["extremal", "--a", "1", "--b", b]) == 2
-        assert cli.main(["extremal", "--a", "1", "--b", "1"]) == 2
-        capsys.readouterr()
+        assert doc["mu"] == pytest.approx(extremal2d.mu(1.0, 1.0), rel=1e-10)
+        code, doc = run_json(capsys, "extremal", "--a", "1", "--b", "1")
+        assert code == 0 and doc["mu"] == extremal2d.mu(1.0, 1.0)
 
 
 class TestExtremal:
@@ -147,6 +157,28 @@ class TestExtremal:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == pytest.approx(4.0)
         assert last[4] == pytest.approx(0.4819817203199967, rel=1e-6)
+
+
+class TestEqualBounds:
+    """a = b through the one pendulum path.  Certified mu(a, a) against the
+    oracle's mu_hat (N = 40, 20 seeds): 0.492124 vs 0.492145 at a = 0.5,
+    0.933552 vs 0.933705 at a = 1, 1.383753 vs 1.385177 at a = 2."""
+
+    @pytest.mark.parametrize("a", [0.01, 0.1, 1.0, 2.0, 5.0, 20.0])
+    def test_certified_and_continuous(self, capsys, a):
+        code, doc = run_json(capsys, "extremal", "--a", repr(a), "--b", repr(a))
+        assert code == 0 and doc["passed"] is True
+        assert doc["params"]["phi0"] == pytest.approx(0.8602743467, rel=1e-9)
+        mu = extremal2d.mu(a, a)
+        assert doc["mu"] == mu
+        assert mu < a
+        assert mu == pytest.approx(extremal2d.mu(a, a * (1.0 + 1e-9)), rel=1e-8)
+
+    def test_oracle_agrees(self, capsys):
+        code, doc = run_json(capsys, "oracle", "--a", "1", "--b", "1",
+                             "--segments", "20", "--seeds", "4")
+        assert code == 0 and doc["passed"] is True
+        assert doc["mu_extremal"] <= doc["mu_hat"]
 
 
 class TestDecayGain:
@@ -197,7 +229,8 @@ class TestGpe:
         assert lines[0] == "ell,tau,norm,predicted_norm,partial_sum"
         assert len(lines) == 7
         last = lines[-1].split(",")
-        assert float(last[2]) == pytest.approx(np.exp(-6.0), rel=1e-5)
+        assert float(last[2]) == pytest.approx(np.exp(-6.0 * extremal2d.mu(1.0, 1.0)),
+                                               rel=1e-5)
 
     def test_schedule_file_json(self, capsys, tmp_path):
         s = gpe.GPESchedule((1.0, 0.5), (3.0, 1.5), (4.0, 6.0), tag="converges")

@@ -77,8 +77,7 @@ class TestShapeSolve:
         assert params.T == pytest.approx(a + b, rel=1e-12)
 
     def test_requires_a_below_b(self):
-        with pytest.raises(ValueError):
-            extremal2d.solve_shape(1.0, 1.0)
+        # a = b is in the domain (tests/test_cli.py::TestEqualBounds); a > b is not
         with pytest.raises(ValueError):
             extremal2d.solve_shape(3.0, 1.0)
 
@@ -165,12 +164,16 @@ class TestBuildOptimalControl:
         sig, om0, mu = extremal2d.build_optimal_control(a, b)
         assert flow.cost_J(sig, om0, T=2 * (a + b)) == pytest.approx(2 * mu, rel=1e-6)
 
-    def test_equal_bounds_routes_to_axis_hopping(self):
+    def test_equal_bounds_is_a_pendulum_extremal(self):
+        # a = b is synthesized like any a < b: the 2T-periodic reflected
+        # extremal with Gram I over a window and cost mu(1, 1) = 0.93355,
+        # below the axis-hopping cost 1 (oracle mu_hat 0.93370, N = 40)
         sig, om0, mu = extremal2d.build_optimal_control(1.0, 1.0)
-        assert mu == pytest.approx(1.0, abs=1e-12)
+        assert mu == pytest.approx(0.9335519271, rel=1e-9)
+        assert sig.period == pytest.approx(4.0, rel=1e-12)
         eigs = np.linalg.eigvalsh(signals.gram(sig, 0.0, 2.0))
-        assert eigs == pytest.approx([1.0, 1.0], abs=1e-9)
-        assert flow.cost_J(sig, om0, T=2.0) == pytest.approx(1.0, rel=1e-8)
+        assert eigs == pytest.approx([1.0, 1.0], abs=1e-6)
+        assert flow.cost_J(sig, om0, T=2.0) == pytest.approx(mu, rel=1e-6)
 
     def test_halved_bounds_frozen(self):
         # mu is not homogeneous in (a, b); pin the halved pair used by the

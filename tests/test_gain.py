@@ -115,9 +115,13 @@ class TestGainEstimate:
         assert math.isfinite(report.simulated)
         assert report.lower < report.upper
 
-    def test_requires_strict_bounds(self):
-        with pytest.raises(ValueError):
-            gain.gain_estimate(1.0, 1.0, 1.0)
+    def test_equal_bounds(self):
+        # a = b runs the same pendulum pipeline as a < b
+        report = gain.gain_estimate(1.0, 1.0, 1.0, k_periods=50)
+        assert report.mu == extremal2d.mu(1.0, 1.0)
+        assert report.mu_half == extremal2d.mu(0.5, 0.5)
+        assert report.lower <= report.simulated * 1.02
+        assert report.simulated <= report.upper
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_rejects_empty_horizon(self, k):

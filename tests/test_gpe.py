@@ -88,12 +88,14 @@ class TestBuildAndMeasure:
                 math.exp(-mu * (ell + 1)), rel=1e-5)
         assert asym.max_rel_dev < 0.01
 
-    def test_axis_hop_windows(self):
-        # equal bounds route through the two-segment hop inside the chain
+    def test_equal_bound_windows(self):
+        # a = b windows are one pendulum segment each, like a < b windows
         s = gpe.GPESchedule((1.0, 1.0, 0.5), (1.0, 1.0, 1.5), (1.0, 2.0, 4.0))
         sig, om0 = gpe.build_gpe_signal(s)
-        asym = gpe.asymptotic_norm(sig, om0, 3, tau_seq=s.tau_seq)
-        assert asym.mu_seq[0] == pytest.approx(1.0, rel=1e-6)
+        assert len(sig.segments) == 3
+        asym = gpe.asymptotic_norm(sig, om0, 3)
+        assert asym.taus == s.tau_seq
+        assert asym.mu_seq[:2] == pytest.approx([extremal2d.mu(1.0, 1.0)] * 2, rel=1e-6)
         assert asym.max_rel_dev < 0.01
 
     def test_mixed_schedule_norm_prediction(self):
