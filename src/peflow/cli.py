@@ -220,7 +220,7 @@ def _cmd_gpe(cfg: RunConfig) -> int:
     L = schedule.length
     sums, verdict = gpe.series_criterion(schedule)
     sig, omega0 = gpe.build_gpe_signal(schedule)
-    asym = gpe.asymptotic_norm(sig, omega0, L, tau_seq=schedule.tau_seq)
+    asym = gpe.asymptotic_norm(schedule, sig, omega0)
     passed = asym.max_rel_dev <= 0.01
     if cfg.format == "csv":
         rows = [[str(ell), repr(asym.taus[ell]), repr(asym.norms[ell]),

@@ -292,10 +292,6 @@ class ExtremalTrajectory:
         return np.stack([np.cos(half), np.sin(half)], axis=-1)
 
     @property
-    def span(self) -> float:
-        return float(self.ts[-1] - self.ts[0])
-
-    @property
     def mu(self) -> float:
         """Total cost over the integrated span."""
         return float(self.cost[-1])

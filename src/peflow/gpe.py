@@ -26,7 +26,7 @@ from numpy.typing import NDArray
 
 from .extremal2d import mu, solve_extremal
 from .flow import integrate_flow
-from .signals import MatrixSignal, Segment, gram, write_atomic
+from .signals import MatrixSignal, Segment, write_atomic
 
 __all__ = [
     "GPESchedule",
@@ -167,9 +167,8 @@ class GPEAsymptotics:
     """Measured vs predicted decay along a GPE chain.
 
     norms[ell] is the state norm at tau_{ell+1}; predicted_norms is
-    exp(-partial mu sums) with mu recovered per window from the signal's
-    own Gram eigenvalues (a rotation-invariant readback, independent of
-    how the signal was built); limit_estimate is the last prediction.
+    exp(-partial mu sums) with mu_seq[ell] = mu(a_ell, b_ell) from the
+    schedule; limit_estimate is the last prediction.
     """
 
     taus: tuple[float, ...]
@@ -180,55 +179,26 @@ class GPEAsymptotics:
     max_rel_dev: float
 
 
-def asymptotic_norm(signal: MatrixSignal, omega0: NDArray, L: int,
-                    tau_seq=None) -> GPEAsymptotics:
+def asymptotic_norm(schedule: GPESchedule, signal: MatrixSignal,
+                    omega0: NDArray) -> GPEAsymptotics:
     """State norms at the window ends against the exp(-sum mu) prediction.
 
-    tau_seq gives the window right-endpoints; when omitted, each signal
-    segment is taken to be one window, as build_gpe_signal makes them.
-    Window bounds (a, b) are recovered from the Gram eigenvalues of the
-    signal itself.  Measured and predicted norms must agree within 1% at
-    every window.
+    One flow from omega0 over [0, tau_L]; the window ends are segment ends
+    of the chained signal, so the flow has a sample at each.  Measured and
+    predicted norms must agree within 1% at every window.
     """
-    if tau_seq is None:
-        taus = [seg.t1 for seg in signal.segments]
-    else:
-        taus = [float(t) for t in tau_seq]
-    if len(taus) < L:
-        raise ValueError(f"only {len(taus)} windows available, L = {L}")
-    taus = taus[:L]
-
-    mu_cache: dict = {}
-    mus = []
-    t_prev = 0.0
-    for tau in taus:
-        g = gram(signal, t_prev, tau)
-        ev = np.linalg.eigvalsh(g)
-        a, b = float(ev[0]), float(ev[-1])
-        key = (round(a, 12), round(b, 12))
-        if key not in mu_cache:
-            mu_cache[key] = mu(a, b)
-        mus.append(mu_cache[key])
-        t_prev = tau
-
-    log_norms = []
-    omega = np.asarray(omega0, dtype=float)
-    log_r = 0.0
-    t_prev = 0.0
-    for tau in taus:
-        traj = integrate_flow(signal, omega, t_prev, tau)
-        log_r += float(traj.log_r[-1])
-        omega = traj.omegas[-1]
-        log_norms.append(log_r)
-        t_prev = tau
-
-    norms = np.exp(log_norms)
+    pairs = list(zip(schedule.a_seq, schedule.b_seq))
+    mu_of = {pair: mu(*pair) for pair in dict.fromkeys(pairs)}
+    mus = [mu_of[pair] for pair in pairs]
+    taus = schedule.tau_seq
+    traj = integrate_flow(signal, omega0, 0.0, taus[-1])
+    norms = np.exp(traj.log_r[np.searchsorted(traj.ts, taus)])
     predicted = np.exp(-np.cumsum(mus))
     rel_dev = float(np.max(np.abs(norms / predicted - 1.0)))
     if rel_dev > 0.01:
         raise ArithmeticError(f"measured norms deviate from the mu-sum prediction "
                               f"by {rel_dev:.2%} (limit 1%)")
-    return GPEAsymptotics(taus=tuple(taus), norms=tuple(float(x) for x in norms),
+    return GPEAsymptotics(taus=taus, norms=tuple(float(x) for x in norms),
                           predicted_norms=tuple(float(x) for x in predicted),
                           mu_seq=tuple(float(m) for m in mus),
                           limit_estimate=float(predicted[-1]), max_rel_dev=rel_dev)

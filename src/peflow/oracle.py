@@ -14,11 +14,9 @@ pair (lam, T - lam) and lam = T/2 - (dt/2)|sum_j exp(2i psi_j)|, so
 admissibility a*I <= G <= b*I is the single smooth inequality
 rho^2 - |sum_j exp(2i psi_j)|^2 >= 0 with rho = (b - a)/dt, handed to
 SLSQP with its exact Jacobian.  rho is shrunk by a small margin so the
-optimum lies strictly inside the admissible set.  A winner still outside
-it is repaired by dilating the doubled angles about their circular mean,
-which spreads the directions and raises lam_min monotonically; at a = b,
-where no dilation reaches the shell lam_min = a, the last two directions
-are re-aimed to cancel the phasor sum instead.
+optimum lies strictly inside the admissible set.  An optimizer end still
+outside it has one repair for every a <= b: the last two directions are
+re-aimed to bring the phasor sum inside |sum_j exp(2i psi_j)| <= rho.
 
 The final reported value is recomputed with flow.cost_J on the assembled
 signal so the cost definition has a single source of truth; flow.propagate
@@ -78,8 +76,8 @@ def _make_funcs(a: float, b: float, N: int) -> _Funcs:
     decay = math.exp(-dt) - 1.0
     half = 0.5 * T
     # rho shrunk by 2e-9/dt puts the optimum at lam_min >= a + 1e-9 (or
-    # within 1e-9 below a when b - a < 2e-9), so the final projection does
-    # not dilate a boundary point into a worse control
+    # within 1e-9 below a when b - a < 2e-9), so a boundary point rarely
+    # needs the repair
     rho2 = ((b - a - _MARGIN) / dt) ** 2
 
     def lam_min(psis: NDArray) -> float:
@@ -130,54 +128,6 @@ def _make_funcs(a: float, b: float, N: int) -> _Funcs:
 
     return _Funcs(lam_min, cost, cost_grad,
                   {"type": "ineq", "fun": gap, "jac": gap_jac})
-
-
-def _dilate(psis: NDArray, s: float) -> NDArray:
-    """Scale angle deviations about the doubled-angle circular mean by s.
-
-    The Gram depends on the directions only through their doubled angles,
-    so the mean is taken there; s > 1 spreads the directions apart.
-    """
-    two = 2.0 * psis
-    m = 0.5 * math.atan2(float(np.sum(np.sin(two))), float(np.sum(np.cos(two))))
-    dev = 0.5 * np.angle(np.exp(2j * (psis - m)))
-    return m + s * dev
-
-
-def _project_feasible(psis: NDArray, lam_min, a: float,
-                      margin: float = 1e-9) -> NDArray:
-    """Dilate toward lam_min >= a + margin, best effort.
-
-    If some expansion reaches the target, bisection returns the least
-    dilation that does.  At the boundary case a = b the target a + margin
-    is unattainable (lam_min <= (a+b)/2 always), so the best dilation
-    found is returned instead and the caller decides whether its residual
-    is acceptable.
-    """
-    lam_here = lam_min(psis)
-    if lam_here >= a + margin:
-        return psis
-    best_s, best_lam = 1.0, lam_here
-    s_hi = 1.0
-    reached = False
-    for _ in range(40):
-        s_hi *= 1.5
-        lam = lam_min(_dilate(psis, s_hi))
-        if lam > best_lam:
-            best_lam, best_s = lam, s_hi
-        if lam >= a + margin:
-            reached = True
-            break
-    if reached:
-        s_lo = 1.0
-        for _ in range(100):
-            mid = 0.5 * (s_lo + s_hi)
-            if lam_min(_dilate(psis, mid)) >= a + margin:
-                s_hi = mid
-            else:
-                s_lo = mid
-        return _dilate(psis, s_hi)
-    return psis if best_s == 1.0 else _dilate(psis, best_s)
 
 
 def _signal_from_angles(psis: NDArray, T: float) -> RankOneSignal:
@@ -232,9 +182,9 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
     """Direct minimization of J over piecewise-constant rank-one controls.
 
     Coarse-to-fine: each seed is optimized by SLSQP at a ladder of segment
-    counts (ending at N), upsampling the best point between levels, and the
-    winner is projected exactly onto the feasible set before the final
-    evaluation.
+    counts (ending at N), upsampling the best point between levels.  An
+    end with lam_min < a is repaired by _repair_last_pair, and a seed still
+    short of a - FEAS_TOL is skipped.
     """
     if not 0.0 < a <= b:
         raise ValueError("need 0 < a <= b")
@@ -261,13 +211,11 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
             nfev += res.nfev
 
         lamN, costN = funcs[N].lam_min, funcs[N].cost
-        fixed = _project_feasible(z[1:], lamN, a, margin=1e-12)
-        if lamN(fixed) < a:
-            # a = b: dilation cannot reach the shell, cancel the phasor sum
-            fixed = _repair_last_pair(fixed, a, T)
+        if lamN(z[1:]) < a:
+            fixed = _repair_last_pair(z[1:], a, T)
             if fixed is None or lamN(fixed) < a - FEAS_TOL:
                 continue
-        z = np.concatenate([[z[0]], fixed])
+            z = np.concatenate([[z[0]], fixed])
         used += 1
         c = costN(z)
         if c < best_cost:

@@ -4,16 +4,15 @@ A control signal is a piecewise-smooth map t -> S(t) into positive
 semi-definite symmetric matrices.  Two concrete representations are used
 throughout:
 
-* :class:`RankOneSignal` stores a unit vector c(t) and represents
-  S = c c^T.  In dimension 2 the vector is encoded by a single angle
-  phi(t) through c = (cos(phi/2), sin(phi/2)); in higher dimension by
-  sampled unit vectors.
+* :class:`RankOneSignal` represents the planar rank-one control S = c c^T
+  by a single angle phi(t), through c = (cos(phi/2), sin(phi/2)).
 * :class:`MatrixSignal` stores sampled symmetric matrices directly.
 
 Both types are segmented: each segment carries a uniform sample grid on
 [t0, t1] interpolated with a cubic spline, except single-sample segments
-which are exact constants (used for piecewise-constant controls).
-Instances are immutable after construction.
+which are exact constants (used for piecewise-constant controls).  A
+periodic signal's period equals the span of its segments.  Instances are
+immutable after construction.
 
 A span [t0, t1] is walked one piece at a time: pieces() cuts it at the
 segment boundaries, and a piece's values are read from its own segment
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 PSD_TOL = 1e-10
-UNIT_TOL = 1e-12
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _GRAM_SUBINTERVALS = 256  # quadrature cells per signal segment
@@ -90,9 +88,9 @@ def spline_at(spline: CubicSpline) -> Callable[[float], float | NDArray[np.float
 class Segment:
     """One sampled piece of a signal on [t0, t1].
 
-    data holds samples on the uniform grid linspace(t0, t1, m):
-    shape (m,) for 2D angles, (m, n) for unit vectors, (m, n, n) for
-    matrices.  m == 1 means the segment is constant.
+    data holds samples on the uniform grid linspace(t0, t1, m): shape
+    (m,) for the angles of a rank-one signal, (m, n, n) for matrices.
+    m == 1 means the segment is constant.
     """
 
     t0: float
@@ -127,13 +125,16 @@ class Segment:
         return spline_at(self._spline)
 
 
-def _as_segments(segments) -> tuple[Segment, ...]:
+def _as_segments(segments, period: float | None) -> tuple[Segment, ...]:
     segs = tuple(segments)
     if not segs:
         raise ValueError("signal needs at least one segment")
     for prev, nxt in zip(segs, segs[1:]):
         if abs(nxt.t0 - prev.t1) > 1e-12 * max(1.0, abs(prev.t1)):
             raise ValueError(f"segments do not tile: gap between {prev.t1} and {nxt.t0}")
+    span = segs[-1].t1 - segs[0].t0
+    if period is not None and not abs(period - span) <= 1e-12 * span:
+        raise ValueError(f"period {period} differs from the segments' span {span}")
     return segs
 
 
@@ -166,23 +167,44 @@ class _SegmentedSignal:
         return seg, min(max(t, seg.t0), seg.t1)
 
     def pieces(self, t0: float, t1: float) -> list[tuple[float, float, Segment, float]]:
-        """Cut [t0, t1] at the breakpoints into pieces (u0, u1, segment, shift).
+        """Cut [t0, t1] at the segment boundaries into pieces (u0, u1, segment, shift).
 
         On [u0, u1] the signal is that one segment read at local time
-        t - shift, where shift is a whole number of periods (0 for an
-        aperiodic signal).  This is the one place that cuts a span at
-        segment boundaries.
+        t - shift, where shift = k * period for a periodic signal (0 for an
+        aperiodic one).  The walk starts at the segment holding t0 and steps
+        through the segment list, one pass per period; a boundary within
+        1e-12 of t0 or t1 makes no cut.  This is the one place that cuts a
+        span.
         """
-        if self.period is None and (t0 < self.t_start - 1e-9 or t1 > self.horizon + 1e-9):
-            raise ValueError(f"[{t0}, {t1}] outside signal horizon "
-                             f"[{self.t_start}, {self.horizon}]")
-        cuts = [float(t0), *self.breakpoints(t0, t1).tolist(), float(t1)]
+        segs = self.segments
+        if self.period is None:
+            if t0 < self.t_start - 1e-9 or t1 > self.horizon + 1e-9:
+                raise ValueError(f"[{t0}, {t1}] outside signal horizon "
+                                 f"[{self.t_start}, {self.horizon}]")
+            P, k = 0.0, 0
+        else:
+            P = self.period
+            k = math.floor((t0 - self.t_start) / P)
+        i = min(max(bisect_right(self._starts, t0 - k * P) - 1, 0), len(segs) - 1)
         out = []
-        for u0, u1 in zip(cuts[:-1], cuts[1:]):
-            mid = 0.5 * (u0 + u1)
-            seg, local = self._local(mid)
-            out.append((u0, u1, seg, mid - local))
-        return out
+        u0, t1 = float(t0), float(t1)
+        while True:
+            shift = k * P
+            if i + 1 < len(segs):
+                end = float(segs[i + 1].t0 + shift)
+            elif self.period is None:
+                end = math.inf
+            else:  # the period wrap: horizon + kP and t_start + (k+1)P may differ by an ulp
+                end = float(min(self.horizon + shift, self.t_start + (k + 1) * P))
+            if end >= t1 - 1e-12:
+                out.append((u0, t1, segs[i], shift))
+                return out
+            if end > u0 + 1e-12:
+                out.append((u0, end, segs[i], shift))
+                u0 = end
+            i += 1
+            if i == len(segs):
+                i, k = 0, k + 1
 
     def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], NDArray[np.float64]]:
         """t -> S(t) on a piece of seg: local time t - shift, clamped to [seg.t0, seg.t1]."""
@@ -193,32 +215,16 @@ class _SegmentedSignal:
         at, lo, hi = seg.at, seg.t0, seg.t1
         return lambda t: to_matrix(at(min(max(t - shift, lo), hi)))
 
-    def breakpoints(self, t0: float, t1: float) -> NDArray[np.float64]:
-        """Segment boundaries (periodically unrolled) that fall inside (t0, t1)."""
-        bounds = np.array([s.t0 for s in self.segments] + [self.horizon])
-        if self.period is None:
-            inner = bounds
-        else:
-            k0 = np.floor((t0 - self.t_start) / self.period)
-            k1 = np.ceil((t1 - self.t_start) / self.period)
-            shifts = np.arange(k0, k1 + 1)[:, None] * self.period
-            inner = (bounds[None, :] + shifts).ravel()
-        inner = np.unique(inner[(inner > t0 + 1e-12) & (inner < t1 - 1e-12)])
-        # periodic unrolling can round one boundary to two adjacent floats;
-        # an integrator landing on both would need a step of one ulp
-        gaps = np.diff(inner, prepend=-np.inf)
-        return inner[gaps > 1e-12 * np.maximum(1.0, np.abs(inner))]
-
 
 @dataclass(frozen=True)
 class RankOneSignal(_SegmentedSignal):
-    """Unit-vector signal c(t) defining the rank-one control S = cc^T.
+    """Planar rank-one control S = cc^T with c = (cos(phi/2), sin(phi/2)).
 
     Fields:
-        segments: ordered, gap-free segments; angle samples (dim 2) or
-            unit-vector samples (dim n).
-        dim: ambient dimension n >= 1.
-        period: optional period for cyclic evaluation.
+        segments: ordered, gap-free segments of angle samples phi.
+        dim: ambient dimension, always 2.
+        period: optional period for cyclic evaluation, equal to the
+            segments' span.
     """
 
     segments: tuple[Segment, ...] = field()
@@ -226,38 +232,25 @@ class RankOneSignal(_SegmentedSignal):
     period: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", _as_segments(self.segments))
-        for seg in self.segments:
-            if seg.data.ndim == 1:
-                if self.dim != 2:
-                    raise ValueError("angle samples require dim == 2")
-            elif seg.data.ndim == 2:
-                if seg.data.shape[1] != self.dim:
-                    raise ValueError("vector samples do not match dim")
-                norms = np.linalg.norm(seg.data, axis=1)
-                if np.max(np.abs(norms - 1.0)) > UNIT_TOL:
-                    raise ValueError("vector samples must have unit norm")
-            else:
-                raise ValueError("rank-one segment data must be angles (m,) or vectors (m,n)")
+        object.__setattr__(self, "segments", _as_segments(self.segments, self.period))
+        if self.dim != 2:
+            raise ValueError("rank-one signals are planar: dim must be 2")
+        if any(seg.data.ndim != 1 for seg in self.segments):
+            raise ValueError("rank-one segment data must be angles, shape (m,)")
 
     @staticmethod
-    def _unit(raw) -> NDArray[np.float64]:
-        """Unit vector of one raw sample: an angle (dim 2) or a vector."""
-        if isinstance(raw, float):
-            half = 0.5 * raw
-            return np.array([math.cos(half), math.sin(half)])
-        return raw / np.linalg.norm(raw)
+    def _unit(phi: float) -> NDArray[np.float64]:
+        half = 0.5 * phi
+        return np.array([math.cos(half), math.sin(half)])
 
     @staticmethod
-    def _units(raw: NDArray) -> NDArray[np.float64]:
-        """Unit vectors of a batch of raw samples, shape (k, dim)."""
-        if raw.ndim == 1:
-            half = 0.5 * raw
-            return np.column_stack([np.cos(half), np.sin(half)])
-        return raw / np.linalg.norm(raw, axis=1, keepdims=True)
+    def _units(phis: NDArray) -> NDArray[np.float64]:
+        """Unit vectors of an array of angles, shape (k, 2)."""
+        half = 0.5 * phis
+        return np.column_stack([np.cos(half), np.sin(half)])
 
-    def _matrix_of(self, raw) -> NDArray[np.float64]:
-        v = self._unit(raw)
+    def _matrix_of(self, phi: float) -> NDArray[np.float64]:
+        v = self._unit(phi)
         return v[:, None] * v
 
     def c(self, t: float) -> NDArray[np.float64]:
@@ -290,7 +283,7 @@ class MatrixSignal(_SegmentedSignal):
     period: float | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", _as_segments(self.segments))
+        object.__setattr__(self, "segments", _as_segments(self.segments, self.period))
         for seg in self.segments:
             if seg.data.ndim != 3 or seg.data.shape[1:] != (self.dim, self.dim):
                 raise ValueError("matrix segment data must have shape (m, n, n)")
@@ -424,16 +417,10 @@ def reflect_extend(c: RankOneSignal, D: NDArray, tol: float = 1e-6) -> RankOneSi
         raise ValueError(f"seam mismatch beyond tolerance: |Dc(0)-c(T)|={r_plus:.2e}, "
                          f"|Dc(0)+c(T)|={r_minus:.2e}")
     sigma = 1.0 if r_plus <= r_minus else -1.0
-    sD = sigma * diag
-
+    mult, off = _angle_transform(sigma * diag)
     segs = list(c.segments)
     for seg in c.segments:
-        if seg.data.ndim == 1:
-            mult, off = _angle_transform(sD)
-            data = mult * seg.data + off
-        else:
-            data = seg.data * sD[None, :]
-        segs.append(Segment(seg.t0 + T, seg.t1 + T, data))
+        segs.append(Segment(seg.t0 + T, seg.t1 + T, mult * seg.data + off))
     return RankOneSignal(tuple(segs), dim=c.dim, period=2 * T)
 
 
@@ -459,13 +446,9 @@ def time_rescale(signal: MatrixSignal, lam: float,
 def signal_to_dict(signal: RankOneSignal | MatrixSignal) -> dict:
     """Serializable document {dim, period, segments: [{t0, t1, kind, data}]}."""
     segs = []
+    kind: Literal["angles", "matrices"] = \
+        "angles" if isinstance(signal, RankOneSignal) else "matrices"
     for seg in signal.segments:
-        if isinstance(signal, RankOneSignal):
-            if seg.data.ndim != 1:
-                raise ValueError("only angle-encoded rank-one signals serialize")
-            kind: Literal["angles", "matrices"] = "angles"
-        else:
-            kind = "matrices"
         segs.append({"t0": seg.t0, "t1": seg.t1, "kind": kind, "data": seg.data.tolist()})
     return {"dim": signal.dim, "period": signal.period, "segments": segs}
 

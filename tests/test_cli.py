@@ -124,12 +124,9 @@ class TestMu:
             mu = extremal2d.mu(a, b)
             assert doc["mu"] == mu
             assert gain.gain_estimate(a, b, 1.0, k_periods=8).mu == mu
-            # the GPE chain reads mu back from each window's Gram, whose
-            # 2048-sample resampling moves mu(1, 3) by 1.5e-8 relative
             sched = gpe.GPESchedule.constant(a, b, 1.0, 2)
             sig, om0 = gpe.build_gpe_signal(sched)
-            asym = gpe.asymptotic_norm(sig, om0, 2, tau_seq=sched.tau_seq)
-            assert asym.mu_seq == pytest.approx([mu, mu], rel=2e-8)
+            assert gpe.asymptotic_norm(sched, sig, om0).mu_seq == (mu, mu)
         # mu is continuous at a = b: no threshold separates b = a + 1e-13 from a = b
         b = repr(1.0 + 1e-13)
         _, doc = run_json(capsys, "mu", "--a", "1", "--b", b)
@@ -195,6 +192,15 @@ class TestDecayGain:
                              "--a", "1", "--b", "1")
         assert code == 0
         assert doc["decay"]["rate"] == pytest.approx(1.0, rel=1e-7)
+
+    def test_decay_rejects_period_off_span(self, capsys, tmp_path):
+        path = tmp_path / "off.json"
+        doc = signals.signal_to_dict(signals.axis_hopping_control(1.0, 1.0, 2))
+        doc["period"] = 1.5
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, "decay", "--signal", str(path))
+        assert code == 1
+        assert out["error"]["type"] == "ValueError"
 
     def test_gain_report(self, capsys):
         code, doc = run_json(capsys, "gain", "--a", "1", "--b", "3", "--T", "1",

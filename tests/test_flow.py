@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from peflow import extremal2d, flow, gain, oracle, signals
+from peflow import extremal2d, flow, gain, gpe, oracle, signals
 
 
 class TestAdaptiveRK45:
@@ -230,6 +230,11 @@ class TestWorkCounters:
         counts = [rhs_count(lambda: gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k))
                   for k in (8, 5000)]
         assert counts[0] == counts[1] <= 782
+
+    def test_gpe_chain_is_one_flow(self, rhs_count):
+        s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 6)
+        sig, om0 = gpe.build_gpe_signal(s)
+        assert rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0)) <= 1618
 
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)

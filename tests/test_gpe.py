@@ -64,7 +64,7 @@ class TestBuildAndMeasure:
     def test_single_window_matches_extremal(self):
         s = gpe.GPESchedule((1.0,), (3.0,), (4.0,))
         sig, om0 = gpe.build_gpe_signal(s)
-        asym = gpe.asymptotic_norm(sig, om0, 1, tau_seq=s.tau_seq)
+        asym = gpe.asymptotic_norm(s, sig, om0)
         params = extremal2d.solve_params(1.0, 3.0)
         mu = extremal2d.integrate_extremal(params).mu
         assert asym.mu_seq[0] == pytest.approx(mu, rel=1e-7)
@@ -81,7 +81,7 @@ class TestBuildAndMeasure:
     def test_chained_windows_contract_independently(self):
         s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 6)
         sig, om0 = gpe.build_gpe_signal(s)
-        asym = gpe.asymptotic_norm(sig, om0, 6, tau_seq=s.tau_seq)
+        asym = gpe.asymptotic_norm(s, sig, om0)
         mu = asym.mu_seq[0]
         for ell in range(6):
             assert asym.norms[ell] == pytest.approx(
@@ -93,7 +93,7 @@ class TestBuildAndMeasure:
         s = gpe.GPESchedule((1.0, 1.0, 0.5), (1.0, 1.0, 1.5), (1.0, 2.0, 4.0))
         sig, om0 = gpe.build_gpe_signal(s)
         assert len(sig.segments) == 3
-        asym = gpe.asymptotic_norm(sig, om0, 3)
+        asym = gpe.asymptotic_norm(s, sig, om0)
         assert asym.taus == s.tau_seq
         assert asym.mu_seq[:2] == pytest.approx([extremal2d.mu(1.0, 1.0)] * 2, rel=1e-6)
         assert asym.max_rel_dev < 0.01
@@ -101,7 +101,7 @@ class TestBuildAndMeasure:
     def test_mixed_schedule_norm_prediction(self):
         s = gpe.GPESchedule((0.8, 0.4, 1.0), (1.0, 1.2, 1.0), (1.0, 2.5, 3.0))
         sig, om0 = gpe.build_gpe_signal(s)
-        asym = gpe.asymptotic_norm(sig, om0, 3, tau_seq=s.tau_seq)
+        asym = gpe.asymptotic_norm(s, sig, om0)
         assert asym.max_rel_dev < 0.01
         assert asym.norms[-1] == pytest.approx(
             math.exp(-sum(asym.mu_seq)), rel=1e-4)

@@ -64,6 +64,14 @@ class TestBruteForce:
         mu_ext = extremal2d.integrate_extremal(params).mu
         assert result.mu_hat >= mu_ext - 1e-3
 
+    def test_repair_at_a_below_b(self):
+        # a seed here ends just outside the admissible set; the last-pair
+        # repair brings it back, so all four seeds count
+        result = oracle.brute_force_mu2(0.137, 0.2, N=8, n_seeds=4, rng_seed=131)
+        assert result.seeds_used == 4
+        assert result.constraint_residual <= oracle.FEAS_TOL
+        assert result.mu_hat == 0.1367855530313109
+
     def test_nfev_budget(self):
         # exact counter: a regression in the optimizer shows without timing;
         # derivative-free search needs tens of thousands of evaluations here

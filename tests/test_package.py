@@ -40,4 +40,3 @@ def test_one_propagator():
     # at segment boundaries for its two walkers
     assert _callers("adaptive_rk45") == {"flow.propagate", "extremal2d.integrate_extremal"}
     assert _callers("pieces") == {"flow.propagate", "signals.gram"}
-    assert _callers("breakpoints") == {"signals._SegmentedSignal"}

@@ -1,7 +1,7 @@
 """Signal containers, window Grams, and the constructions built on them.
 
 Covers: segment validation, rank-one and matrix evaluation, periodic
-wrapping, Gram quadrature against a dense Riemann oracle, window checks,
+wrapping, the segment walk of pieces(), Gram quadrature against a dense Riemann oracle, window checks,
 axis hopping, reflection extension, time rescaling, and JSON round-trips.
 """
 from __future__ import annotations
@@ -54,13 +54,6 @@ class TestRankOne:
         with pytest.raises(ValueError):
             signals.RankOneSignal((signals.Segment(0.0, 1.0, bad),))
 
-    def test_vector_data_dim3(self):
-        grid = np.linspace(0, 1, 8)
-        data = np.column_stack([np.cos(grid), np.sin(grid), np.zeros_like(grid)])
-        sig = signals.RankOneSignal((signals.Segment(0.0, 1.0, data),), dim=3)
-        assert sig.dim == 3
-        assert np.linalg.norm(sig.c(0.4)) == pytest.approx(1.0, abs=1e-9)
-
     def test_periodic_wrap(self):
         sig = const_angle_signal(0.3, 1.0, period=1.0)
         assert sig.c(7.25) == pytest.approx(sig.c(0.25))
@@ -71,12 +64,6 @@ class TestRankOne:
         with pytest.raises(ValueError):
             sig.c(1.5)
 
-    def test_breakpoints_have_no_near_duplicates(self):
-        # periodic unrolling once returned both 7.8 and 7.800000000000001
-        sig = extremal2d.build_optimal_control(0.15, 0.5)[0]
-        bp = sig.breakpoints(0.0, 60.0)
-        assert np.all(np.diff(bp) > 1e-12 * np.maximum(1.0, np.abs(bp[1:])))
-
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     @settings(max_examples=40, deadline=None)
     def test_unit_direction_any_angles(self, p0, p1):
@@ -84,6 +71,56 @@ class TestRankOne:
         sig = signals.RankOneSignal((seg,))
         for t in (0.0, 0.25, 0.75, 1.0):
             assert np.linalg.norm(sig.c(t)) == pytest.approx(1.0, abs=1e-9)
+
+
+def check_pieces(sig, t0, t1):
+    """The pieces tile [t0, t1], each inside its segment shifted by whole periods."""
+    pieces = sig.pieces(t0, t1)
+    assert pieces[0][0] == t0 and pieces[-1][1] == t1
+    for (_, end, _, _), (start, _, _, _) in zip(pieces, pieces[1:]):
+        assert end == start
+    for u0, u1, seg, shift in pieces:
+        assert u1 - u0 > 1e-12
+        if sig.period is None:
+            assert shift == 0.0
+        else:
+            assert shift == round(shift / sig.period) * sig.period
+        slack = 1e-12 * max(1.0, abs(u0), abs(u1))
+        assert seg.t0 + shift - slack <= u0 and u1 <= seg.t1 + shift + slack
+
+
+class TestPieces:
+    def test_wrap_cut_once(self):
+        # horizon + kP and t_start + (k+1)P once gave both 7.8 and
+        # 7.800000000000001, a piece of one ulp
+        check_pieces(extremal2d.build_optimal_control(0.15, 0.5)[0], 0.0, 60.0)
+
+    @given(st.lists(st.floats(0.05, 3.0), min_size=1, max_size=5),
+           st.floats(-2.0, 2.0), st.booleans(), st.floats(0.0, 0.9), st.floats(0.01, 1.0),
+           st.floats(-3.0, 3.0), st.floats(1e-6, 4.0))
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_tile_the_span(self, lengths, start, periodic, f0, f1, p0, p1):
+        edges = start + np.concatenate([[0.0], np.cumsum(lengths)])
+        segs = tuple(signals.Segment(u, v, np.array([0.1 * j]))
+                     for j, (u, v) in enumerate(zip(edges[:-1], edges[1:])))
+        span = edges[-1] - edges[0]
+        if periodic:
+            sig = signals.RankOneSignal(segs, period=span)
+            t0 = start + p0 * span  # mid-period starts, crossing several periods
+            t1 = t0 + p1 * span
+        else:
+            sig = signals.RankOneSignal(segs)
+            t0 = start + f0 * span
+            t1 = t0 + f1 * (edges[-1] - t0)
+        check_pieces(sig, t0, t1)
+
+    def test_period_must_equal_span(self):
+        seg = signals.Segment(0.0, 1.0, np.array([0.3, 0.4]))
+        with pytest.raises(ValueError, match="period"):
+            signals.RankOneSignal((seg,), period=1.5)
+        mats = signals.Segment(0.0, 1.0, np.eye(2)[None])
+        with pytest.raises(ValueError, match="period"):
+            signals.MatrixSignal((mats,), period=0.5)
 
 
 class TestMatrixSignal:
@@ -131,10 +168,8 @@ class TestGram:
         if make == "matrix":
             sig = signals.time_rescale(signals.RankOneSignal(sig.segments[:1]), 1.3)
         t0, t1 = sig.t_start + 0.3, min(sig.horizon, sig.t_start + 5.5)
-        cuts = np.concatenate([[t0], sig.breakpoints(t0, t1), [t1]])
         ref = np.zeros((2, 2))
-        for u0, u1 in zip(cuts[:-1], cuts[1:]):
-            seg, _ = sig._local(0.5 * (u0 + u1))
+        for u0, u1, seg, _ in sig.pieces(t0, t1):
             nodes, weights = signals._piece_quadrature(u0, u1, seg.t1 - seg.t0)
             ref += sum(w * sig.matrix(t) for w, t in zip(weights, nodes))
         assert np.max(np.abs(signals.gram(sig, t0, t1) - 0.5 * (ref + ref.T))) <= 1e-14
@@ -246,14 +281,6 @@ class TestSerialization:
         with pytest.raises(OSError):
             signals.save_signal(sig, str(target))  # parent dir missing
         assert not target.exists()
-
-    def test_unserializable_signal_leaves_no_file(self, tmp_path):
-        grid = np.linspace(0, 1, 4)
-        data = np.column_stack([np.cos(grid), np.sin(grid)])
-        sig = signals.RankOneSignal((signals.Segment(0.0, 1.0, data),))
-        with pytest.raises(ValueError):
-            signals.save_signal(sig, str(tmp_path / "sig.json"))
-        assert list(tmp_path.iterdir()) == []
 
     def test_schema_fields(self, tmp_path):
         sig = signals.axis_hopping_control(1.0, 1.0, 2)
