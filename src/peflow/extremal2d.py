@@ -16,8 +16,9 @@ monotone, so plain bisection is exact to machine precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,7 +48,6 @@ __all__ = [
     "verify_extremal",
 ]
 
-_GL200 = np.polynomial.legendre.leggauss(200)
 _GL5 = np.polynomial.legendre.leggauss(5)
 
 _TOL = 1e-10  # RK45 tolerance of every extremal integration
@@ -60,16 +60,16 @@ def _agm_pair(x: float) -> tuple[float, float]:
     # capped and uses a break-on-small-c test instead of `while c > eps`:
     # near x ~ 1e-8 the gap a-b can stall at half an ulp of 1 (~5.5e-17),
     # which is below no fixed threshold reachable by further iterations.
-    a, b, c = 1.0, float(np.sqrt((1.0 - x) * (1.0 + x))), x
+    a, b, c = 1.0, math.sqrt((1.0 - x) * (1.0 + x)), x
     csum = 0.5 * c * c
     pow2 = 1.0
     for _ in range(60):
         if abs(c) < 1e-17:
             break
-        a, b, c = 0.5 * (a + b), float(np.sqrt(a * b)), 0.5 * (a - b)
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         pow2 *= 2.0
         csum += 0.5 * pow2 * c * c
-    K = np.pi / (2.0 * a)
+    K = math.pi / (2.0 * a)
     return K, K * (1.0 - csum)
 
 
@@ -91,20 +91,22 @@ def elliptic_E(x: float) -> float:
     return _agm_pair(x)[1]
 
 
-def K_plus(phi0: float) -> float:
-    """Pendulum half-period integral 2*sqrt(2)*(K(cos(phi0/2)) - E(cos(phi0/2)))."""
+def _half_periods(phi0: float) -> tuple[float, float]:
+    """(K_plus(phi0), K_minus(phi0)) from one AGM pass."""
     if not 0.0 < phi0 < np.pi:
         raise ValueError("phi0 must lie in (0, pi)")
-    m = np.cos(phi0 / 2)
-    K, E = _agm_pair(m)
-    return 2.0 * np.sqrt(2.0) * (K - E)
+    K, E = _agm_pair(float(np.cos(phi0 / 2)))
+    return 2.0 * math.sqrt(2.0) * (K - E), 2.0 * math.sqrt(2.0) * E
+
+
+def K_plus(phi0: float) -> float:
+    """Pendulum half-period integral 2*sqrt(2)*(K(cos(phi0/2)) - E(cos(phi0/2)))."""
+    return _half_periods(phi0)[0]
 
 
 def K_minus(phi0: float) -> float:
     """Companion integral 2*sqrt(2)*E(cos(phi0/2))."""
-    if not 0.0 < phi0 < np.pi:
-        raise ValueError("phi0 must lie in (0, pi)")
-    return 2.0 * np.sqrt(2.0) * _agm_pair(np.cos(phi0 / 2))[1]
+    return _half_periods(phi0)[1]
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,8 @@ class ExtremalParams:
             (self.alpha + self.d) * (1 - self.alpha + self.d))
         if abs(cos_chk - np.cos(self.phi0)) > 1e-10:
             raise ValueError("phi0 inconsistent with (alpha, d)")
-        a_chk = self.nu * K_plus(self.phi0)
-        b_chk = self.nu * K_minus(self.phi0)
+        k_plus, k_minus = _half_periods(self.phi0)
+        a_chk, b_chk = self.nu * k_plus, self.nu * k_minus
         if abs(a_chk - self.a) > 1e-8 * self.a or abs(b_chk - self.b) > 1e-8 * self.b:
             raise ValueError(f"(a, b) inconsistent with (nu, phi0): "
                              f"got ({a_chk}, {b_chk}) vs ({self.a}, {self.b})")
@@ -165,7 +167,8 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
     target = a / b
 
     def ratio(phi0: float) -> float:
-        return K_plus(phi0) / K_minus(phi0)
+        k_plus, k_minus = _half_periods(phi0)
+        return k_plus / k_minus
 
     lo, hi = 1e-3, np.pi - 1e-9
     while ratio(lo) <= target:
@@ -179,8 +182,9 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
         else:
             hi = mid
     phi0 = 0.5 * (lo + hi)
-    nu = b / K_minus(phi0)
-    if abs(nu * K_plus(phi0) - a) > 1e-10 * a:
+    k_plus, k_minus = _half_periods(phi0)
+    nu = b / k_minus
+    if abs(nu * k_plus - a) > 1e-10 * a:
         raise ArithmeticError(f"shape solve residual too large for (a, b)=({a}, {b})")
     return float(phi0), float(nu)
 
@@ -310,13 +314,12 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
     """
     den = 1.0 - params.alpha + params.d
     state0 = initial_conditions(params.alpha, params.d)
-    y0 = np.array([state0.theta, 0.0, state0.phi, 0.0])
+    y0 = [state0.theta, 0.0, state0.phi, 0.0]
 
     def f(t, y):
-        delta = y[0] - y[2]
-        s, c = np.sin(delta), np.cos(delta)
-        return np.array([s, -0.5 * (s + 2.0 * y[1] * c), 2.0 * y[1] / den,
-                         0.5 * (1.0 + c)])
+        theta, eta, phi, _ = y
+        s, c = math.sin(theta - phi), math.cos(theta - phi)
+        return [s, -0.5 * (s + 2.0 * eta * c), 2.0 * eta / den, 0.5 * (1.0 + c)]
 
     ts, ys, _, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
     eta_T = abs(float(ys[-1, 1]))
@@ -364,6 +367,12 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
     return signal, om0, traj.mu
 
 
+@cache
+def _gauss_legendre_200() -> tuple[NDArray, NDArray]:
+    """The 200-node rule of cost_closed_form, built on first use (it takes ~50 ms)."""
+    return np.polynomial.legendre.leggauss(200)
+
+
 def cost_closed_form(alpha: float, d: float) -> float:
     """Extremal cost as a one-dimensional quadrature in the angle eps = theta - phi - pi.
 
@@ -383,7 +392,7 @@ def cost_closed_form(alpha: float, d: float) -> float:
         raise ValueError(f"turning angle outside (0, pi/2): cos eps_bar = {cos_eb}")
     eps_bar = np.arccos(cos_eb)
 
-    x, w = _GL200
+    x, w = _gauss_legendre_200()
     psi = 0.25 * np.pi * (x + 1.0)
     wpsi = 0.25 * np.pi * w
     eps = eps_bar * np.sin(psi)
@@ -483,4 +492,4 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "pendulum_energy": float(np.max(np.abs(energy - np.cos(params.phi0)))),
     }
     passed = all(residuals[k] < tol for k in ExtremalReport.PRIMARY)
-    return ExtremalReport(residuals=residuals, mu=float(traj.cost_at(T)), passed=passed)
+    return ExtremalReport(residuals=residuals, mu=traj.mu, passed=passed)

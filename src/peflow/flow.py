@@ -14,12 +14,14 @@ input is one exact step, exp(-dt cc^T) = I - (1 - e^{-dt}) cc^T for a
 rank-one control and eigh for a constant matrix, and every other piece
 goes to an embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients)
 that reads S from that piece's segment alone, so discontinuous piecewise
-controls are integrated without order loss.
+controls are integrated without order loss.  The pair steps lists of
+Python floats, and the right-hand side reads S(t) as rows of floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 from numpy.typing import NDArray
@@ -43,29 +45,31 @@ class IntegrationError(RuntimeError):
     """Raised when the adaptive step size underflows."""
 
 
-# Dormand-Prince 5(4) tableau, FSAL form: row i of _A weights the stages
-# before stage i, and the last row equals the fifth-order weights _B5
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = np.array([
-    [0, 0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
-])
-_B5 = _A[6]
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                187 / 2100, 1 / 40])
-_E = _B5 - _B4
+# Dormand-Prince 5(4) coefficients, FSAL form: stage i reads t + c_i h and
+# y + h * sum_j a_ij k_j; the seventh stage sits at the fifth-order solution,
+# whose weights b_j are a_7j.  e_j = b_j - b*_j weights the error estimate
+# against the embedded fourth-order solution (b_2 = b*_2 = 0).
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4 = _B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640
+_E5, _E6, _E7 = _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40
 
 _MAX_STEPS = 2_000_000
 
 
-def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
+def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
                   post_step=None, h0: float | None = None):
     """Integrate y' = f(t, y) from t0 to t1, recording every accepted step.
+
+    The state is a list of Python floats: f(t, y) receives one and returns
+    a sequence of floats of the same length, and must not modify y.  On
+    states of a few numbers this runs several times faster than numpy,
+    whose per-call overhead exceeds the arithmetic.
 
     f must be smooth on [t0, t1]; a caller with a piecewise f integrates
     one piece per call.  post_step, if given, maps an accepted (t, y) to a
@@ -77,32 +81,52 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
     and h the step the controller proposes next, so that a caller can carry
     it into the following piece.
     """
-    y = np.asarray(y0, dtype=float).copy()
     span = t1 - t0
     if span <= 0:
         raise ValueError("need t0 < t1")
+    c2, c3, c4, c5 = _C2, _C3, _C4, _C5
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     snap = 1e-13 * max(1.0, abs(t1))
+    end = t1 - 1e-14 * max(1.0, abs(t1))
 
+    y = [float(v) for v in y0]
+    n = len(y)
     ts = [t0]
-    ys = [y.copy()]
+    ys = [y]
     drift = 0.0
     t = t0
     h = span / 100.0 if h0 is None else h0
-    K = np.empty((7, y.size))  # stage slopes; row 0 is the slope at (t, y)
-    K[0] = f(t, y)
+    k1 = f(t, y)  # the slope at (t, y)
     steps = 0
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
+    while t < end:
         if steps >= _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError(f"step size underflow at t={t:.6g} (h={h:.3e})")
-        for i in range(1, 7):
-            K[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ K[:i]))
-        y5 = y + h * (_B5 @ K)
-        err_vec = h * (_E @ K)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        # one comprehension per stage; d_i is component v's slope in stage i
+        k2 = f(t + c2 * h, [v + h * (a21 * d1) for v, d1 in zip(y, k1)])
+        k3 = f(t + c3 * h, [v + h * (a31 * d1 + a32 * d2) for v, d1, d2 in zip(y, k1, k2)])
+        k4 = f(t + c4 * h, [v + h * (a41 * d1 + a42 * d2 + a43 * d3)
+                            for v, d1, d2, d3 in zip(y, k1, k2, k3)])
+        k5 = f(t + c5 * h, [v + h * (a51 * d1 + a52 * d2 + a53 * d3 + a54 * d4)
+                            for v, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)])
+        k6 = f(t + h, [v + h * (a61 * d1 + a62 * d2 + a63 * d3 + a64 * d4 + a65 * d5)
+                       for v, d1, d2, d3, d4, d5 in zip(y, k1, k2, k3, k4, k5)])
+        y5 = [v + h * (b1 * d1 + b3 * d3 + b4 * d4 + b5 * d5 + b6 * d6)
+              for v, d1, d3, d4, d5, d6 in zip(y, k1, k3, k4, k5, k6)]
+        k7 = f(t + h, y5)
+        acc = 0.0
+        for v, v5, d1, d3, d4, d5, d6, d7 in zip(y, y5, k1, k3, k4, k5, k6, k7):
+            v, v5 = abs(v), abs(v5)
+            scaled = h * (e1 * d1 + e3 * d3 + e4 * d4 + e5 * d5 + e6 * d6 + e7 * d7) \
+                / (tol + tol * (v if v > v5 else v5))
+            acc += scaled * scaled
+        err = math.sqrt(acc / n)
         steps += 1
         if err <= 1.0:
             t = t + h
@@ -110,13 +134,12 @@ def adaptive_rk45(f, t0: float, t1: float, y0: NDArray, tol: float = 1e-9,
                 t = t1
             y = y5
             if post_step is not None:
-                y_new = post_step(t, y)
-                drift += float(np.max(np.abs(y_new - y)))
-                y = y_new
+                y = post_step(t, y5)
+                drift += max(abs(v - v5) for v, v5 in zip(y, y5))
             if t < t1:  # at t1 the next slope belongs to the caller's next piece
-                K[0] = K[6] if post_step is None else f(t, y)
+                k1 = k7 if post_step is None else f(t, y)
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
     return np.array(ts), np.array(ys), drift, h
@@ -161,10 +184,9 @@ class DecayReport:
 
 
 def _renormalize(t, y):
-    out = y.copy()
-    nrm = np.linalg.norm(out[:-1])
-    out[:-1] /= nrm
-    return out
+    x = y[:-1]
+    nrm = math.sqrt(sum(map(mul, x, x)))
+    return [v / nrm for v in x] + [y[-1]]
 
 
 def _exact_map(signal, S: NDArray, dt: float) -> NDArray:
@@ -197,23 +219,20 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         raise ValueError("need t0 < t1")
     x0 = np.asarray(x0, dtype=float)
     shape, size = x0.shape, x0.size
+    k = size // shape[0]  # columns of the block, 1 for a vector
 
-    def f(t, y):  # reads S_at of the piece being integrated
-        x = y[:size].reshape(shape)
-        s_x = S_at(t) @ x
+    def f(t, y):  # reads S_at of the piece being integrated, as rows of floats
+        S = S_at(t)
+        cols = [y[j:size:k] for j in range(k)]
+        s_x = [sum(map(mul, row, col)) for row in S for col in cols]  # S X, row-major
         if u is None and not spherical:
-            return -s_x.ravel()
-        out = np.empty_like(y)
+            return [-v for v in s_x]
+        x = cols[0]
         if spherical:
-            q = float(x @ s_x)
-            out[:-1] = -s_x + q * x
-            out[-1] = -q
-        else:
-            uv = np.asarray(u(t), dtype=float)
-            out[:-2] = -s_x + uv
-            out[-2] = x @ x
-            out[-1] = uv @ uv
-        return out
+            q = sum(map(mul, x, s_x))
+            return [-v + q * w for v, w in zip(s_x, x)] + [-q]
+        uv = np.asarray(u(t), dtype=float).tolist()
+        return [-v + w for v, w in zip(s_x, uv)] + [sum(map(mul, x, x)), sum(map(mul, uv, uv))]
 
     extra = [0.0] if spherical else [] if u is None else [0.0, 0.0]
     y = np.concatenate([x0.ravel(), extra])
@@ -223,7 +242,7 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     for u0, u1, seg, shift in signal.pieces(t0, t1):
         S_at = signal.matrix_on(seg, shift)
         if u is None and len(seg.data) == 1:
-            E = _exact_map(signal, S_at(u0), u1 - u0)
+            E = _exact_map(signal, np.array(S_at(u0)), u1 - u0)
             y = y.copy()
             if spherical:
                 x = E @ y[:-1]

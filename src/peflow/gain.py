@@ -133,7 +133,7 @@ class WorstInput:
 
     def m(self, xi: float | NDArray) -> NDArray[np.float64]:
         """Flow of omega_star over one period: Phi(xi, 0) omega_star."""
-        return self._m_at(xi) if isinstance(xi, float) else self._m_spline(xi)
+        return np.array(self._m_at(xi)) if isinstance(xi, float) else self._m_spline(xi)
 
     def v(self, xi: float) -> float:
         return self.kappa * np.exp(self.kappa * xi)

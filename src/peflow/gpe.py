@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .extremal2d import mu, solve_extremal
+from .extremal2d import solve_extremal
 from .flow import integrate_flow
 from .signals import MatrixSignal, Segment, write_atomic
 
@@ -81,6 +82,11 @@ class GPESchedule:
     def length(self) -> int:
         return len(self.a_seq)
 
+    @cached_property
+    def _extremals(self) -> dict:
+        """(a, b) -> window minimizer, filled on first use: one solve per distinct pair."""
+        return {}
+
     def window(self, ell: int) -> tuple[float, float, float, float]:
         """(a, b, t_start, t_end) of window ell (0-based)."""
         t0 = 0.0 if ell == 0 else self.tau_seq[ell - 1]
@@ -120,8 +126,13 @@ def _rotation_to(target: NDArray, source: NDArray) -> NDArray:
     return np.array([[ca, -sa], [sa, ca]])
 
 
-def _synthesize_window(a: float, b: float, cache: dict):
-    """Natural-clock window minimizer: (trajectory on [0, a+b], omega0, omegaT)."""
+def _synthesize_window(schedule: GPESchedule, a: float, b: float):
+    """Natural-clock window minimizer: (trajectory on [0, a+b], omega0, omegaT).
+
+    Solved once per distinct (a, b) of the schedule and kept on it, so
+    build_gpe_signal and asymptotic_norm share the solves.
+    """
+    cache = schedule._extremals
     key = (a, b)
     if key not in cache:
         params, traj = solve_extremal(a, b)
@@ -137,7 +148,6 @@ def build_gpe_signal(schedule: GPESchedule) -> tuple[MatrixSignal, NDArray]:
     the direction the state has reached, as one segment per window.
     Returns the signal and the worst initial direction omega0.
     """
-    cache: dict = {}
     segs: list[Segment] = []
     w = None
     omega0 = None
@@ -145,7 +155,7 @@ def build_gpe_signal(schedule: GPESchedule) -> tuple[MatrixSignal, NDArray]:
         a, b, t0, t1 = schedule.window(ell)
         T_win = t1 - t0
         try:
-            traj, om0, omT = _synthesize_window(a, b, cache)
+            traj, om0, omT = _synthesize_window(schedule, a, b)
         except Exception as exc:
             raise RuntimeError(f"window {ell} synthesis failed for "
                                f"(a, b) = ({a}, {b})") from exc
@@ -187,9 +197,8 @@ def asymptotic_norm(schedule: GPESchedule, signal: MatrixSignal,
     of the chained signal, so the flow has a sample at each.  Measured and
     predicted norms must agree within 1% at every window.
     """
-    pairs = list(zip(schedule.a_seq, schedule.b_seq))
-    mu_of = {pair: mu(*pair) for pair in dict.fromkeys(pairs)}
-    mus = [mu_of[pair] for pair in pairs]
+    mus = [_synthesize_window(schedule, a, b)[0].mu
+           for a, b in zip(schedule.a_seq, schedule.b_seq)]
     taus = schedule.tau_seq
     traj = integrate_flow(signal, omega0, 0.0, taus[-1])
     norms = np.exp(traj.log_r[np.searchsorted(traj.ts, taus)])

@@ -57,20 +57,18 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _GRAM_SUBINTERVALS = 256  # quadrature cells per signal segment
 
 
-def spline_at(spline: CubicSpline) -> Callable[[float], float | NDArray[np.float64]]:
-    """Evaluator of spline at one scalar time, read from its coefficients.
+def spline_at(spline: CubicSpline) -> Callable[[float], list[float]]:
+    """Evaluator of spline at one scalar time: its components, flattened, as floats.
 
     It picks the interval and sums the powers as scipy's PPoly does (the
     last knot at or before t, clamped to the knots), so it returns the same
-    bits without the per-call overhead of CubicSpline.__call__: a float for
-    scalar samples, else an array of the sample shape.
+    bits as CubicSpline.__call__ without its per-call overhead.
     """
     knots = spline.x.tolist()
     last = len(knots) - 2
-    shape = spline.c.shape[2:]
-    coef = spline.c.reshape(4, last + 1, -1)  # a view: (power, interval, component)
+    coef = spline.c.reshape(4, last + 1, -1).transpose(1, 2, 0)  # a view: (interval, component, power)
 
-    def at(t: float):
+    def at(t: float) -> list[float]:
         i = bisect_right(knots, t) - 1
         if i < 0:
             i = 0
@@ -79,8 +77,7 @@ def spline_at(spline: CubicSpline) -> Callable[[float], float | NDArray[np.float
         s = t - knots[i]
         s2 = s * s
         s3 = s2 * s
-        vals = [((c3 + c2 * s) + c1 * s2) + c0 * s3 for c0, c1, c2, c3 in coef[:, i].T.tolist()]
-        return vals[0] if not shape else np.array(vals).reshape(shape)
+        return [((c3 + c2 * s) + c1 * s2) + c0 * s3 for c0, c1, c2, c3 in coef[i].tolist()]
     return at
 
 
@@ -117,10 +114,10 @@ class Segment:
         return self._spline(ts)
 
     @cached_property
-    def at(self) -> Callable[[float], float | NDArray[np.float64]]:
-        """Raw sample value at one scalar time."""
+    def at(self) -> Callable[[float], list[float]]:
+        """Raw sample value at one scalar time, flattened to a list of floats."""
         if self._spline is None:
-            base = self.data[0]
+            base = self.data[0].ravel().tolist()
             return lambda t: base
         return spline_at(self._spline)
 
@@ -206,14 +203,19 @@ class _SegmentedSignal:
             if i == len(segs):
                 i, k = 0, k + 1
 
-    def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], NDArray[np.float64]]:
-        """t -> S(t) on a piece of seg: local time t - shift, clamped to [seg.t0, seg.t1]."""
-        to_matrix = self._matrix_of
+    def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], list[list[float]]]:
+        """t -> S(t) as n rows of n floats on a piece of seg: local time t - shift,
+        clamped to [seg.t0, seg.t1]."""
+        rows_of, at = self._rows_of, seg.at
         if len(seg.data) == 1:
-            S = to_matrix(seg.data[0])
+            S = rows_of(at(seg.t0))
             return lambda t: S
-        at, lo, hi = seg.at, seg.t0, seg.t1
-        return lambda t: to_matrix(at(min(max(t - shift, lo), hi)))
+        lo, hi = seg.t0, seg.t1
+
+        def S_at(t: float) -> list[list[float]]:
+            t -= shift
+            return rows_of(at(lo if t < lo else hi if t > hi else t))
+        return S_at
 
 
 @dataclass(frozen=True)
@@ -249,14 +251,17 @@ class RankOneSignal(_SegmentedSignal):
         half = 0.5 * phis
         return np.column_stack([np.cos(half), np.sin(half)])
 
-    def _matrix_of(self, phi: float) -> NDArray[np.float64]:
-        v = self._unit(phi)
-        return v[:, None] * v
+    @staticmethod
+    def _rows_of(raw: list[float]) -> list[list[float]]:
+        """cc^T as rows of floats from the raw sample [phi]."""
+        half = 0.5 * raw[0]
+        c0, c1 = math.cos(half), math.sin(half)
+        return [[c0 * c0, c0 * c1], [c1 * c0, c1 * c1]]
 
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""
         seg, tt = self._local(t)
-        return self._unit(seg.at(tt))
+        return self._unit(seg.at(tt)[0])
 
     def c_many(self, ts: NDArray) -> NDArray[np.float64]:
         """Vectorized c over a time array, shape (len(ts), dim)."""
@@ -294,13 +299,18 @@ class MatrixSignal(_SegmentedSignal):
             if lo < -PSD_TOL:
                 raise ValueError(f"matrix samples not PSD (min eigenvalue {lo:.2e})")
 
-    @staticmethod
-    def _matrix_of(raw) -> NDArray[np.float64]:
-        return 0.5 * (raw + raw.T)
+    @cached_property
+    def _rows_of(self) -> Callable[[list[float]], list[list[float]]]:
+        """raw -> the symmetric part 0.5 (R + R^T) as rows of floats, R the
+        flattened raw sample."""
+        n = self.dim
+        pairs = [[(i * n + j, j * n + i) for j in range(n)] for i in range(n)]
+        return lambda raw: [[0.5 * (raw[p] + raw[q]) for p, q in row] for row in pairs]
 
     def matrix(self, t: float) -> NDArray[np.float64]:
         seg, tt = self._local(t)
-        return self._matrix_of(seg.at(tt))
+        raw = np.reshape(seg.at(tt), (self.dim, self.dim))
+        return 0.5 * (raw + raw.T)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from peflow import extremal2d, flow, gain, gpe, oracle, signals
@@ -17,8 +19,8 @@ from peflow import extremal2d, flow, gain, gpe, oracle, signals
 
 class TestAdaptiveRK45:
     def test_scalar_exponential(self):
-        ts, ys, _, _ = flow.adaptive_rk45(lambda t, y: -2.0 * y, 0.0, 3.0,
-                                          np.array([1.0]), tol=1e-11)
+        ts, ys, _, _ = flow.adaptive_rk45(lambda t, y: [-2.0 * y[0]], 0.0, 3.0,
+                                          [1.0], tol=1e-11)
         assert ts[-1] == 3.0
         assert ys[-1][0] == pytest.approx(math.exp(-6.0), rel=1e-9)
 
@@ -39,7 +41,7 @@ class TestAdaptiveRK45:
             calls.append(t)
             return y
 
-        flow.adaptive_rk45(lambda t, y: -y, 0.0, 1.0, np.array([1.0]),
+        flow.adaptive_rk45(lambda t, y: [-y[0]], 0.0, 1.0, [1.0],
                            post_step=hook)
         assert calls and calls[-1] == 1.0
 
@@ -144,6 +146,55 @@ class TestPropagate:
         assert np.min(np.diff(ts)) > 1e-4
 
 
+@st.composite
+def smooth_signals(draw):
+    """A random smooth rank-one or matrix signal of 1-3 segments, with a unit omega0."""
+    rank_one = draw(st.booleans())
+    n = 2 if rank_one else draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.floats(0.2, 1.5), min_size=1, max_size=3))
+    edges = np.concatenate([[0.0], np.cumsum(lengths)])
+    segs = []
+    for t0, t1 in zip(edges[:-1], edges[1:]):
+        m = draw(st.integers(2, 8))
+        if rank_one:
+            data = np.cumsum(rng.normal(scale=0.8, size=m))
+        else:
+            B = rng.normal(size=(m, n, n))
+            data = np.einsum("kij,klj->kil", B, B)
+        segs.append(signals.Segment(float(t0), float(t1), data))
+    period = float(edges[-1]) if draw(st.booleans()) else None
+    cls = signals.RankOneSignal if rank_one else signals.MatrixSignal
+    sig = cls(tuple(segs), dim=n, period=period)
+    omega0 = rng.normal(size=n)
+    return sig, omega0 / np.linalg.norm(omega0)
+
+
+class TestLayoutsAgree:
+    """The plain, column-block, spherical and input layouts of propagate's
+    right-hand side integrate the same flow."""
+
+    @given(smooth_signals())
+    @settings(max_examples=30, deadline=None)
+    def test_layouts_agree(self, case):
+        sig, omega0 = case
+        n, t0, t1, tol = sig.dim, sig.t_start, sig.horizon, 1e-13
+        _, ys, _ = flow.propagate(sig, omega0, t0, t1, tol=tol)
+        x = ys[-1]
+        traj = flow.integrate_flow(sig, omega0, t0, t1, tol=tol)
+        assert traj.log_r[-1] == pytest.approx(math.log(np.linalg.norm(x)), abs=1e-9)
+        assert traj.omegas[-1] == pytest.approx(x / np.linalg.norm(x), abs=1e-9)
+
+        Phi = flow.fundamental_matrix(sig, t0, t1, tol=tol)
+        for j, e_j in enumerate(np.eye(n)):
+            _, ys_j, _ = flow.propagate(sig, e_j, t0, t1, tol=tol)
+            assert Phi[:, j] == pytest.approx(ys_j[-1], abs=1e-9)
+
+        _, ys_u, _ = flow.propagate(sig, omega0, t0, t1, tol=tol, u=lambda t: np.zeros(n))
+        assert ys_u[-1, :n] == pytest.approx(x, abs=1e-9)
+        assert ys_u[-1, n + 1] == 0.0
+
+
 class TestCostAndMonodromy:
     def test_cost_matches_gram_projection_constant(self):
         # aligned constant direction: J over [0, T] equals the Gram mass T
@@ -235,6 +286,24 @@ class TestWorkCounters:
         s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 6)
         sig, om0 = gpe.build_gpe_signal(s)
         assert rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0)) <= 1618
+
+    def test_gpe_solves_each_pair_once(self, monkeypatch):
+        # build_gpe_signal and asymptotic_norm share one extremal solve per
+        # distinct (a, b) of the schedule
+        calls = []
+        original = extremal2d.solve_params
+
+        def counting(a, b):
+            calls.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(extremal2d, "solve_params", counting)
+        pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 2
+        s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+                            tuple(float(k + 1) for k in range(len(pairs))))
+        sig, om0 = gpe.build_gpe_signal(s)
+        gpe.asymptotic_norm(s, sig, om0)
+        assert len(calls) == 4
 
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)

@@ -1,8 +1,12 @@
-"""Package surface: every exported name resolves, and one propagator."""
+"""Package surface: every exported name resolves, one propagator, and a
+light import."""
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,23 @@ def test_one_propagator():
     # at segment boundaries for its two walkers
     assert _callers("adaptive_rk45") == {"flow.propagate", "extremal2d.integrate_extremal"}
     assert _callers("pieces") == {"flow.propagate", "signals.gram"}
+
+
+def test_import_builds_no_large_quadrature_rule():
+    # the 200-node rule of cost_closed_form is built on first use, not at import
+    code = """
+import numpy.polynomial.legendre as legendre
+built = []
+original = legendre.leggauss
+def recording(deg):
+    built.append(deg)
+    return original(deg)
+legendre.leggauss = recording
+import peflow.cli
+print(max(built, default=0))
+"""
+    src = str(Path(peflow.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert 0 < int(proc.stdout) <= 8
