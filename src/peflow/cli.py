@@ -1,13 +1,12 @@
 """Command-line front end for batch reproduction of the bounds.
 
-Subcommands: mu, extremal, oracle, decay, gain, gpe, verify.  Output is
-JSON (default) or CSV via --format, written atomically to --out or to
-stdout.  Exit status: 0 when every check passes, 1 when a check fails or
-a pipeline error is reported, 2 for invalid flags.
+Subcommands: mu, extremal, oracle, decay, gain, gpe, verify, each taking only
+the flags it reads (_SUBCOMMANDS).  Output is JSON, or CSV via --format, written
+atomically to --out or to stdout.  Exit status: 0 when every check passes, 1
+when a check fails or a pipeline error is reported, 2 for bad usage.
 
-JSON documents always carry the full effective config under "config";
-floats use the shortest round-trip decimal form, so identical configs
-give byte-identical outputs.
+JSON documents carry the value each flag used under "config"; floats use the
+shortest round-trip decimal form, so identical configs give byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -18,57 +17,19 @@ import io
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__, extremal2d, flow, gain, gpe, oracle, signals
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _ORACLE_RNG_SEED = 0  # fixed for byte-for-byte reproducibility
 
 
 class _UsageError(Exception):
-    """Flag combination the subcommand cannot accept; maps to exit 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Effective parameters of one CLI invocation."""
-
-    subcommand: str
-    a: float | None = None
-    b: float | None = None
-    T: float | None = None
-    n: int = 2
-    tol: float | None = None
-    seeds: int = 20
-    segments: int = 40
-    periods: int | None = None
-    signal: str | None = None
-    out: str | None = None
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "T", "tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.a is not None and self.b is not None and not 0 < self.a <= self.b:
-            raise ValueError(f"need 0 < a <= b, got ({self.a}, {self.b})")
-        if self.T is not None and self.T <= 0:
-            raise ValueError("T must be positive")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.seeds < 1:
-            raise ValueError("seeds must be >= 1")
-        if self.segments < 4:
-            raise ValueError("segments must be >= 4")
-        if self.periods is not None and self.periods < 1:
-            raise ValueError("periods must be >= 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
+    """Bad usage: an unknown flag, a bad value or combination, an unwritable --out."""
 
 
 def _jsonable(obj):
@@ -95,13 +56,13 @@ def _emit(text: str, out: str | None) -> None:
         raise _UsageError(f"cannot write --out {out}: {exc}") from exc
 
 
-def _emit_json(doc: dict, cfg: RunConfig) -> None:
-    doc = {"config": asdict(cfg), **doc}
+def _emit_json(doc: dict, cfg: argparse.Namespace) -> None:
+    doc = {"config": vars(cfg), **doc}
     _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False,
                      default=_jsonable), cfg.out)
 
 
-def _emit_csv(header: list[str], rows, cfg: RunConfig) -> None:
+def _emit_csv(header: list[str], rows, cfg: argparse.Namespace) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -109,12 +70,9 @@ def _emit_csv(header: list[str], rows, cfg: RunConfig) -> None:
     _emit(buf.getvalue(), cfg.out)
 
 
-def _cmd_mu(cfg: RunConfig) -> int:
-    if cfg.a is None or cfg.b is None:
-        raise _UsageError("mu requires --a and --b")
-    if cfg.n > 2:
-        raise _UsageError("mu synthesis is available for n <= 2 only")
-    mu = cfg.a if cfg.n == 1 else extremal2d.mu(cfg.a, cfg.b)
+def _cmd_mu(cfg: argparse.Namespace) -> int:
+    """Optimal cost mu(a, b) with the mu <= a bound check."""
+    mu = extremal2d.mu(cfg.a, cfg.b)
     passed = mu <= cfg.a + 1e-6
     _emit_json({
         "mu": mu,
@@ -125,12 +83,10 @@ def _cmd_mu(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _cmd_extremal(cfg: RunConfig) -> int:
-    if cfg.a is None or cfg.b is None:
-        raise _UsageError("extremal requires --a and --b")
+def _cmd_extremal(cfg: argparse.Namespace) -> int:
+    """Extremal parameters and residual certificate, or the trajectory as CSV."""
     params, traj = extremal2d.solve_extremal(cfg.a, cfg.b)
-    tol = cfg.tol if cfg.tol is not None else 1e-6
-    report = extremal2d.verify_extremal(traj, params, tol=tol)
+    report = extremal2d.verify_extremal(traj, params, tol=cfg.tol)
     if cfg.format == "csv":
         ts = np.linspace(0.0, params.T, 2001)
         rows = np.column_stack([ts, traj.theta(ts), traj.eta(ts), traj.phi(ts),
@@ -147,9 +103,8 @@ def _cmd_extremal(cfg: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    if cfg.a is None or cfg.b is None:
-        raise _UsageError("oracle requires --a and --b")
+def _cmd_oracle(cfg: argparse.Namespace) -> int:
+    """Brute-force mu estimate against the synthesized extremal."""
     result = oracle.brute_force_mu2(cfg.a, cfg.b, N=cfg.segments, n_seeds=cfg.seeds,
                                     rng_seed=_ORACLE_RNG_SEED)
     mu_ref = extremal2d.mu(cfg.a, cfg.b)
@@ -166,17 +121,14 @@ def _cmd_oracle(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _cmd_decay(cfg: RunConfig) -> int:
-    n_periods = cfg.periods if cfg.periods is not None else 10
+def _cmd_decay(cfg: argparse.Namespace) -> int:
+    """Decay rate of a --signal file, or of the control synthesized from --a --b."""
     if cfg.signal is not None:
         sig = signals.load_signal(cfg.signal)
         mu = None
     else:
-        if cfg.a is None or cfg.b is None:
-            raise _UsageError("decay requires --signal, or --a and --b")
         sig, _, mu = extremal2d.build_optimal_control(cfg.a, cfg.b)
-    tol = cfg.tol if cfg.tol is not None else 1e-9
-    report = flow.decay_rate(sig, n_periods=n_periods, tol=tol)
+    report = flow.decay_rate(sig, n_periods=cfg.periods, tol=cfg.tol)
     passed = report.rate >= -1e-12
     doc = {"decay": asdict(report), "passed": passed}
     if mu is not None:
@@ -186,20 +138,16 @@ def _cmd_decay(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _cmd_gain(cfg: RunConfig) -> int:
-    if cfg.a is None or cfg.b is None:
-        raise _UsageError("gain requires --a and --b")
-    T = cfg.T if cfg.T is not None else 1.0
-    k = cfg.periods if cfg.periods is not None else 50
+def _cmd_gain(cfg: argparse.Namespace) -> int:
+    """Two-sided L2-gain estimate, or as CSV the worst-input RK45 trace at --tol."""
     if cfg.format == "csv":
         c2, omega_star, mu_half = extremal2d.build_optimal_control(cfg.a / 2, cfg.b / 2)
         u = gain.worst_input(c2, omega_star, mu_half)
-        tol = cfg.tol if cfg.tol is not None else 1e-9
-        _, trace = gain.simulate_gain(c2, u, k, tol=tol)
+        _, trace = gain.simulate_gain(c2, u, cfg.periods, tol=cfg.tol)
         _emit_csv(["t", "x_norm", "u_norm"],
                   [[repr(float(v)) for v in row] for row in trace], cfg)
         return 0
-    report = gain.gain_estimate(cfg.a, cfg.b, T, k_periods=k)
+    report = gain.gain_estimate(cfg.a, cfg.b, cfg.T, k_periods=cfg.periods)
     # the worst-input ratio approaches its limit, the lower bound, from below
     passed = (report.lower <= report.simulated * (1.0 + gain.CONVERGENCE_TOL)
               and report.simulated <= report.upper * (1.0 + 1e-3)
@@ -208,15 +156,12 @@ def _cmd_gain(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _cmd_gpe(cfg: RunConfig) -> int:
+def _cmd_gpe(cfg: argparse.Namespace) -> int:
+    """GPE norms vs mu-sum prediction, for a --signal schedule or a constant one."""
     if cfg.signal is not None:
         schedule = gpe.load_schedule(cfg.signal)
     else:
-        if cfg.a is None or cfg.b is None:
-            raise _UsageError("gpe requires --signal (schedule JSON), or --a and --b")
-        L = cfg.periods if cfg.periods is not None else 50
-        T = cfg.T if cfg.T is not None else 1.0
-        schedule = gpe.GPESchedule.constant(cfg.a, cfg.b, T, L)
+        schedule = gpe.GPESchedule.constant(cfg.a, cfg.b, cfg.T, cfg.periods)
     L = schedule.length
     sums, verdict = gpe.series_criterion(schedule)
     sig, omega0 = gpe.build_gpe_signal(schedule)
@@ -242,16 +187,11 @@ def _cmd_gpe(cfg: RunConfig) -> int:
     return 0 if passed else 1
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    if cfg.signal is None:
-        raise _UsageError("verify requires --signal")
-    if cfg.a is None or cfg.b is None:
-        raise _UsageError("verify requires --a and --b")
+def _cmd_verify(cfg: argparse.Namespace) -> int:
+    """PE-window and extremal checks on a signal file; --T defaults to a + b."""
     sig = signals.load_signal(cfg.signal)
-    T = cfg.T if cfg.T is not None else cfg.a + cfg.b
-    tol = cfg.tol if cfg.tol is not None else 1e-6
 
-    window_report = signals.verify_pe(sig, cfg.a, cfg.b, T, [sig.t_start], tol=tol)[0]
+    window_report = signals.verify_pe(sig, cfg.a, cfg.b, cfg.T, [sig.t_start], tol=cfg.tol)[0]
     checks = {"verify_int": asdict(window_report)}
     passed = window_report.satisfies
 
@@ -259,11 +199,11 @@ def _cmd_verify(cfg: RunConfig) -> int:
     # exactly there, while intermediate shifts are only PE at window 2T
     span = sig.horizon - sig.t_start
     if sig.period is not None:
-        n_win = max(1, int(round(sig.period / T)))
+        n_win = max(1, int(round(sig.period / cfg.T)))
     else:
-        n_win = max(1, int(span // T))
-    starts = [sig.t_start + j * T for j in range(n_win)]
-    pe_reports = signals.verify_pe(sig, cfg.a, cfg.b, T, starts, tol=tol)
+        n_win = max(1, int(span // cfg.T))
+    starts = [sig.t_start + j * cfg.T for j in range(n_win)]
+    pe_reports = signals.verify_pe(sig, cfg.a, cfg.b, cfg.T, starts, tol=cfg.tol)
     checks["verify_pe"] = [asdict(r) for r in pe_reports]
     passed = passed and all(r.satisfies for r in pe_reports)
 
@@ -276,76 +216,114 @@ def _cmd_verify(cfg: RunConfig) -> int:
                                         rel_tol=1e-9))
     if claims_extremal:
         params, traj = extremal2d.solve_extremal(cfg.a, cfg.b)
-        report = extremal2d.verify_extremal(traj, params, tol=tol)
+        report = extremal2d.verify_extremal(traj, params, tol=cfg.tol)
         ts = np.linspace(sig.t_start, sig.t_start + min(params.T, span), 257)
         dots = np.sum(sig.c_many(ts) * traj.c(ts - sig.t_start), axis=1)
         align = float(np.max(np.abs(np.abs(dots) - 1.0)))
         checks["verify_extremal"] = {"residuals": report.residuals, "mu": report.mu,
                                      "passed": report.passed,
                                      "control_alignment_gap": align}
-        passed = passed and report.passed and align <= max(tol, 1e-6)
+        passed = passed and report.passed and align <= max(cfg.tol, 1e-6)
 
     _emit_json({"checks": checks, "passed": passed}, cfg)
     return 0 if passed else 1
 
 
-_COMMANDS = {
-    "mu": _cmd_mu,
-    "extremal": _cmd_extremal,
-    "oracle": _cmd_oracle,
-    "decay": _cmd_decay,
-    "gain": _cmd_gain,
-    "gpe": _cmd_gpe,
-    "verify": _cmd_verify,
+def _checked(convert, ok, what: str):
+    """An argparse type: the flag's text converted, then checked by ok."""
+    def number(text: str):  # argparse reports a ValueError as "invalid number value"
+        if not ok(value := convert(text)):
+            raise argparse.ArgumentTypeError(f"need {what}, got {text!r}")
+        return value
+    return number
+
+
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "a finite positive number")
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
+
+# The value check and help of every flag; each subcommand declares which it takes.
+_FLAGS = {
+    "signal": dict(help="input JSON: a signal file, or for gpe a schedule file"),
+    "a": dict(type=_POSITIVE, help="lower window bound a"),
+    "b": dict(type=_POSITIVE, help="upper window bound b >= a"),
+    "T": dict(type=_POSITIVE, help="window length"),
+    "tol": dict(type=_POSITIVE, help="integration or residual tolerance"),
+    "seeds": dict(type=_COUNT, help="oracle multistart count"),
+    "segments": dict(type=_checked(int, lambda n: n >= 4, "an integer >= 4"),
+                     help="oracle control segments"),
+    "periods": dict(type=_COUNT, help="horizon periods, or schedule windows"),
+    "format": dict(choices=("json", "csv"), help="output format"),
+    "out": dict(help="output path, written atomically (stdout otherwise)"),
 }
+
+# name: (handler, {flag: default}, {synthesis flag: default}); ... marks a
+# required flag.  The synthesis flags build the input in place of --signal, so
+# the two exclude each other; their defaults apply once --signal is absent.
+_SUBCOMMANDS = {
+    "mu": (_cmd_mu, dict(a=..., b=..., out=None), {}),
+    "extremal": (_cmd_extremal, dict(a=..., b=..., tol=1e-6, format="json", out=None), {}),
+    "oracle": (_cmd_oracle, dict(a=..., b=..., seeds=20, segments=40, out=None), {}),
+    "decay": (_cmd_decay, dict(signal=None, periods=10, tol=1e-9, out=None),
+              dict(a=..., b=...)),
+    "gain": (_cmd_gain, dict(a=..., b=..., T=1.0, periods=50, tol=1e-9, format="json",
+                             out=None), {}),
+    "gpe": (_cmd_gpe, dict(signal=None, format="json", out=None),
+            dict(a=..., b=..., T=1.0, periods=50)),
+    "verify": (_cmd_verify, dict(signal=..., a=..., b=..., T=None, tol=1e-6, out=None), {}),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises bad usage as _UsageError, which main maps to exit 2."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
 
 
 @functools.cache  # one argparse tree per process; parse_args keeps no state
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peflow",
         description="Worst-case persistently excited signals for xdot = -S(t)x.")
     parser.add_argument("--version", action="version", version=f"peflow {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "mu": "optimal cost mu(a, b, n) with the mu <= a bound check",
-        "extremal": "extremal parameters, residual certificate, trajectory CSV",
-        "oracle": "brute-force mu estimate vs the synthesized extremal",
-        "decay": "decay rate of a supplied or synthesized periodic control",
-        "gain": "two-sided L2-gain estimate with worst-input simulation",
-        "gpe": "generalized PE schedule run: norms vs mu-sum prediction",
-        "verify": "PE-window and extremal checks on a signal file",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--a", type=float, default=None, help="lower window bound a")
-        p.add_argument("--b", type=float, default=None, help="upper window bound b")
-        p.add_argument("--T", type=float, default=None, help="window length")
-        p.add_argument("--n", type=int, default=2, help="state dimension (default 2)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (integration or residual, per subcommand)")
-        p.add_argument("--seeds", type=int, default=20, help="oracle multistart count")
-        p.add_argument("--segments", type=int, default=40,
-                       help="oracle control segments")
-        p.add_argument("--periods", type=int, default=None,
-                       help="horizon periods / schedule windows")
-        p.add_argument("--signal", type=str, default=None,
-                       help="input signal or schedule JSON path")
-        p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--format", type=str, default="json", choices=("json", "csv"))
+    for name, (run, flags, synthesis) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__, description=run.__doc__)
+        for flag, default in {**flags, **synthesis}.items():
+            spec = dict(_FLAGS[flag])
+            if default not in (None, ...):
+                spec["help"] += f" (default {default})"
+            if flag not in synthesis:
+                spec.update(default=None if default is ... else default,
+                            required=default is ...)
+            p.add_argument(f"--{flag}", **spec)
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """The flags of one invocation, each set to the value the subcommand uses."""
+    cfg = _build_parser().parse_args(argv)
+    synthesis = _SUBCOMMANDS[cfg.subcommand][2]
+    given = [f"--{flag}" for flag in synthesis if getattr(cfg, flag) is not None]
+    if given and cfg.signal is not None:
+        raise _UsageError(f"--signal excludes {' '.join(given)}")
+    for flag, default in synthesis.items():
+        if cfg.signal is None and getattr(cfg, flag) is None:
+            if default is ...:
+                raise _UsageError(f"{cfg.subcommand} needs --signal, or --a and --b")
+            setattr(cfg, flag, default)
+    if cfg.subcommand == "verify" and cfg.T is None:
+        cfg.T = cfg.a + cfg.b  # the window of the synthesized extremal
+    if cfg.a is not None and cfg.a > cfg.b:  # a and b are given together
+        raise _UsageError(f"need a <= b, got ({cfg.a}, {cfg.b})")
+    return cfg
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = RunConfig(**vars(args))
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    try:
+        cfg = _parse(argv)
         try:
-            return _COMMANDS[cfg.subcommand](cfg)
+            return _SUBCOMMANDS[cfg.subcommand][0](cfg)
         except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
             _emit_json({"error": {"type": type(exc).__name__, "message": str(exc)},
                         "passed": False}, cfg)

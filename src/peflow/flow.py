@@ -82,8 +82,8 @@ def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
     it into the following piece.
     """
     span = t1 - t0
-    if span <= 0:
-        raise ValueError("need t0 < t1")
+    if not (span > 0 and 0.0 < tol < math.inf):
+        raise ValueError(f"need t0 < t1 and a finite tol > 0, got {t0}, {t1}, {tol}")
     c2, c3, c4, c5 = _C2, _C3, _C4, _C5
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54

@@ -27,7 +27,7 @@ from numpy.typing import NDArray
 
 from .extremal2d import solve_extremal
 from .flow import integrate_flow
-from .signals import MatrixSignal, Segment, write_atomic
+from .signals import MatrixSignal, Segment, _field, write_atomic
 
 __all__ = [
     "GPESchedule",
@@ -60,9 +60,14 @@ class GPESchedule:
     tag: Literal["converges", "diverges"] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_seq", tuple(float(x) for x in self.a_seq))
-        object.__setattr__(self, "b_seq", tuple(float(x) for x in self.b_seq))
-        object.__setattr__(self, "tau_seq", tuple(float(x) for x in self.tau_seq))
+        for name in ("a_seq", "b_seq", "tau_seq"):
+            try:
+                values = tuple(float(x) for x in getattr(self, name))
+            except (TypeError, ValueError):
+                raise ValueError(f"{name} must hold numbers") from None
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite, got {values}")
+            object.__setattr__(self, name, values)
         if not len(self.a_seq) == len(self.b_seq) == len(self.tau_seq):
             raise ValueError("a_seq, b_seq, tau_seq must have equal length")
         if len(self.a_seq) == 0:
@@ -219,8 +224,9 @@ def schedule_to_dict(schedule: GPESchedule) -> dict:
 
 
 def schedule_from_dict(doc: dict) -> GPESchedule:
-    return GPESchedule(tuple(doc["a_seq"]), tuple(doc["b_seq"]),
-                       tuple(doc["tau_seq"]), tag=doc.get("tag"))
+    """Inverse of schedule_to_dict; ValueError names the first malformed field."""
+    seqs = [_field(doc, key, (list,)) for key in ("a_seq", "b_seq", "tau_seq")]
+    return GPESchedule(*seqs, tag=doc.get("tag"))
 
 
 def save_schedule(schedule: GPESchedule, path: str) -> None:

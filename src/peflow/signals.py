@@ -463,17 +463,31 @@ def signal_to_dict(signal: RankOneSignal | MatrixSignal) -> dict:
     return {"dim": signal.dim, "period": signal.period, "segments": segs}
 
 
+def _field(doc, key: str, types: tuple, where: str = "document"):
+    """doc[key] of a JSON object; ValueError names the field if missing or mistyped."""
+    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], types)):
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{where} field {key!r} is missing or not {names}")
+    return doc[key]
+
+
 def signal_from_dict(doc: dict) -> RankOneSignal | MatrixSignal:
-    kinds = {s["kind"] for s in doc["segments"]}
-    if kinds == {"angles"}:
-        segs = tuple(Segment(s["t0"], s["t1"], np.asarray(s["data"], dtype=float))
-                     for s in doc["segments"])
-        return RankOneSignal(segs, dim=doc["dim"], period=doc["period"])
-    if kinds == {"matrices"}:
-        segs = tuple(Segment(s["t0"], s["t1"], np.asarray(s["data"], dtype=float))
-                     for s in doc["segments"])
-        return MatrixSignal(segs, dim=doc["dim"], period=doc["period"])
-    raise ValueError(f"unsupported or mixed segment kinds: {sorted(kinds)}")
+    """Inverse of signal_to_dict; ValueError names the first malformed field."""
+    kinds, segs = set(), []
+    for i, s in enumerate(_field(doc, "segments", (list,))):
+        where = f"segment {i}"
+        kinds.add(_field(s, "kind", (str,), where))
+        try:
+            data = np.asarray(_field(s, "data", (list,), where), dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"{where} field 'data': {exc}") from None
+        t0, t1 = (_field(s, key, (int, float), where) for key in ("t0", "t1"))
+        segs.append(Segment(t0, t1, data))
+    if kinds not in ({"angles"}, {"matrices"}):
+        raise ValueError(f"unsupported or mixed segment kinds: {sorted(kinds)}")
+    cls = RankOneSignal if kinds == {"angles"} else MatrixSignal
+    return cls(tuple(segs), dim=_field(doc, "dim", (int,)),
+               period=_field(doc, "period", (int, float, type(None))))
 
 
 def write_atomic(path: str, text: str) -> None:

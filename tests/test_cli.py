@@ -5,6 +5,7 @@ failed check or pipeline error (reported as JSON), 2 is bad usage.
 """
 from __future__ import annotations
 
+import argparse
 import json
 import math
 
@@ -25,14 +26,34 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+# The flags each subcommand reads, and so the only ones it accepts.
+ACCEPTED = {
+    "mu": {"a", "b", "out"},
+    "extremal": {"a", "b", "tol", "format", "out"},
+    "oracle": {"a", "b", "seeds", "segments", "out"},
+    "decay": {"signal", "a", "b", "periods", "tol", "out"},
+    "gain": {"a", "b", "T", "periods", "tol", "format", "out"},
+    "gpe": {"signal", "a", "b", "T", "periods", "format", "out"},
+    "verify": {"signal", "a", "b", "T", "tol", "out"},
+}
+# A valid value of every flag any subcommand ever took, and a valid base call.
+FLAG_VALUES = {"a": "1", "b": "3", "T": "1", "n": "2", "tol": "1e-3", "seeds": "2",
+               "segments": "8", "periods": "3", "signal": "sig.json", "out": "out.json",
+               "format": "csv"}
+BASE = {sub: ["--a", "1", "--b", "3"] for sub in ACCEPTED}
+BASE["verify"] = ["--signal", "sig.json", "--a", "1", "--b", "3"]
+
+
 class TestEnvelope:
     def test_config_echo(self, capsys):
         code, doc = run_json(capsys, "mu", "--a", "1", "--b", "3")
         assert code == 0
-        cfg = doc["config"]
-        assert cfg["subcommand"] == "mu"
-        assert cfg["a"] == 1.0 and cfg["b"] == 3.0
-        assert cfg["format"] == "json"
+        # the echo holds exactly the subcommand's flags, defaults resolved
+        assert doc["config"] == {"subcommand": "mu", "a": 1.0, "b": 3.0, "out": None}
+        _, doc = run_json(capsys, "extremal", "--a", "1", "--b", "3")
+        assert doc["config"]["tol"] == 1e-6 and doc["config"]["format"] == "json"
+        _, doc = run_json(capsys, "gpe", "--a", "1", "--b", "1", "--periods", "2")
+        assert doc["config"]["T"] == 1.0 and doc["config"]["signal"] is None
 
     def test_byte_identical_reruns(self, capsys):
         _, out1 = run_cli(capsys, "mu", "--a", "0.5", "--b", "2")
@@ -55,12 +76,10 @@ class TestExitCodes:
         assert cli.main(["mu", "--b", "3"]) == 2
         assert cli.main(["mu", "--a", "3", "--b", "1"]) == 2
         assert cli.main(["extremal", "--a", "3", "--b", "1"]) == 2
-        assert cli.main(["mu", "--a", "1", "--b", "3", "--n", "0"]) == 2
         capsys.readouterr()
 
     def test_pipeline_error_exit_1_with_report(self, capsys):
-        code, doc = run_json(capsys, "decay", "--signal", "/no/such/file.json",
-                             "--a", "1", "--b", "2")
+        code, doc = run_json(capsys, "decay", "--signal", "/no/such/file.json")
         assert code == 1
         assert doc["passed"] is False
         assert "error" in doc and doc["error"]["type"]
@@ -77,6 +96,61 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("sub,flag", [(sub, flag) for sub in ACCEPTED
+                                          for flag in FLAG_VALUES
+                                          if flag not in ACCEPTED[sub]])
+    def test_unread_flag_exit_2(self, capsys, sub, flag):
+        # e.g. mu --format csv, mu --T 1, oracle --tol 1e-3, mu --n 2
+        cli._parse([sub, *BASE[sub]])  # the base call alone is valid usage
+        code, out = run_cli(capsys, sub, *BASE[sub], f"--{flag}", FLAG_VALUES[flag])
+        assert code == 2 and out == ""
+
+    def test_option_strings_match_table(self):
+        subparsers = next(action for action in cli._build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) == set(ACCEPTED)
+        for sub, flags in ACCEPTED.items():
+            options = {opt for action in subparsers.choices[sub]._actions
+                       for opt in action.option_strings}
+            assert options == {"-h", "--help"} | {f"--{flag}" for flag in flags}
+        assert sum(map(len, ACCEPTED.values())) == 39
+
+    @pytest.mark.parametrize("argv", [
+        ["mu", "--a", "one", "--b", "3"],
+        ["decay", "--signal", "F", "--a", "1", "--b", "1"],
+        ["decay", "--signal", "F", "--b", "1"],
+        ["gpe", "--signal", "F", "--periods", "3"],
+        ["gpe", "--signal", "F", "--T", "2"],
+        ["decay"],
+        ["gpe", "--a", "1"],
+        ["verify", "--a", "1", "--b", "3"],
+        ["decay", "--a", "1", "--b", "3", "--tol", "-1"],
+        ["decay", "--a", "1", "--b", "3", "--tol", "0"],
+        ["extremal", "--a", "1", "--b", "3", "--tol", "-1"],
+        ["gain", "--a", "1", "--b", "3", "--format", "csv", "--tol", "nan"],
+        ["oracle", "--a", "1", "--b", "3", "--seeds", "2.5"],
+    ])
+    def test_rejected_usage_exit_2(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("sub,doc,field", [
+        ("decay", {"dim": 2, "period": None}, "segments"),
+        ("decay", {"dim": 2, "period": None,
+                   "segments": [{"t0": 0.0, "t1": 1.0, "data": [0.0]}]}, "kind"),
+        ("decay", {"dim": 2, "period": None, "segments": 5}, "segments"),
+        ("decay", [{"t0": 0.0, "t1": 1.0, "kind": "angles", "data": [0.0]}], "segments"),
+        ("gpe", {"a_seq": [1.0], "tau_seq": [1.0]}, "b_seq"),
+        ("gpe", [[1.0], [1.0], [1.0]], "a_seq"),
+    ])
+    def test_malformed_document_exit_1(self, capsys, tmp_path, sub, doc, field):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, sub, "--signal", str(path))
+        assert code == 1
+        assert out["error"]["type"] == "ValueError"
+        assert repr(field) in out["error"]["message"]
+
     def test_unwritable_out_exit_2(self, capsys, tmp_path):
         target = tmp_path / "missing" / "mu.json"
         code = cli.main(["mu", "--a", "1", "--b", "3", "--out", str(target)])
@@ -86,19 +160,21 @@ class TestExitCodes:
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_bad_flag_value_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["mu", "--a", "one", "--b", "3"])
-        assert exc.value.code == 2
+    def test_bad_flag_value_exit_2(self, capsys):
+        # argparse's own errors take the same exit-2 path, without SystemExit
+        code = cli.main(["mu", "--a", "one", "--b", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_parser_reuse_keeps_no_flags(self, capsys):
         # one argparse tree serves every call in a process; a flag given to
         # one call must not leak into the next
-        code, doc = run_json(capsys, "mu", "--a", "1", "--b", "3", "--tol", "0.5")
+        code, doc = run_json(capsys, "extremal", "--a", "1", "--b", "3", "--tol", "0.5")
         assert code == 0 and doc["config"]["tol"] == 0.5
-        code, doc = run_json(capsys, "mu", "--a", "0.5", "--b", "2")
+        code, doc = run_json(capsys, "extremal", "--a", "0.5", "--b", "2")
         assert code == 0
-        assert doc["config"]["tol"] is None and doc["config"]["a"] == 0.5
+        assert doc["config"]["tol"] == 1e-6 and doc["config"]["a"] == 0.5
         assert cli._build_parser() is cli._build_parser()
 
 
@@ -188,8 +264,7 @@ class TestDecayGain:
     def test_decay_signal_file(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
         signals.save_signal(signals.axis_hopping_control(1.0, 1.0, 2), str(path))
-        code, doc = run_json(capsys, "decay", "--signal", str(path),
-                             "--a", "1", "--b", "1")
+        code, doc = run_json(capsys, "decay", "--signal", str(path))
         assert code == 0
         assert doc["decay"]["rate"] == pytest.approx(1.0, rel=1e-7)
 

@@ -45,6 +45,12 @@ class TestAdaptiveRK45:
                            post_step=hook)
         assert calls and calls[-1] == 1.0
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_tol_raises(self, tol):
+        # tol = -1 used to integrate y' = -y to 0.36791 instead of e^-1
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            flow.adaptive_rk45(lambda t, y: [-y[0]], 0.0, 1.0, [1.0], tol=tol)
+
     def test_step_underflow_raises(self):
         # a step across a jump the integrator is not told about never
         # passes the error test, so the step shrinks until it underflows

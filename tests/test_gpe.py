@@ -29,6 +29,14 @@ class TestSchedule:
             gpe.GPESchedule((1.0, 1.0), (1.0, 1.0), (1.0, 0.5))  # tau not increasing
         with pytest.raises(ValueError):
             gpe.GPESchedule((1.0,), (1.0,), (1.0,), tag="maybe")
+        # non-finite entries fail at construction, not later in the flow or synthesis
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tau_seq must be finite"):
+                gpe.GPESchedule((1.0, 1.0), (1.0, 1.0), (1.0, bad))
+        with pytest.raises(ValueError, match="a_seq must be finite"):
+            gpe.GPESchedule((math.inf,), (math.inf,), (1.0,))
+        with pytest.raises(ValueError, match="b_seq must be finite"):
+            gpe.GPESchedule((1.0,), (math.nan,), (1.0,))
 
     def test_round_trip(self, tmp_path):
         s = gpe.GPESchedule((0.5, 1.0), (1.0, 1.0), (1.0, 3.0), tag="converges")
