@@ -218,7 +218,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> int:
         params, traj = extremal2d.solve_extremal(cfg.a, cfg.b)
         report = extremal2d.verify_extremal(traj, params, tol=cfg.tol)
         ts = np.linspace(sig.t_start, sig.t_start + min(params.T, span), 257)
-        dots = np.sum(sig.c_many(ts) * traj.c(ts - sig.t_start), axis=1)
+        dots = np.sum(np.array([sig.c(t) for t in ts]) * traj.c(ts - sig.t_start), axis=1)
         align = float(np.max(np.abs(np.abs(dots) - 1.0)))
         checks["verify_extremal"] = {"residuals": report.residuals, "mu": report.mu,
                                      "passed": report.passed,

@@ -10,8 +10,8 @@ integrate_flow uses its spherical form: with x = r*omega, ||omega|| = 1,
 so the radius lives in log space and never underflows, and the running
 cost int omega^T S omega dt is -log r(t) for free.  propagate walks the
 signal one piece at a time (signals.pieces): a constant piece without
-input is one exact step, exp(-dt cc^T) = I - (1 - e^{-dt}) cc^T for a
-rank-one control and eigh for a constant matrix, and every other piece
+input is one exact step, exp(-dt g cc^T) = I - (1 - e^{-g dt}) cc^T for a
+rank-one control of gain g and eigh for a constant matrix, and every other piece
 goes to an embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients)
 that reads S from that piece's segment alone, so discontinuous piecewise
 controls are integrated without order loss.  The pair steps lists of
@@ -26,7 +26,7 @@ from operator import mul
 import numpy as np
 from numpy.typing import NDArray
 
-from .signals import RankOneSignal
+from .signals import RankOneSignal, Segment
 
 __all__ = [
     "IntegrationError",
@@ -189,11 +189,13 @@ def _renormalize(t, y):
     return [v / nrm for v in x] + [y[-1]]
 
 
-def _exact_map(signal, S: NDArray, dt: float) -> NDArray:
-    """exp(-dt S) for a constant S: closed form for S = cc^T, else by eigh."""
+def _exact_map(signal, seg: Segment, dt: float) -> NDArray:
+    """exp(-dt S) for the constant S of seg: I + expm1(-g dt) cc^T for
+    S = g cc^T, with g the segment's own gain, else by eigh."""
     if isinstance(signal, RankOneSignal):
-        return np.eye(signal.dim) + np.expm1(-dt) * S
-    lam, V = np.linalg.eigh(S)
+        cc = np.array(signal._rows_of(seg.at(seg.t0), 1.0))
+        return np.eye(signal.dim) + np.expm1(-seg.gain * dt) * cc
+    lam, V = np.linalg.eigh(np.array(signal._rows_of(seg.at(seg.t0), seg.gain)))
     return (V * np.exp(-dt * lam)) @ V.T
 
 
@@ -215,8 +217,8 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     Returns (ts, ys, drift): the piece ends and accepted steps, the states
     there, and the summed renormalization drift.
     """
-    if not t1 > t0:
-        raise ValueError("need t0 < t1")
+    if not (t1 > t0 and 0.0 < tol < math.inf):  # exact pieces never reach adaptive_rk45
+        raise ValueError(f"need t0 < t1 and a finite tol > 0, got {t0}, {t1}, {tol}")
     x0 = np.asarray(x0, dtype=float)
     shape, size = x0.shape, x0.size
     k = size // shape[0]  # columns of the block, 1 for a vector
@@ -242,7 +244,7 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     for u0, u1, seg, shift in signal.pieces(t0, t1):
         S_at = signal.matrix_on(seg, shift)
         if u is None and len(seg.data) == 1:
-            E = _exact_map(signal, np.array(S_at(u0)), u1 - u0)
+            E = _exact_map(signal, seg, u1 - u0)
             y = y.copy()
             if spherical:
                 x = E @ y[:-1]

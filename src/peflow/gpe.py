@@ -6,14 +6,17 @@ governed by the series sum a_ell / (1 + b_ell^2): when it diverges every
 trajectory converges to the origin; when it converges the construction
 below exhibits "freezing" — the state norm stalls at a positive plateau.
 
-The witness signal chains per-window worst-case controls: each window
-is one segment carrying the planar pendulum minimizer for its own
-(a_ell, b_ell), a_ell = b_ell included, time-rescaled to the window
-length (Gram and cost are invariant under s -> lam * S(lam t)) and
-conjugated by the rotation aligning its optimal initial direction with
-the state direction reached so far.  The log-contraction over window
-ell is then exactly mu(a_ell, b_ell, 2), so the norm at tau_L is
-exp(-sum of mu) by construction.
+The witness signal chains per-window worst-case controls into one
+rank-one signal: each window is one segment carrying the angles of the
+planar pendulum minimizer for its own (a_ell, b_ell), a_ell = b_ell
+included, time-rescaled to the window length by the segment's gain
+lam = (a_ell + b_ell) / window length (Gram and cost are invariant under
+S -> lam * S(lam t)), and rotated so its optimal initial direction
+continues the state direction reached so far.  A rotation of the plane
+is a shift of every angle, so the chain is tracked as the state angle
+theta.  The log-contraction over window ell is then exactly
+mu(a_ell, b_ell, 2), so the norm at tau_L is exp(-sum of mu) by
+construction.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from numpy.typing import NDArray
 
 from .extremal2d import solve_extremal
 from .flow import integrate_flow
-from .signals import MatrixSignal, Segment, _field, write_atomic
+from .signals import RankOneSignal, Segment, _field, write_atomic
 
 __all__ = [
     "GPESchedule",
@@ -41,7 +44,7 @@ __all__ = [
     "load_schedule",
 ]
 
-_SAMPLES = 2048  # matrix samples of each rescaled pendulum window
+_SAMPLES = 2048  # angle samples of each rescaled pendulum window
 
 
 @dataclass(frozen=True)
@@ -124,15 +127,9 @@ def series_criterion(schedule: GPESchedule, L: int | None = None
     return sums, schedule.tag if schedule.tag is not None else "undetermined"
 
 
-def _rotation_to(target: NDArray, source: NDArray) -> NDArray:
-    """2D rotation U with U @ source = target for unit vectors."""
-    ang = np.arctan2(target[1], target[0]) - np.arctan2(source[1], source[0])
-    ca, sa = np.cos(ang), np.sin(ang)
-    return np.array([[ca, -sa], [sa, ca]])
-
-
 def _synthesize_window(schedule: GPESchedule, a: float, b: float):
-    """Natural-clock window minimizer: (trajectory on [0, a+b], omega0, omegaT).
+    """Natural-clock window minimizer: (mu, phi samples on [0, a+b], theta(0),
+    theta(a+b)).
 
     Solved once per distinct (a, b) of the schedule and kept on it, so
     build_gpe_signal and asymptotic_norm share the solves.
@@ -141,40 +138,34 @@ def _synthesize_window(schedule: GPESchedule, a: float, b: float):
     key = (a, b)
     if key not in cache:
         params, traj = solve_extremal(a, b)
-        cache[key] = (traj, traj.omega(0.0), traj.omega(params.T))
+        phis = traj.phi(np.linspace(0.0, params.T, _SAMPLES))
+        cache[key] = (traj.mu, phis, float(traj.theta(0.0)), float(traj.theta(params.T)))
     return cache[key]
 
 
-def build_gpe_signal(schedule: GPESchedule) -> tuple[MatrixSignal, NDArray]:
+def build_gpe_signal(schedule: GPESchedule) -> tuple[RankOneSignal, NDArray]:
     """Chain per-window worst-case controls into one signal on [0, tau_L].
 
-    Each window carries the (a_ell, b_ell) minimizer, time-rescaled to the
-    window length and rotated so its optimal initial direction continues
-    the direction the state has reached, as one segment per window.
-    Returns the signal and the worst initial direction omega0.
+    Window ell is one segment: the (a_ell, b_ell) minimizer's angles
+    shifted by the turn that carries its optimal initial angle onto the
+    state angle theta reached so far, with gain (a_ell + b_ell) / window
+    length.  Returns the signal and the worst initial direction omega0.
     """
     segs: list[Segment] = []
-    w = None
-    omega0 = None
+    theta = None
     for ell in range(schedule.length):
         a, b, t0, t1 = schedule.window(ell)
-        T_win = t1 - t0
         try:
-            traj, om0, omT = _synthesize_window(schedule, a, b)
+            _, phis, theta_start, theta_end = _synthesize_window(schedule, a, b)
         except Exception as exc:
             raise RuntimeError(f"window {ell} synthesis failed for "
                                f"(a, b) = ({a}, {b})") from exc
-        if w is None:
-            w = om0
-            omega0 = om0.copy()
-        U = _rotation_to(w, om0)
-        lam = (a + b) / T_win
-        grid = np.linspace(0.0, T_win, _SAMPLES)
-        cs = traj.c(lam * grid) @ U.T
-        mats = lam * np.einsum("ki,kj->kij", cs, cs)
-        segs.append(Segment(t0, t1, mats))
-        w = U @ omT
-    return MatrixSignal(tuple(segs), dim=2), omega0
+        if theta is None:
+            theta = theta0 = theta_start
+        turn = theta - theta_start
+        segs.append(Segment(t0, t1, phis + turn, (a + b) / (t1 - t0)))
+        theta = theta_end + turn
+    return RankOneSignal(tuple(segs)), RankOneSignal._unit(theta0)
 
 
 @dataclass(frozen=True)
@@ -194,7 +185,7 @@ class GPEAsymptotics:
     max_rel_dev: float
 
 
-def asymptotic_norm(schedule: GPESchedule, signal: MatrixSignal,
+def asymptotic_norm(schedule: GPESchedule, signal: RankOneSignal,
                     omega0: NDArray) -> GPEAsymptotics:
     """State norms at the window ends against the exp(-sum mu) prediction.
 
@@ -202,7 +193,7 @@ def asymptotic_norm(schedule: GPESchedule, signal: MatrixSignal,
     of the chained signal, so the flow has a sample at each.  Measured and
     predicted norms must agree within 1% at every window.
     """
-    mus = [_synthesize_window(schedule, a, b)[0].mu
+    mus = [_synthesize_window(schedule, a, b)[0]
            for a, b in zip(schedule.a_seq, schedule.b_seq)]
     taus = schedule.tau_seq
     traj = integrate_flow(signal, omega0, 0.0, taus[-1])

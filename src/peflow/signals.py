@@ -4,15 +4,17 @@ A control signal is a piecewise-smooth map t -> S(t) into positive
 semi-definite symmetric matrices.  Two concrete representations are used
 throughout:
 
-* :class:`RankOneSignal` represents the planar rank-one control S = c c^T
+* :class:`RankOneSignal` represents the planar rank-one control S = g c c^T
   by a single angle phi(t), through c = (cos(phi/2), sin(phi/2)).
-* :class:`MatrixSignal` stores sampled symmetric matrices directly.
+* :class:`MatrixSignal` stores sampled symmetric matrices directly; it
+  serves matrix files and axis hopping.
 
 Both types are segmented: each segment carries a uniform sample grid on
 [t0, t1] interpolated with a cubic spline, except single-sample segments
-which are exact constants (used for piecewise-constant controls).  A
-periodic signal's period equals the span of its segments.  Instances are
-immutable after construction.
+which are exact constants (used for piecewise-constant controls), and a
+gain g > 0 that scales its matrix, so time_rescale only relabels times
+and gains and a rank-one control stays rank-one.  A periodic signal's
+period equals the span of its segments.  Instances are immutable.
 
 A span [t0, t1] is walked one piece at a time: pieces() cuts it at the
 segment boundaries, and a piece's values are read from its own segment
@@ -25,7 +27,7 @@ import json
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Literal
 
@@ -87,17 +89,24 @@ class Segment:
 
     data holds samples on the uniform grid linspace(t0, t1, m): shape
     (m,) for the angles of a rank-one signal, (m, n, n) for matrices.
-    m == 1 means the segment is constant.
+    m == 1 means the segment is constant.  The segment's control is
+    S = gain * (the matrix its samples give).
     """
 
     t0: float
     t1: float
     data: NDArray[np.float64]
+    gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.t1 > self.t0:
-            raise ValueError(f"segment [{self.t0}, {self.t1}] is empty")
         object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
+        for name in ("t0", "t1", "data"):  # |x| < inf fails on nan, holds on any int
+            if not np.all(np.abs(getattr(self, name)) < math.inf):
+                raise ValueError(f"field {name!r} must be finite")
+        if not 0.0 < self.gain < math.inf:
+            raise ValueError(f"field 'gain' must be finite and positive, got {self.gain}")
+        if not self.t1 > self.t0:
+            raise ValueError(f"field 't1' must exceed t0, got [{self.t0}, {self.t1}]")
 
     @cached_property
     def _spline(self) -> CubicSpline | None:
@@ -205,25 +214,31 @@ class _SegmentedSignal:
 
     def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], list[list[float]]]:
         """t -> S(t) as n rows of n floats on a piece of seg: local time t - shift,
-        clamped to [seg.t0, seg.t1]."""
-        rows_of, at = self._rows_of, seg.at
+        clamped to [seg.t0, seg.t1], the segment's gain folded in."""
+        rows_of, at, g = self._rows_of, seg.at, seg.gain
         if len(seg.data) == 1:
-            S = rows_of(at(seg.t0))
+            S = rows_of(at(seg.t0), g)
             return lambda t: S
         lo, hi = seg.t0, seg.t1
 
         def S_at(t: float) -> list[list[float]]:
             t -= shift
-            return rows_of(at(lo if t < lo else hi if t > hi else t))
+            return rows_of(at(lo if t < lo else hi if t > hi else t), g)
         return S_at
+
+    def matrix(self, t: float) -> NDArray[np.float64]:
+        """S(t) as an (n, n) array."""
+        seg, tt = self._local(t)
+        return np.array(self.matrix_on(seg, 0.0)(tt))
 
 
 @dataclass(frozen=True)
 class RankOneSignal(_SegmentedSignal):
-    """Planar rank-one control S = cc^T with c = (cos(phi/2), sin(phi/2)).
+    """Planar rank-one control S = g cc^T with c = (cos(phi/2), sin(phi/2)).
 
     Fields:
-        segments: ordered, gap-free segments of angle samples phi.
+        segments: ordered, gap-free segments of angle samples phi, each
+            with its gain g.
         dim: ambient dimension, always 2.
         period: optional period for cyclic evaluation, equal to the
             segments' span.
@@ -252,28 +267,18 @@ class RankOneSignal(_SegmentedSignal):
         return np.column_stack([np.cos(half), np.sin(half)])
 
     @staticmethod
-    def _rows_of(raw: list[float]) -> list[list[float]]:
-        """cc^T as rows of floats from the raw sample [phi]."""
+    def _rows_of(raw: list[float], g: float) -> list[list[float]]:
+        """g cc^T as rows of floats from the raw sample [phi]; exact cc^T at g = 1."""
         half = 0.5 * raw[0]
         c0, c1 = math.cos(half), math.sin(half)
-        return [[c0 * c0, c0 * c1], [c1 * c0, c1 * c1]]
+        g0 = g * c0
+        off = g0 * c1
+        return [[g0 * c0, off], [off, g * c1 * c1]]
 
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""
         seg, tt = self._local(t)
         return self._unit(seg.at(tt)[0])
-
-    def c_many(self, ts: NDArray) -> NDArray[np.float64]:
-        """Vectorized c over a time array, shape (len(ts), dim)."""
-        out = np.empty((len(ts), self.dim))
-        for i, t in enumerate(np.asarray(ts, dtype=float)):
-            out[i] = self.c(t)
-        return out
-
-    def matrix(self, t: float) -> NDArray[np.float64]:
-        """S(t) = c(t) c(t)^T."""
-        v = self.c(t)
-        return v[:, None] * v
 
 
 @dataclass(frozen=True)
@@ -300,17 +305,12 @@ class MatrixSignal(_SegmentedSignal):
                 raise ValueError(f"matrix samples not PSD (min eigenvalue {lo:.2e})")
 
     @cached_property
-    def _rows_of(self) -> Callable[[list[float]], list[list[float]]]:
-        """raw -> the symmetric part 0.5 (R + R^T) as rows of floats, R the
-        flattened raw sample."""
+    def _rows_of(self) -> Callable[[list[float], float], list[list[float]]]:
+        """(raw, g) -> g times the symmetric part 0.5 (R + R^T) as rows of
+        floats, R the flattened raw sample."""
         n = self.dim
         pairs = [[(i * n + j, j * n + i) for j in range(n)] for i in range(n)]
-        return lambda raw: [[0.5 * (raw[p] + raw[q]) for p, q in row] for row in pairs]
-
-    def matrix(self, t: float) -> NDArray[np.float64]:
-        seg, tt = self._local(t)
-        raw = np.reshape(seg.at(tt), (self.dim, self.dim))
-        return 0.5 * (raw + raw.T)
+        return lambda raw, g: [[0.5 * g * (raw[p] + raw[q]) for p, q in row] for row in pairs]
 
 
 @dataclass(frozen=True)
@@ -351,6 +351,7 @@ def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float) -> NDArray[
     total = np.zeros((signal.dim, signal.dim))
     for u0, u1, seg, shift in signal.pieces(t0, t1):
         nodes, weights = _piece_quadrature(u0 - shift, u1 - shift, seg.t1 - seg.t0)
+        weights = seg.gain * weights
         vals = seg.values(nodes)
         if isinstance(signal, RankOneSignal):
             cs = signal._units(vals)
@@ -430,36 +431,35 @@ def reflect_extend(c: RankOneSignal, D: NDArray, tol: float = 1e-6) -> RankOneSi
     mult, off = _angle_transform(sigma * diag)
     segs = list(c.segments)
     for seg in c.segments:
-        segs.append(Segment(seg.t0 + T, seg.t1 + T, mult * seg.data + off))
+        segs.append(Segment(seg.t0 + T, seg.t1 + T, mult * seg.data + off, seg.gain))
     return RankOneSignal(tuple(segs), dim=c.dim, period=2 * T)
 
 
-def time_rescale(signal: MatrixSignal, lam: float,
-                 samples_per_segment: int = 512) -> MatrixSignal:
-    """Class-preserving time change S~(s) = lam * S(lam * s).
+def time_rescale(signal, lam: float):
+    """Class-preserving time change S~(s) = lam * S(lam * s), exact.
 
-    Maps a signal with window bounds (a, b, T) to one with bounds
+    Each segment keeps its samples on [t0/lam, t1/lam] with its gain times
+    lam.  Maps a signal with window bounds (a, b, T) to one with bounds
     (a, b, T/lam): the windowed Gram integrals are unchanged.
     """
-    if lam <= 0:
-        raise ValueError("need lam > 0")
-    segs = []
-    for seg in signal.segments:
-        k = 1 if len(seg.data) == 1 else samples_per_segment
-        ts = np.linspace(seg.t0, seg.t1, k) if k > 1 else np.array([seg.t0])
-        data = np.stack([lam * signal.matrix(t) for t in ts])
-        segs.append(Segment(seg.t0 / lam, seg.t1 / lam, data))
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"need a finite lam > 0, got {lam}")
+    segs = tuple(Segment(seg.t0 / lam, seg.t1 / lam, seg.data, seg.gain * lam)
+                 for seg in signal.segments)
     period = signal.period / lam if signal.period is not None else None
-    return MatrixSignal(tuple(segs), dim=signal.dim, period=period)
+    return replace(signal, segments=segs, period=period)
 
 
 def signal_to_dict(signal: RankOneSignal | MatrixSignal) -> dict:
-    """Serializable document {dim, period, segments: [{t0, t1, kind, data}]}."""
+    """Serializable document {dim, period, segments: [{t0, t1, kind, data, gain}]},
+    where a segment's gain is written only when it is not 1."""
     segs = []
     kind: Literal["angles", "matrices"] = \
         "angles" if isinstance(signal, RankOneSignal) else "matrices"
     for seg in signal.segments:
         segs.append({"t0": seg.t0, "t1": seg.t1, "kind": kind, "data": seg.data.tolist()})
+        if seg.gain != 1.0:
+            segs[-1]["gain"] = seg.gain
     return {"dim": signal.dim, "period": signal.period, "segments": segs}
 
 
@@ -482,7 +482,11 @@ def signal_from_dict(doc: dict) -> RankOneSignal | MatrixSignal:
         except TypeError as exc:
             raise ValueError(f"{where} field 'data': {exc}") from None
         t0, t1 = (_field(s, key, (int, float), where) for key in ("t0", "t1"))
-        segs.append(Segment(t0, t1, data))
+        gain = _field(s, "gain", (int, float), where) if "gain" in s else 1.0
+        try:
+            segs.append(Segment(t0, t1, data, gain))
+        except ValueError as exc:
+            raise ValueError(f"{where} {exc}") from None
     if kinds not in ({"angles"}, {"matrices"}):
         raise ValueError(f"unsupported or mixed segment kinds: {sorted(kinds)}")
     cls = RankOneSignal if kinds == {"angles"} else MatrixSignal

@@ -277,6 +277,18 @@ class TestDecayGain:
         assert code == 1
         assert out["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("field, text", [("data", "[null]"), ("t1", "1e999"),
+                                             ("gain", "0")])
+    def test_decay_names_bad_segment_field(self, capsys, tmp_path, field, text):
+        doc = signals.signal_to_dict(signals.axis_hopping_control(1.0, 1.0, 2))
+        doc["segments"][1][field] = "BAD"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"BAD"', text))
+        code, out = run_json(capsys, "decay", "--signal", str(path))
+        assert code == 1
+        assert out["error"]["type"] == "ValueError"
+        assert out["error"]["message"].startswith(f"segment 1 field '{field}'")
+
     def test_gain_report(self, capsys):
         code, doc = run_json(capsys, "gain", "--a", "1", "--b", "3", "--T", "1",
                              "--periods", "50")

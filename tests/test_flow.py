@@ -125,11 +125,11 @@ class TestPropagate:
         assert ys[-1, 3] == pytest.approx(u2 * 2.0, rel=1e-12)
         assert ys[:, :2] == pytest.approx(ts[:, None] * uv, rel=1e-12, abs=1e-15)
 
-    @pytest.mark.parametrize("kind", ["rank_one", "matrix"])
+    @pytest.mark.parametrize("kind", ["rank_one", "gained", "matrix"])
     def test_constant_piece_is_exact(self, kind):
         # one exact step per constant piece: exp(-dt S), not an RK approximation
-        if kind == "rank_one":
-            seg = signals.Segment(0.0, 1.7, np.array([1.1]))
+        if kind != "matrix":
+            seg = signals.Segment(0.0, 1.7, np.array([1.1]), 2.3 if kind == "gained" else 1.0)
             sig = signals.RankOneSignal((seg,))
             S = sig.matrix(0.0)
         else:
@@ -240,6 +240,12 @@ class TestDecayRate:
         assert report.method == "slope"
         # only one axis decays, so the worst direction has rate zero
         assert report.rate == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_tol_raises_on_exact_pieces(self, tol):
+        # every piece is constant, so adaptive_rk45 never sees the tol
+        with pytest.raises(ValueError, match="tol"):
+            flow.decay_rate(signals.axis_hopping_control(1.0, 1.0, 2), tol=tol)
 
     def test_rate_scales_with_amplitude(self):
         r1 = flow.decay_rate(signals.axis_hopping_control(0.4, 1.0, 2)).rate

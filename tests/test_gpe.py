@@ -79,6 +79,18 @@ class TestBuildAndMeasure:
         assert asym.norms[0] == pytest.approx(math.exp(-mu), rel=1e-7)
         assert asym.max_rel_dev < 1e-6
 
+    def test_one_rank_one_segment_per_window(self):
+        s = gpe.GPESchedule((1.0, 0.5, 1.0), (3.0, 0.5, 3.0), (1.0, 3.5, 4.25))
+        sig, om0 = gpe.build_gpe_signal(s)
+        assert isinstance(sig, signals.RankOneSignal)
+        assert len(sig.segments) == s.length
+        for ell, seg in enumerate(sig.segments):
+            a, b, t0, t1 = s.window(ell)
+            assert (seg.t0, seg.t1, seg.gain) == (t0, t1, (a + b) / (t1 - t0))
+        # a repeated pair carries the same angles, turned by one shift
+        turn = sig.segments[2].data - sig.segments[0].data
+        assert np.ptp(turn) <= 1e-12
+
     def test_window_rescaling_preserves_gram(self):
         # window shorter than the natural clock: control speeds up, Gram fixed
         s = gpe.GPESchedule((1.0,), (3.0,), (1.0,))

@@ -33,6 +33,15 @@ class TestSegments:
         with pytest.raises(ValueError):
             signals.Segment(1.0, 0.0, np.zeros(2))
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("t0", dict(t0=-math.inf)), ("t1", dict(t1=math.nan)),
+        ("data", dict(data=np.array([0.1, math.nan]))),
+        ("gain", dict(gain=0.0)), ("gain", dict(gain=-2.0)), ("gain", dict(gain=math.inf)),
+    ])
+    def test_non_finite_fields_rejected(self, field, kwargs):
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            signals.Segment(**{"t0": 0.0, "t1": 1.0, "data": np.zeros(2), **kwargs})
+
     def test_single_sample_is_constant(self):
         seg = signals.Segment(0.0, 2.0, np.array([0.7]))
         sig = signals.RankOneSignal((seg,))
@@ -161,12 +170,17 @@ class TestGram:
         G = signals.gram(sig, 0.2, 2.9)
         assert G == pytest.approx(self.riemann(sig, 0.2, 2.9), abs=5e-4)
 
-    @pytest.mark.parametrize("make", ["rank_one", "matrix"])
+    @pytest.mark.parametrize("make", ["rank_one", "gained", "matrix"])
     def test_vectorized_equals_per_node_sum(self, make):
         # the loop it replaced: one signal.matrix call per quadrature node
         sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
-        if make == "matrix":
-            sig = signals.time_rescale(signals.RankOneSignal(sig.segments[:1]), 1.3)
+        if make == "gained":
+            sig = signals.time_rescale(sig, 1.3)
+        elif make == "matrix":  # sampled cc^T of the extremal's first half
+            seg = sig.segments[0]
+            cs = np.array([sig.c(t) for t in np.linspace(seg.t0, seg.t1, 513)])
+            sig = signals.MatrixSignal(
+                (signals.Segment(seg.t0, seg.t1, cs[:, :, None] * cs[:, None, :], 1.3),))
         t0, t1 = sig.t_start + 0.3, min(sig.horizon, sig.t_start + 5.5)
         ref = np.zeros((2, 2))
         for u0, u1, seg, _ in sig.pieces(t0, t1):
@@ -235,22 +249,28 @@ class TestConstructions:
             assert min(np.linalg.norm(img - got), np.linalg.norm(img + got)) < 1e-7
 
     def test_time_rescale_gram_invariant(self):
-        sig = signals.axis_hopping_control(1.0, 2.0, 2)
-        for lam in (0.5, 2.0, 3.7):
-            fast = signals.time_rescale(sig, lam)
-            assert fast.period == pytest.approx(2.0 / lam)
-            G = signals.gram(fast, 0.0, 2.0 / lam)
-            assert G == pytest.approx(signals.gram(sig, 0.0, 2.0), abs=1e-8)
+        for sig in (signals.axis_hopping_control(1.0, 2.0, 2),
+                    extremal2d.build_optimal_control(1.0, 3.0)[0]):
+            P = sig.period
+            for lam in (0.5, 2.0, 3.7):
+                fast = signals.time_rescale(sig, lam)
+                assert type(fast) is type(sig)
+                assert fast.period == pytest.approx(P / lam)
+                G = signals.gram(fast, 0.0, P / lam)
+                assert G == pytest.approx(signals.gram(sig, 0.0, P), abs=1e-8)
 
-    @given(st.floats(0.25, 4.0))
+    @given(st.floats(0.25, 4.0), st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_time_rescale_pointwise(self, lam):
-        sig = signals.axis_hopping_control(1.0, 2.0, 2)
+    def test_time_rescale_pointwise(self, lam, smooth):
+        # an exact relabelling: agreement to rounding, relative to |S|
+        sig = (extremal2d.build_optimal_control(1.0, 3.0)[0] if smooth
+               else signals.axis_hopping_control(1.0, 2.0, 2))
         fast = signals.time_rescale(sig, lam)
         for s in (0.1, 0.6, 1.3):
-            if s < 2.0 / lam:
-                assert fast.matrix(s) == pytest.approx(lam * sig.matrix(lam * s),
-                                                       abs=1e-7)
+            if s < sig.period / lam:
+                want = lam * sig.matrix(lam * s)
+                err = np.max(np.abs(fast.matrix(s) - want))
+                assert err <= 1e-13 * np.max(np.abs(want))
 
 
 class TestSerialization:
@@ -265,6 +285,25 @@ class TestSerialization:
         assert back.period == sig.period
         for t in np.linspace(0, 1, 9):
             assert back.c(t) == pytest.approx(sig.c(t), abs=1e-12)
+
+    def test_round_trip_gained(self, tmp_path):
+        sig = signals.time_rescale(extremal2d.build_optimal_control(1.0, 3.0)[0], 2.5)
+        path = tmp_path / "fast.json"
+        signals.save_signal(sig, str(path))
+        assert all(seg["gain"] == 2.5 for seg in json.loads(path.read_text())["segments"])
+        back = signals.load_signal(str(path))
+        assert isinstance(back, signals.RankOneSignal)
+        assert [seg.gain for seg in back.segments] == [2.5, 2.5]
+        for t in np.linspace(0, back.period, 9):
+            assert np.array_equal(back.matrix(t), sig.matrix(t))
+
+    @pytest.mark.parametrize("field, text", [("data", "[null]"), ("t1", "1e999"),
+                                             ("gain", "0")])
+    def test_bad_segment_field_is_named(self, field, text):
+        doc = signals.signal_to_dict(signals.axis_hopping_control(1.0, 1.0, 2))
+        doc["segments"][1][field] = "BAD"  # stands for JSON text json.dumps would not write
+        with pytest.raises(ValueError, match=f"segment 1 field '{field}'"):
+            signals.signal_from_dict(json.loads(json.dumps(doc).replace('"BAD"', text)))
 
     def test_round_trip_matrix(self, tmp_path):
         sig = signals.axis_hopping_control(1.0, 1.0, 3)
@@ -289,4 +328,4 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert set(doc) == {"dim", "period", "segments"}
         assert doc["segments"][0]["kind"] == "matrices"
-        assert {"t0", "t1", "kind", "data"} <= set(doc["segments"][0])
+        assert set(doc["segments"][0]) == {"t0", "t1", "kind", "data"}  # gain 1 is not written
