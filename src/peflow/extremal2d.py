@@ -11,8 +11,11 @@ integrals, which turns synthesis into two scalar root-finding problems:
   2. solve_multipliers: nu(alpha, d(alpha)) = nu            ->  (alpha, d)
 
 after which the extremal dynamics are integrated on [0, T=a+b] and
-reflected into a 2T-periodic signal.  All maps involved are strictly
-monotone, so plain bisection is exact to machine precision.
+extended to a 2T-periodic signal by the fixed mirror D = diag(1, -1): the
+canonical branch of initial_conditions (sin theta0 < 0, phi running from
+phi0 to 2 pi - phi0) makes the control on [T, 2T] equal to D c(t - T) up
+to sign, which on angles is phi -> 2 pi - phi.  All maps involved are
+strictly monotone, so plain bisection is exact to machine precision.
 """
 from __future__ import annotations
 
@@ -25,11 +28,10 @@ from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
 from .flow import adaptive_rk45
-from .signals import RankOneSignal, Segment, reflect_extend
+from .signals import RankOneSignal, Segment
 
 __all__ = [
     "ExtremalParams",
-    "Extremal2DState",
     "ExtremalTrajectory",
     "ExtremalReport",
     "elliptic_K",
@@ -53,6 +55,7 @@ _GL5 = np.polynomial.legendre.leggauss(5)
 _TOL = 1e-10  # RK45 tolerance of every extremal integration
 _SAMPLES = 2048  # angle samples of the synthesized half-period control
 _CHECK_SAMPLES = 2001  # sample times of the extremality certificate
+_MIRROR = np.array([1.0, -1.0])  # diagonal of D; -D c(phi) = c(2 pi - phi)
 
 
 def _agm_pair(x: float) -> tuple[float, float]:
@@ -146,15 +149,6 @@ class ExtremalParams:
                              f"got ({a_chk}, {b_chk}) vs ({self.a}, {self.b})")
 
 
-@dataclass(frozen=True)
-class Extremal2DState:
-    """Angle-space state (theta, eta, phi) of the extremal system."""
-
-    theta: float
-    eta: float
-    phi: float
-
-
 def solve_shape(a: float, b: float) -> tuple[float, float]:
     """Solve K_plus(phi0)/K_minus(phi0) = a/b for phi0, then nu = b/K_minus.
 
@@ -238,8 +232,8 @@ def solve_params(a: float, b: float) -> ExtremalParams:
     return ExtremalParams(a=a, b=b, T=a + b, alpha=alpha, d=d, nu=nu, phi0=phi0)
 
 
-def initial_conditions(alpha: float, d: float) -> Extremal2DState:
-    """State at a turning time: eta = 0, theta and phi from (alpha, d).
+def initial_conditions(alpha: float, d: float) -> tuple[float, float]:
+    """Angles (theta0, phi0) at a turning time, where eta = 0, from (alpha, d).
 
     cos theta0 = 1 - 2d(1-alpha)/(alpha+d) with sin theta0 < 0 (the mirror
     solution is canonicalized away), and phi0 in (0, pi) so that
@@ -256,7 +250,7 @@ def initial_conditions(alpha: float, d: float) -> Extremal2DState:
     cp = min(1.0, max(-1.0, cp))
     theta0 = -np.arccos(ct)
     phi0 = np.arccos(cp)
-    return Extremal2DState(theta=float(theta0), eta=0.0, phi=float(phi0))
+    return float(theta0), float(phi0)
 
 
 @dataclass(frozen=True)
@@ -313,8 +307,8 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
     a large residual signals inconsistent parameters and raises.
     """
     den = 1.0 - params.alpha + params.d
-    state0 = initial_conditions(params.alpha, params.d)
-    y0 = [state0.theta, 0.0, state0.phi, 0.0]
+    theta0, phi0 = initial_conditions(params.alpha, params.d)
+    y0 = [theta0, 0.0, phi0, 0.0]
 
     def f(t, y):
         theta, eta, phi, _ = y
@@ -343,28 +337,22 @@ def mu(a: float, b: float) -> float:
 def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
     """Synthesize the 2T-periodic worst-case control for window bounds 0 < a <= b.
 
-    Returns (signal, omega0, mu): the reflected pendulum extremal as a
-    rank-one angle signal with period 2T, the worst initial direction, and
-    the per-window cost mu = J over [0, T].
+    Segment 1 holds the extremal's angles phi on [0, T]; segment 2 holds
+    their image 2 pi - phi under the fixed mirror D = diag(1, -1) on
+    [T, 2T].  The seam is continuous iff phi(0) + phi(T) = 2 pi; a miss
+    above 2e-6 (1e-6 on c) raises ArithmeticError.
+
+    Returns (signal, omega0, mu): the rank-one angle signal with period 2T,
+    the worst initial direction, and the per-window cost mu = J over [0, T].
     """
     params, traj = solve_extremal(a, b)
     T = params.T
-
-    ts = np.linspace(0.0, T, _SAMPLES)
-    phis = traj.phi(ts)
-    half_signal = RankOneSignal((Segment(0.0, T, phis),), dim=2)
-
-    om0 = traj.omega(0.0)
-    omT = traj.omega(T)
-    signs = np.empty(2)
-    for i in range(2):
-        if abs(om0[i]) <= 1e-6:
-            raise ArithmeticError("reflection sign ambiguous: omega_i(0) numerically zero")
-        signs[i] = np.sign(omT[i] / om0[i])
-    D = np.diag(signs)
-
-    signal = reflect_extend(half_signal, D, tol=1e-6)
-    return signal, om0, traj.mu
+    phis = traj.phi(np.linspace(0.0, T, _SAMPLES))
+    seam = abs(float(phis[0] + phis[-1]) - 2.0 * np.pi)
+    if seam > 2e-6:
+        raise ArithmeticError(f"seam mismatch: |phi(0) + phi(T) - 2 pi| = {seam:.2e}")
+    segs = (Segment(0.0, T, phis), Segment(T, 2 * T, 2.0 * np.pi - phis))
+    return RankOneSignal(segs, dim=2, period=2 * T), traj.omega(0.0), traj.mu
 
 
 @cache
@@ -428,7 +416,8 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     + omega omega^T) must kill the control axis (Mc = 0), stay negative
     semi-definite with constant spectrum {alpha-d-1, 0}, and the scalar
     adjoint must satisfy pdot = Sp - (omega^T S omega) p - omegadot with
-    p(0) = p(T) = 0.  The Gram over [0, T] must equal diag(a, b).
+    p(0) = p(T) = 0.  The Gram over [0, T] must equal diag(a, b), and the
+    seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1).
     """
     al, d = params.alpha, params.d
     T = params.T
@@ -475,8 +464,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     G = np.einsum("k,ki,kj->ij", wq, cq, cq)
 
     omega0, omegaT = omega[0], omega[-1]
-    signs = np.where(np.abs(omega0) > 1e-6, np.sign(omegaT * omega0), 1.0)
-    seam = min(float(np.linalg.norm(s * signs * c[0] - c[-1])) for s in (1.0, -1.0))
+    seam = min(float(np.linalg.norm(s * _MIRROR * c[0] - c[-1])) for s in (1.0, -1.0))
 
     residuals = {
         "seam": seam,

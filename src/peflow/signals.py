@@ -7,7 +7,7 @@ throughout:
 * :class:`RankOneSignal` represents the planar rank-one control S = g c c^T
   by a single angle phi(t), through c = (cos(phi/2), sin(phi/2)).
 * :class:`MatrixSignal` stores sampled symmetric matrices directly; it
-  serves matrix files and axis hopping.
+  serves matrix files.
 
 Both types are segmented: each segment carries a uniform sample grid on
 [t0, t1] interpolated with a cubic spline, except single-sample segments
@@ -42,8 +42,6 @@ __all__ = [
     "PEWindowReport",
     "gram",
     "verify_pe",
-    "axis_hopping_control",
-    "reflect_extend",
     "time_rescale",
     "signal_to_dict",
     "signal_from_dict",
@@ -99,12 +97,16 @@ class Segment:
     gain: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
-        for name in ("t0", "t1", "data"):  # |x| < inf fails on nan, holds on any int
-            if not np.all(np.abs(getattr(self, name)) < math.inf):
+        for name in ("t0", "t1", "gain", "data"):
+            try:  # a JSON integer too large for a float overflows here
+                value = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"field {name!r} is not a float: {exc}") from None
+            if not np.all(np.abs(value) < math.inf):
                 raise ValueError(f"field {name!r} must be finite")
-        if not 0.0 < self.gain < math.inf:
-            raise ValueError(f"field 'gain' must be finite and positive, got {self.gain}")
+            object.__setattr__(self, name, value if name == "data" else float(value))
+        if not self.gain > 0.0:
+            raise ValueError(f"field 'gain' must be positive, got {self.gain}")
         if not self.t1 > self.t0:
             raise ValueError(f"field 't1' must exceed t0, got [{self.t0}, {self.t1}]")
 
@@ -377,64 +379,6 @@ def verify_pe(signal, a: float, b: float, T: float, window_starts,
     return reports
 
 
-def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
-    """Piecewise-constant control (a n / T) e_j e_j^T on the j-th of n subintervals.
-
-    Its Gram over [0, T] is a*I_n, and the trajectory started at e_1 stays
-    at e_1 with cost exactly a.
-    """
-    if a <= 0 or T <= 0 or n < 1:
-        raise ValueError("need a > 0, T > 0, n >= 1")
-    segs = []
-    for j in range(n):
-        mat = np.zeros((1, n, n))
-        mat[0, j, j] = a * n / T
-        segs.append(Segment(j * T / n, (j + 1) * T / n, mat))
-    return MatrixSignal(tuple(segs), dim=n, period=T)
-
-
-def _angle_transform(sD: NDArray) -> tuple[float, float]:
-    """Map the componentwise signs (s1, s2) of sigma*D to (mult, offset) with
-    angle' = mult * angle + offset, acting on half-angle vectors."""
-    s1, s2 = sD[0], sD[1]
-    if s1 > 0 and s2 > 0:
-        return 1.0, 0.0
-    if s1 > 0 and s2 < 0:
-        return -1.0, 0.0
-    if s1 < 0 and s2 > 0:
-        return -1.0, 2.0 * np.pi
-    return 1.0, 2.0 * np.pi
-
-
-def reflect_extend(c: RankOneSignal, D: NDArray, tol: float = 1e-6) -> RankOneSignal:
-    """Extend c from [0, T] to a 2T-periodic signal by c_*(t) = sigma*D*c(t-T).
-
-    D is a diagonal +-1 matrix matching the endpoint symmetry; the branch
-    sigma in {+1, -1} is chosen so the extension is continuous at the seam
-    (both signs describe the same rank-one control).  Raises if neither
-    branch matches within tol.
-    """
-    D = np.asarray(D, dtype=float)
-    diag = np.diag(D)
-    if D.shape != (c.dim, c.dim) or np.max(np.abs(D - np.diag(diag))) > 0 \
-            or np.max(np.abs(np.abs(diag) - 1.0)) > 1e-12:
-        raise ValueError("D must be a diagonal +-1 matrix of the signal dimension")
-    T0, T1 = c.t_start, c.horizon
-    T = T1 - T0
-    c0, cT = c.c(T0), c.c(T1)
-    r_plus = float(np.linalg.norm(D @ c0 - cT))
-    r_minus = float(np.linalg.norm(D @ c0 + cT))
-    if min(r_plus, r_minus) > tol:
-        raise ValueError(f"seam mismatch beyond tolerance: |Dc(0)-c(T)|={r_plus:.2e}, "
-                         f"|Dc(0)+c(T)|={r_minus:.2e}")
-    sigma = 1.0 if r_plus <= r_minus else -1.0
-    mult, off = _angle_transform(sigma * diag)
-    segs = list(c.segments)
-    for seg in c.segments:
-        segs.append(Segment(seg.t0 + T, seg.t1 + T, mult * seg.data + off, seg.gain))
-    return RankOneSignal(tuple(segs), dim=c.dim, period=2 * T)
-
-
 def time_rescale(signal, lam: float):
     """Class-preserving time change S~(s) = lam * S(lam * s), exact.
 
@@ -477,10 +421,7 @@ def signal_from_dict(doc: dict) -> RankOneSignal | MatrixSignal:
     for i, s in enumerate(_field(doc, "segments", (list,))):
         where = f"segment {i}"
         kinds.add(_field(s, "kind", (str,), where))
-        try:
-            data = np.asarray(_field(s, "data", (list,), where), dtype=float)
-        except TypeError as exc:
-            raise ValueError(f"{where} field 'data': {exc}") from None
+        data = _field(s, "data", (list,), where)
         t0, t1 = (_field(s, key, (int, float), where) for key in ("t0", "t1"))
         gain = _field(s, "gain", (int, float), where) if "gain" in s else 1.0
         try:

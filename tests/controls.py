@@ -1,0 +1,22 @@
+"""Test-only controls."""
+from __future__ import annotations
+
+import numpy as np
+
+from peflow.signals import MatrixSignal, Segment
+
+
+def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
+    """Piecewise-constant control (a n / T) e_j e_j^T on the j-th of n subintervals.
+
+    Its Gram over [0, T] is a*I_n, and the trajectory started at e_1 stays
+    at e_1 with cost exactly a.
+    """
+    if a <= 0 or T <= 0 or n < 1:
+        raise ValueError("need a > 0, T > 0, n >= 1")
+    segs = []
+    for j in range(n):
+        mat = np.zeros((1, n, n))
+        mat[0, j, j] = a * n / T
+        segs.append(Segment(j * T / n, (j + 1) * T / n, mat))
+    return MatrixSignal(tuple(segs), dim=n, period=T)

@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from peflow import cli, extremal2d, gain, gpe, signals
+from peflow import cli, extremal2d, flow, gain, gpe, signals
+
+from controls import axis_hopping_control
 
 
 def run_cli(capsys, *argv):
@@ -254,6 +256,25 @@ class TestEqualBounds:
         assert doc["mu_extremal"] <= doc["mu_hat"]
 
 
+class TestSmallScale:
+    """The synthesized control at a ~ 1e-3, where |omega_2(0)| = |sin(theta0/2)|
+    is below 1e-6, so the mirror cannot be read off omega's signs."""
+
+    @pytest.mark.parametrize("a, b", [(0.001, 0.001), (0.001, 0.0015),
+                                      (0.00316, 0.00319), (0.0001278, 0.001786)])
+    def test_certified_and_decays_at_rate(self, capsys, a, b):
+        code, doc = run_json(capsys, "extremal", "--a", repr(a), "--b", repr(b))
+        assert code == 0 and doc["passed"] is True
+        sig, _, mu = extremal2d.build_optimal_control(a, b)
+        assert flow.decay_rate(sig).rate == pytest.approx(2.0 * mu / sig.period, rel=1e-6)
+
+    def test_gain_report(self, capsys):
+        # an honest short-horizon failure, not a synthesis error
+        code, doc = run_json(capsys, "gain", "--a", "0.002", "--b", "0.003")
+        assert "error" not in doc
+        assert code == 1 and doc["gain"]["horizon_needed"] > 50
+
+
 class TestDecayGain:
     def test_decay_synthesized(self, capsys):
         code, doc = run_json(capsys, "decay", "--a", "1", "--b", "3")
@@ -263,24 +284,28 @@ class TestDecayGain:
 
     def test_decay_signal_file(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
-        signals.save_signal(signals.axis_hopping_control(1.0, 1.0, 2), str(path))
+        signals.save_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
         code, doc = run_json(capsys, "decay", "--signal", str(path))
         assert code == 0
         assert doc["decay"]["rate"] == pytest.approx(1.0, rel=1e-7)
 
     def test_decay_rejects_period_off_span(self, capsys, tmp_path):
         path = tmp_path / "off.json"
-        doc = signals.signal_to_dict(signals.axis_hopping_control(1.0, 1.0, 2))
+        doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
         doc["period"] = 1.5
         path.write_text(json.dumps(doc))
         code, out = run_json(capsys, "decay", "--signal", str(path))
         assert code == 1
         assert out["error"]["type"] == "ValueError"
 
-    @pytest.mark.parametrize("field, text", [("data", "[null]"), ("t1", "1e999"),
-                                             ("gain", "0")])
+    @pytest.mark.parametrize("field, text", [
+        ("data", "[null]"), ("t1", "1e999"), ("gain", "0"),
+        # a JSON integer too large for a float
+        pytest.param("t1", str(10 ** 400), id="t1-huge-int"),
+        pytest.param("gain", str(10 ** 400), id="gain-huge-int"),
+        pytest.param("data", f"[{10 ** 400}]", id="data-huge-int")])
     def test_decay_names_bad_segment_field(self, capsys, tmp_path, field, text):
-        doc = signals.signal_to_dict(signals.axis_hopping_control(1.0, 1.0, 2))
+        doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
         doc["segments"][1][field] = "BAD"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc).replace('"BAD"', text))
@@ -339,7 +364,7 @@ class TestGpe:
 class TestVerify:
     def test_axis_example(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
-        signals.save_signal(signals.axis_hopping_control(1.0, 1.0, 2), str(path))
+        signals.save_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),
                              "--a", "1", "--b", "1", "--T", "1")
         assert code == 0
@@ -372,7 +397,7 @@ class TestVerify:
 
     def test_wrong_bounds_fail(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
-        signals.save_signal(signals.axis_hopping_control(1.0, 1.0, 2), str(path))
+        signals.save_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),
                              "--a", "2", "--b", "2", "--T", "1")
         assert code == 1

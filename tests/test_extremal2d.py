@@ -91,10 +91,9 @@ class TestShapeSolve:
 
     def test_initial_conditions_canonical_branch(self):
         params = extremal2d.solve_params(1.0, 3.0)
-        state = extremal2d.initial_conditions(params.alpha, params.d)
-        assert state.eta == 0.0
-        assert math.sin(state.theta) < 0
-        assert state.phi == pytest.approx(params.phi0, rel=1e-9)
+        theta0, phi0 = extremal2d.initial_conditions(params.alpha, params.d)
+        assert math.sin(theta0) < 0
+        assert phi0 == pytest.approx(params.phi0, rel=1e-9)
 
 
 @pytest.fixture(scope="module")

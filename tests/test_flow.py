@@ -16,6 +16,8 @@ from scipy.linalg import expm
 
 from peflow import extremal2d, flow, gain, gpe, oracle, signals
 
+from controls import axis_hopping_control
+
 
 class TestAdaptiveRK45:
     def test_scalar_exponential(self):
@@ -105,7 +107,7 @@ class TestIntegrateFlow:
             flow.integrate_flow(sig, np.array([1.0, 1.0]))
 
     def test_omega_stays_unit(self):
-        sig = signals.axis_hopping_control(1.0, 1.0, 2)
+        sig = axis_hopping_control(1.0, 1.0, 2)
         traj = flow.integrate_flow(sig, np.array([0.6, 0.8]), t0=0.0, t1=7.0)
         assert np.linalg.norm(traj.omegas, axis=1) == pytest.approx(1.0, abs=1e-7)
         assert traj.renorm_drift < 1e-6
@@ -216,7 +218,7 @@ class TestCostAndMonodromy:
 
     def test_axis_hopping_monodromy(self):
         a, T = 0.7, 1.4
-        sig = signals.axis_hopping_control(a, T, 2)
+        sig = axis_hopping_control(a, T, 2)
         Phi = flow.fundamental_matrix(sig, 0.0, T, tol=1e-11)
         assert Phi == pytest.approx(math.exp(-a) * np.eye(2), abs=1e-9)
 
@@ -224,7 +226,7 @@ class TestCostAndMonodromy:
 class TestDecayRate:
     def test_periodic_monodromy_rate(self):
         a, T = 0.7, 1.4
-        sig = signals.axis_hopping_control(a, T, 2)
+        sig = axis_hopping_control(a, T, 2)
         report = flow.decay_rate(sig)
         assert report.method == "monodromy"
         assert not report.finite_horizon
@@ -245,11 +247,11 @@ class TestDecayRate:
     def test_bad_tol_raises_on_exact_pieces(self, tol):
         # every piece is constant, so adaptive_rk45 never sees the tol
         with pytest.raises(ValueError, match="tol"):
-            flow.decay_rate(signals.axis_hopping_control(1.0, 1.0, 2), tol=tol)
+            flow.decay_rate(axis_hopping_control(1.0, 1.0, 2), tol=tol)
 
     def test_rate_scales_with_amplitude(self):
-        r1 = flow.decay_rate(signals.axis_hopping_control(0.4, 1.0, 2)).rate
-        r2 = flow.decay_rate(signals.axis_hopping_control(0.8, 1.0, 2)).rate
+        r1 = flow.decay_rate(axis_hopping_control(0.4, 1.0, 2)).rate
+        r2 = flow.decay_rate(axis_hopping_control(0.8, 1.0, 2)).rate
         assert r2 == pytest.approx(2.0 * r1, rel=1e-8)
 
 
@@ -320,5 +322,5 @@ class TestWorkCounters:
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)
         assert rhs_count(lambda: flow.cost_J(result.control, result.omega0)) == 0
-        hopping = signals.axis_hopping_control(1.0, 1.0, 2)
+        hopping = axis_hopping_control(1.0, 1.0, 2)
         assert rhs_count(lambda: flow.decay_rate(hopping)) == 0

@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 
 from peflow import extremal2d, signals
 
+from controls import axis_hopping_control
+
 
 def const_angle_signal(phi: float, T: float, period: float | None = None):
     seg = signals.Segment(0.0, T, np.array([phi, phi]))
@@ -199,7 +201,7 @@ class TestGram:
 
 class TestWindowChecks:
     def test_axis_hopping_satisfies_tight_bounds(self):
-        sig = signals.axis_hopping_control(1.0, 1.0, 3)
+        sig = axis_hopping_control(1.0, 1.0, 3)
         report, = signals.verify_pe(sig, 1.0, 1.0, 1.0, [sig.t_start])
         assert report.satisfies
         assert report.gram_eigen_min == pytest.approx(1.0, abs=1e-9)
@@ -212,7 +214,7 @@ class TestWindowChecks:
         assert report.gram_eigen_min == pytest.approx(0.0, abs=1e-12)
 
     def test_window_sweep(self):
-        sig = signals.axis_hopping_control(0.5, 2.0, 2)
+        sig = axis_hopping_control(0.5, 2.0, 2)
         reports = signals.verify_pe(sig, 0.5, 0.5, 2.0, [0.0, 0.5, 1.0], tol=1e-8)
         assert all(r.satisfies for r in reports)
 
@@ -225,31 +227,30 @@ class TestWindowChecks:
 class TestConstructions:
     def test_axis_hopping_gram(self):
         for n in (2, 3, 5):
-            sig = signals.axis_hopping_control(0.7, 1.4, n)
+            sig = axis_hopping_control(0.7, 1.4, n)
             G = signals.gram(sig, 0.0, 1.4)
             assert G == pytest.approx(0.7 * np.eye(n), abs=1e-9)
 
     def test_reflect_extend_periodic_and_continuous(self):
-        # seam continuity needs c(T) = +-D c(0); pin the walk's endpoints
-        rng = np.random.default_rng(8)
-        walk = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.4, 0.4, size=32))])
-        phi0 = 0.8
-        phis = phi0 + walk * (-2.0 * phi0 / walk[-1])
-        sig = signals.RankOneSignal((signals.Segment(0.0, 1.0, phis),))
+        # the synthesized control is its first half and that half's image
+        # under the fixed mirror D = diag(1, -1), at unit and small scale
         D = np.diag([1.0, -1.0])
-        full = signals.reflect_extend(sig, D)
-        assert full.period == pytest.approx(2.0)
-        cL = full.c(1.0 - 1e-9)
-        cR = full.c(1.0 + 1e-9)
-        assert min(np.linalg.norm(cL - cR), np.linalg.norm(cL + cR)) < 1e-6
-        # second half is the forward D-image of the first, up to overall sign
-        for t in (0.1, 0.45, 0.8):
-            img = D @ sig.c(t)
-            got = full.c(1.0 + t)
-            assert min(np.linalg.norm(img - got), np.linalg.norm(img + got)) < 1e-7
+        for a, b in ((1.0, 3.0), (0.001, 0.001)):
+            full = extremal2d.build_optimal_control(a, b)[0]
+            T = a + b
+            assert full.period == pytest.approx(2 * T, rel=1e-12)
+            for seam in (T, 2 * T):
+                cL = full.c(seam - 1e-9 * T)
+                cR = full.c(seam + 1e-9 * T)
+                assert min(np.linalg.norm(cL - cR), np.linalg.norm(cL + cR)) < 1e-6
+            # second half is the forward D-image of the first, up to overall sign
+            for s in (0.1, 0.45, 0.8):
+                img = D @ full.c(s * T)
+                got = full.c((1.0 + s) * T)
+                assert min(np.linalg.norm(img - got), np.linalg.norm(img + got)) < 1e-12
 
     def test_time_rescale_gram_invariant(self):
-        for sig in (signals.axis_hopping_control(1.0, 2.0, 2),
+        for sig in (axis_hopping_control(1.0, 2.0, 2),
                     extremal2d.build_optimal_control(1.0, 3.0)[0]):
             P = sig.period
             for lam in (0.5, 2.0, 3.7):
@@ -264,7 +265,7 @@ class TestConstructions:
     def test_time_rescale_pointwise(self, lam, smooth):
         # an exact relabelling: agreement to rounding, relative to |S|
         sig = (extremal2d.build_optimal_control(1.0, 3.0)[0] if smooth
-               else signals.axis_hopping_control(1.0, 2.0, 2))
+               else axis_hopping_control(1.0, 2.0, 2))
         fast = signals.time_rescale(sig, lam)
         for s in (0.1, 0.6, 1.3):
             if s < sig.period / lam:
@@ -300,13 +301,13 @@ class TestSerialization:
     @pytest.mark.parametrize("field, text", [("data", "[null]"), ("t1", "1e999"),
                                              ("gain", "0")])
     def test_bad_segment_field_is_named(self, field, text):
-        doc = signals.signal_to_dict(signals.axis_hopping_control(1.0, 1.0, 2))
+        doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
         doc["segments"][1][field] = "BAD"  # stands for JSON text json.dumps would not write
         with pytest.raises(ValueError, match=f"segment 1 field '{field}'"):
             signals.signal_from_dict(json.loads(json.dumps(doc).replace('"BAD"', text)))
 
     def test_round_trip_matrix(self, tmp_path):
-        sig = signals.axis_hopping_control(1.0, 1.0, 3)
+        sig = axis_hopping_control(1.0, 1.0, 3)
         path = tmp_path / "axis.json"
         signals.save_signal(sig, str(path))
         back = signals.load_signal(str(path))
@@ -316,13 +317,13 @@ class TestSerialization:
 
     def test_no_partial_file_on_failure(self, tmp_path):
         target = tmp_path / "sub" / "sig.json"
-        sig = signals.axis_hopping_control(1.0, 1.0, 2)
+        sig = axis_hopping_control(1.0, 1.0, 2)
         with pytest.raises(OSError):
             signals.save_signal(sig, str(target))  # parent dir missing
         assert not target.exists()
 
     def test_schema_fields(self, tmp_path):
-        sig = signals.axis_hopping_control(1.0, 1.0, 2)
+        sig = axis_hopping_control(1.0, 1.0, 2)
         path = tmp_path / "axis.json"
         signals.save_signal(sig, str(path))
         doc = json.loads(path.read_text())
