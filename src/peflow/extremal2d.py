@@ -55,23 +55,24 @@ _GL5 = np.polynomial.legendre.leggauss(5)
 _TOL = 1e-10  # RK45 tolerance of every extremal integration
 _SAMPLES = 2048  # angle samples of the synthesized half-period control
 _CHECK_SAMPLES = 2001  # sample times of the extremality certificate
-_MIRROR = np.array([1.0, -1.0])  # diagonal of D; -D c(phi) = c(2 pi - phi)
 
 
 def _agm_pair(x: float) -> tuple[float, float]:
-    # AGM iteration for K(x) with the companion sum for E(x).  The loop is
-    # capped and uses a break-on-small-c test instead of `while c > eps`:
-    # near x ~ 1e-8 the gap a-b can stall at half an ulp of 1 (~5.5e-17),
-    # which is below no fixed threshold reachable by further iterations.
+    # AGM iteration for K(x) with the companion sum for E(x).  Rounding can
+    # stall the gap c at half an ulp of 1 (~5.5e-17), above the 1e-17 stop;
+    # each stalled pass would add 2^n c^2 of noise to csum, so the loop also
+    # stops once |c| no longer shrinks.  The 60-pass cap is only a guard.
     a, b, c = 1.0, math.sqrt((1.0 - x) * (1.0 + x)), x
     csum = 0.5 * c * c
     pow2 = 1.0
     for _ in range(60):
         if abs(c) < 1e-17:
             break
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        a, b, c, c_prev = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b), c
         pow2 *= 2.0
         csum += 0.5 * pow2 * c * c
+        if abs(c) >= abs(c_prev):
+            break
     K = math.pi / (2.0 * a)
     return K, K * (1.0 - csum)
 
@@ -269,17 +270,21 @@ class ExtremalTrajectory:
     def _spline(self) -> CubicSpline:
         return CubicSpline(self.ts, np.column_stack([self.states, self.cost]), axis=0)
 
+    def columns(self, t) -> NDArray[np.float64]:
+        """(theta, eta, phi, cost) at t from one spline read, shape (..., 4)."""
+        return self._spline(t)
+
     def theta(self, t):
-        return self._spline(t)[..., 0]
+        return self.columns(t)[..., 0]
 
     def eta(self, t):
-        return self._spline(t)[..., 1]
+        return self.columns(t)[..., 1]
 
     def phi(self, t):
-        return self._spline(t)[..., 2]
+        return self.columns(t)[..., 2]
 
     def cost_at(self, t):
-        return self._spline(t)[..., 3]
+        return self.columns(t)[..., 3]
 
     def omega(self, t) -> NDArray[np.float64]:
         half = 0.5 * self.theta(t)
@@ -418,41 +423,37 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     adjoint must satisfy pdot = Sp - (omega^T S omega) p - omegadot with
     p(0) = p(T) = 0.  The Gram over [0, T] must equal diag(a, b), and the
     seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1).
+
+    M is carried as its entries M11, M12, M22, and its spectrum is computed
+    in closed form: (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12).
     """
     al, d = params.alpha, params.d
     T = params.T
-    ts = np.linspace(0.0, T, _CHECK_SAMPLES)
-    th = traj.theta(ts)
-    eta = traj.eta(ts)
-    ph = traj.phi(ts)
+    th, eta, ph, _ = traj.columns(np.linspace(0.0, T, _CHECK_SAMPLES)).T
+    co, so = np.cos(0.5 * th), np.sin(0.5 * th)  # omega; omega_perp = (-so, co)
+    cc, sc = np.cos(0.5 * ph), np.sin(0.5 * ph)  # c
 
-    half_th = 0.5 * th
-    omega = np.stack([np.cos(half_th), np.sin(half_th)], axis=-1)
-    operp = np.stack([-np.sin(half_th), np.cos(half_th)], axis=-1)
-    half_ph = 0.5 * ph
-    c = np.stack([np.cos(half_ph), np.sin(half_ph)], axis=-1)
-    p = eta[:, None] * operp
+    # M = diag(alpha, -d) - (omega p^T + p omega^T + omega omega^T), p = eta omega_perp
+    cs2 = 2.0 * co * so
+    M11 = al + eta * cs2 - co * co
+    M12 = -eta * (co * co - so * so) - co * so
+    M22 = -d - eta * cs2 - so * so
+    Mc1, Mc2 = M11 * cc + M12 * sc, M12 * cc + M22 * sc
+    mid, rad = 0.5 * (M11 + M22), np.hypot(0.5 * (M11 - M22), M12)
+    eig_lo, eig_hi = mid - rad, mid + rad  # closed-form spectrum of the symmetric 2x2 M
 
-    # exact derivatives from the reduced dynamics, no numerical differencing
+    # adjoint residual pdot - (c c^T p - (c^T omega)^2 p - omegadot) from the exact
+    # derivatives omegadot = thdot/2 omega_perp, pdot = etadot omega_perp - eta thdot/2 omega
+    # (no numerical differencing); it is k_perp omega_perp + k_om omega - (c^T p) c
     delta = th - ph
-    sd, cd = np.sin(delta), np.cos(delta)
-    th_dot = sd
-    eta_dot = -0.5 * (sd + 2.0 * eta * cd)
-    om_dot = 0.5 * th_dot[:, None] * operp
-    p_dot = eta_dot[:, None] * operp - 0.5 * (eta * th_dot)[:, None] * omega
-
-    PQ = np.diag([al, -d])
-    outer = (omega[:, :, None] * p[:, None, :] + p[:, :, None] * omega[:, None, :]
-             + omega[:, :, None] * omega[:, None, :])
-    M = PQ[None, :, :] - outer
-
-    Mc = np.einsum("kij,kj->ki", M, c)
-    eigs = np.linalg.eigvalsh(M)
-    target = np.sort([al - d - 1.0, 0.0])
-    ct_om = np.einsum("ki,ki->k", c, omega)
-    adj_rhs = c * np.einsum("ki,ki->k", c, p)[:, None] - (ct_om ** 2)[:, None] * p - om_dot
-    phi_dot = 2.0 * eta / (1.0 - al + d)
-    energy = params.nu ** 2 * phi_dot ** 2 + np.cos(ph)
+    th_dot = np.sin(delta)
+    eta_dot = -0.5 * (th_dot + 2.0 * eta * np.cos(delta))
+    ct_om = cc * co + sc * so
+    ct_p = eta * (sc * co - cc * so)
+    k_perp = eta_dot + 0.5 * th_dot + ct_om * ct_om * eta
+    k_om = -0.5 * eta * th_dot
+    adjoint = np.hypot(-k_perp * so + k_om * co - ct_p * cc, k_perp * co + k_om * so - ct_p * sc)
+    energy = params.nu ** 2 * (2.0 * eta / (1.0 - al + d)) ** 2 + np.cos(ph)
 
     # Gram of c over [0, T] by composite Gauss-Legendre on the spline
     edges = np.linspace(0.0, T, 513)
@@ -460,23 +461,25 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     halfw = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + halfw[:, None] * _GL5[0][None, :]).ravel()
     wq = (halfw[:, None] * _GL5[1][None, :]).ravel()
-    cq = traj.c(nodes)
-    G = np.einsum("k,ki,kj->ij", wq, cq, cq)
+    half_q = 0.5 * traj.columns(nodes)[:, 2]
+    cq = np.column_stack([np.cos(half_q), np.sin(half_q)])
+    G = (cq.T * wq) @ cq
 
-    omega0, omegaT = omega[0], omega[-1]
-    seam = min(float(np.linalg.norm(s * _MIRROR * c[0] - c[-1])) for s in (1.0, -1.0))
-
+    # |s D c(0) - c(T)| for D = diag(1, -1) and either sign s
+    seam = min(math.hypot(cc[0] - s * cc[-1], sc[0] + s * sc[-1]) for s in (1.0, -1.0))
     residuals = {
         "seam": seam,
         "transversality": float(max(abs(eta[0]), abs(eta[-1]))),
-        "Mc": float(np.max(np.linalg.norm(Mc, axis=1))),
-        "spectrum_drift": float(np.max(np.abs(eigs - target[None, :]))),
+        "Mc": float(np.max(np.hypot(Mc1, Mc2))),
+        "spectrum_drift": float(max(np.max(np.abs(eig_lo - (al - d - 1.0))),
+                                    np.max(np.abs(eig_hi)))),
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
-        "quasi_periodicity": float(np.max(np.abs(omegaT ** 2 - omega0 ** 2))),
-        "adjoint": float(np.max(np.linalg.norm(p_dot - adj_rhs, axis=1))),
-        "trace": float(np.max(np.abs(np.trace(M, axis1=1, axis2=2) - (al - d - 1.0)))),
-        "hamiltonian": float(np.max(np.abs(0.5 * np.einsum("ki,ki->k", c, Mc)))),
-        "nsd_violation": float(max(np.max(eigs), 0.0)),
+        "quasi_periodicity": float(max(abs(co[-1] ** 2 - co[0] ** 2),
+                                       abs(so[-1] ** 2 - so[0] ** 2))),
+        "adjoint": float(np.max(adjoint)),
+        "trace": float(np.max(np.abs(M11 + M22 - (al - d - 1.0)))),
+        "hamiltonian": float(np.max(np.abs(0.5 * (cc * Mc1 + sc * Mc2)))),
+        "nsd_violation": float(max(np.max(eig_hi), 0.0)),
         "pendulum_energy": float(np.max(np.abs(energy - np.cos(params.phi0)))),
     }
     passed = all(residuals[k] < tol for k in ExtremalReport.PRIMARY)

@@ -138,8 +138,9 @@ def _synthesize_window(schedule: GPESchedule, a: float, b: float):
     key = (a, b)
     if key not in cache:
         params, traj = solve_extremal(a, b)
-        phis = traj.phi(np.linspace(0.0, params.T, _SAMPLES))
-        cache[key] = (traj.mu, phis, float(traj.theta(0.0)), float(traj.theta(params.T)))
+        # one spline read; the grid ends exactly at 0 and T
+        th, _, phis, _ = traj.columns(np.linspace(0.0, params.T, _SAMPLES)).T
+        cache[key] = (traj.mu, phis, float(th[0]), float(th[-1]))
     return cache[key]
 
 

@@ -431,8 +431,12 @@ def signal_from_dict(doc: dict) -> RankOneSignal | MatrixSignal:
     if kinds not in ({"angles"}, {"matrices"}):
         raise ValueError(f"unsupported or mixed segment kinds: {sorted(kinds)}")
     cls = RankOneSignal if kinds == {"angles"} else MatrixSignal
-    return cls(tuple(segs), dim=_field(doc, "dim", (int,)),
-               period=_field(doc, "period", (int, float, type(None))))
+    period = _field(doc, "period", (int, float, type(None)))
+    try:  # a JSON integer too large for a float overflows here
+        period = None if period is None else float(period)
+    except OverflowError:
+        raise ValueError("document field 'period' is not a finite float") from None
+    return cls(tuple(segs), dim=_field(doc, "dim", (int,)), period=period)
 
 
 def write_atomic(path: str, text: str) -> None:

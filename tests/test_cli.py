@@ -232,6 +232,11 @@ class TestExtremal:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == pytest.approx(4.0)
         assert last[4] == pytest.approx(0.4819817203199967, rel=1e-6)
+        # the one spline read gives the same bits as the per-column accessors
+        _, traj = extremal2d.solve_extremal(1.0, 3.0)
+        ts = np.linspace(0.0, 4.0, 2001)
+        cols = [ts, traj.theta(ts), traj.eta(ts), traj.phi(ts), traj.cost_at(ts)]
+        assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
 
 
 class TestEqualBounds:
@@ -313,6 +318,19 @@ class TestDecayGain:
         assert code == 1
         assert out["error"]["type"] == "ValueError"
         assert out["error"]["message"].startswith(f"segment 1 field '{field}'")
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(str(10 ** 400), id="period-huge-int"),
+        pytest.param("1e999", id="period-inf"), pytest.param("NaN", id="period-nan")])
+    def test_decay_names_bad_period(self, capsys, tmp_path, text):
+        doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
+        doc["period"] = "BAD"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"BAD"', text))
+        code, out = run_json(capsys, "decay", "--signal", str(path))
+        assert code == 1
+        assert out["error"]["type"] == "ValueError"
+        assert "period" in out["error"]["message"]
 
     def test_gain_report(self, capsys):
         code, doc = run_json(capsys, "gain", "--a", "1", "--b", "3", "--T", "1",

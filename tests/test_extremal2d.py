@@ -1,14 +1,16 @@
 """Elliptic kernels, shape/multiplier solves, and the synthesized extremal.
 
-Independent oracles: direct quadrature for the complete elliptic
-integrals, frozen solver outputs for the (1, 3) pendulum shape (computed
-once with this code at tight tolerance and pinned), and the flow
-integrator replaying the synthesized control from scratch.
+Independent oracles: direct quadrature and 30-digit mpmath for the
+complete elliptic integrals, frozen solver outputs for the (1, 3)
+pendulum shape (computed once with this code at tight tolerance and
+pinned), the flow integrator replaying the synthesized control from
+scratch, and a matrix-stack formulation of the extremality certificate.
 """
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -35,6 +37,71 @@ def quad_E(x):
                 0.0, math.pi / 2, epsabs=1e-13, epsrel=1e-13)[0]
 
 
+def agm_gap_stalls(x):
+    """Whether the AGM gap of _agm_pair(x) stops shrinking above its 1e-17 stop."""
+    a, b, c = 1.0, math.sqrt((1.0 - x) * (1.0 + x)), x
+    while abs(c) >= 1e-17:
+        a, b, c_next = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
+        if abs(c_next) >= abs(c):
+            return True
+        c = c_next
+    return False
+
+
+def reference_certificate(traj, params, tol=1e-6):
+    """The extremality residuals from (k, 2, 2) matrix stacks, einsum and a
+    batched eigvalsh, with one spline read per column: an independent
+    formulation of extremal2d.verify_extremal.  Returns (residuals, passed)."""
+    al, d = params.alpha, params.d
+    T = params.T
+    ts = np.linspace(0.0, T, 2001)
+    th, eta, ph = traj.theta(ts), traj.eta(ts), traj.phi(ts)
+    half_th = 0.5 * th
+    omega = np.stack([np.cos(half_th), np.sin(half_th)], axis=-1)
+    operp = np.stack([-np.sin(half_th), np.cos(half_th)], axis=-1)
+    half_ph = 0.5 * ph
+    c = np.stack([np.cos(half_ph), np.sin(half_ph)], axis=-1)
+    p = eta[:, None] * operp
+    delta = th - ph
+    sd, cd = np.sin(delta), np.cos(delta)
+    eta_dot = -0.5 * (sd + 2.0 * eta * cd)
+    om_dot = 0.5 * sd[:, None] * operp
+    p_dot = eta_dot[:, None] * operp - 0.5 * (eta * sd)[:, None] * omega
+    outer = (omega[:, :, None] * p[:, None, :] + p[:, :, None] * omega[:, None, :]
+             + omega[:, :, None] * omega[:, None, :])
+    M = np.diag([al, -d])[None, :, :] - outer
+    Mc = np.einsum("kij,kj->ki", M, c)
+    eigs = np.linalg.eigvalsh(M)
+    target = np.sort([al - d - 1.0, 0.0])
+    ct_om = np.einsum("ki,ki->k", c, omega)
+    adj_rhs = c * np.einsum("ki,ki->k", c, p)[:, None] - (ct_om ** 2)[:, None] * p - om_dot
+    phi_dot = 2.0 * eta / (1.0 - al + d)
+    energy = params.nu ** 2 * phi_dot ** 2 + np.cos(ph)
+    gl_x, gl_w = np.polynomial.legendre.leggauss(5)
+    edges = np.linspace(0.0, T, 513)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halfw = 0.5 * (edges[1:] - edges[:-1])
+    nodes = (mids[:, None] + halfw[:, None] * gl_x[None, :]).ravel()
+    wq = (halfw[:, None] * gl_w[None, :]).ravel()
+    cq = traj.c(nodes)
+    G = np.einsum("k,ki,kj->ij", wq, cq, cq)
+    mirror = np.array([1.0, -1.0])
+    residuals = {
+        "seam": min(float(np.linalg.norm(s * mirror * c[0] - c[-1])) for s in (1.0, -1.0)),
+        "transversality": float(max(abs(eta[0]), abs(eta[-1]))),
+        "Mc": float(np.max(np.linalg.norm(Mc, axis=1))),
+        "spectrum_drift": float(np.max(np.abs(eigs - target[None, :]))),
+        "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
+        "quasi_periodicity": float(np.max(np.abs(omega[-1] ** 2 - omega[0] ** 2))),
+        "adjoint": float(np.max(np.linalg.norm(p_dot - adj_rhs, axis=1))),
+        "trace": float(np.max(np.abs(np.trace(M, axis1=1, axis2=2) - (al - d - 1.0)))),
+        "hamiltonian": float(np.max(np.abs(0.5 * np.einsum("ki,ki->k", c, Mc)))),
+        "nsd_violation": float(max(np.max(eigs), 0.0)),
+        "pendulum_energy": float(np.max(np.abs(energy - np.cos(params.phi0)))),
+    }
+    return residuals, all(residuals[k] < tol for k in extremal2d.ExtremalReport.PRIMARY)
+
+
 class TestElliptic:
     def test_known_endpoint_values(self):
         assert extremal2d.elliptic_K(0.0) == pytest.approx(math.pi / 2, abs=1e-12)
@@ -45,6 +112,19 @@ class TestElliptic:
         for x in np.arange(0.1, 0.95, 0.1):
             assert extremal2d.elliptic_K(x) == pytest.approx(quad_K(x), abs=1e-10)
             assert extremal2d.elliptic_E(x) == pytest.approx(quad_E(x), abs=1e-10)
+
+    def test_against_mpmath_where_the_gap_stalls(self):
+        # x = cos(phi0/2) as _half_periods passes it; on about a quarter of
+        # these the AGM gap stalls at half an ulp of 1, and running on would
+        # add rounding noise of up to 1e-14 (relative) to E
+        xs = [math.cos(0.5 * p) for p in np.linspace(1e-3, math.pi - 1e-3, 400)]
+        assert sum(map(agm_gap_stalls, xs)) > 50
+        with mpmath.workdps(30):
+            for x in xs:
+                K, E = extremal2d._agm_pair(x)
+                m = mpmath.mpf(x) ** 2
+                assert K == pytest.approx(float(mpmath.ellipk(m)), rel=3e-15, abs=0.0)
+                assert E == pytest.approx(float(mpmath.ellipe(m)), rel=3e-15, abs=0.0)
 
     def test_K_diverges_near_one(self):
         assert extremal2d.elliptic_K(1.0 - 1e-12) > 10.0
@@ -130,6 +210,34 @@ class TestExtremalTrajectory:
             ts=traj.ts, states=traj.states * 1.01, cost=traj.cost)
         report = extremal2d.verify_extremal(bad, params)
         assert not report.passed
+
+
+class TestCertificateReference:
+    """verify_extremal (component arithmetic, closed-form 2x2 spectrum)
+    against reference_certificate (matrix stacks and eigvalsh)."""
+
+    @pytest.mark.parametrize("a,b,scale", [
+        (1.0, 3.0, 1.0), (2.5, 40.1, 1.0), (0.5, 0.5, 1.0), (0.001, 0.001, 1.0),
+        (0.0001278, 0.001786, 1.0),
+        # the corrupted trajectory of test_certificate_catches_corruption
+        pytest.param(1.0, 3.0, 1.01, id="corrupted")])
+    def test_residuals_match(self, a, b, scale):
+        params, traj = extremal2d.solve_extremal(a, b)
+        traj = extremal2d.ExtremalTrajectory(traj.ts, traj.states * scale, traj.cost)
+        report = extremal2d.verify_extremal(traj, params)
+        residuals, passed = reference_certificate(traj, params)
+        assert report.residuals.keys() == residuals.keys()
+        for key, value in residuals.items():
+            assert report.residuals[key] == pytest.approx(value, rel=0.0, abs=1e-13), key
+        assert report.passed == passed
+
+    def test_single_read_matches_column_accessors(self, solved):
+        params, traj = solved
+        ts = np.linspace(0.0, params.T, 2001)
+        cols = traj.columns(ts)
+        for i, column in enumerate((traj.theta, traj.eta, traj.phi, traj.cost_at)):
+            assert np.array_equal(cols[:, i], column(ts))
+            assert cols[0, i] == column(0.0) and cols[-1, i] == column(params.T)
 
 
 class TestClosedFormCost:
