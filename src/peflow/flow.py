@@ -1,21 +1,21 @@
 """Integration of the degenerate gradient flow xdot = -S(t) x (+ u).
 
-propagate holds the one right-hand side of the free and the driven flow,
+propagate holds the right-hand sides of the free and the driven flow,
 and every flow computation in the package goes through it.
-integrate_flow uses its spherical form: with x = r*omega, ||omega|| = 1,
-
-    d(log r)/dt = -omega^T S omega,
-    omega'      = -S omega + (omega^T S omega) omega,
-
-so the radius lives in log space and never underflows, and the running
-cost int omega^T S omega dt is -log r(t) for free.  propagate walks the
-signal one piece at a time (signals.pieces): a constant piece without
-input is one exact step, exp(-dt g cc^T) = I - (1 - e^{-g dt}) cc^T for a
-rank-one control of gain g and eigh for a constant matrix, and every other piece
-goes to an embedded Runge-Kutta 5(4) pair (Dormand-Prince coefficients)
-that reads S from that piece's segment alone, so discontinuous piecewise
-controls are integrated without order loss.  The pair steps lists of
-Python floats, and the right-hand side reads S(t) as rows of floats.
+integrate_flow uses its spherical form x = r*omega, ||omega|| = 1, with
+the radius in log space, so it never underflows and the running cost
+int omega^T S omega dt is -log r(t) for free.  In the plane the state is
+(theta, log r), omega = (cos(theta/2), sin(theta/2)): two scalar ODEs with
+nothing to renormalize.  At other n it is (omega, log r), with
+omega' = -S omega + (omega^T S omega) omega renormalized after each step.
+propagate walks the signal one piece at a time (signals.pieces): a
+constant piece without input is one exact step, exp(-dt g cc^T) =
+I - (1 - e^{-g dt}) cc^T for a rank-one control of gain g and eigh for a
+constant matrix, and every other piece goes to an embedded Runge-Kutta
+5(4) pair (Dormand-Prince coefficients) that reads S from that piece's
+segment alone, so discontinuous piecewise controls are integrated
+without order loss.  The pair steps lists of Python floats, and the
+right-hand side reads S(t) as rows of floats.
 """
 from __future__ import annotations
 
@@ -203,25 +203,35 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
               spherical: bool = False):
     """Integrate x' = -S(t) x (+ u(t)) on [t0, t1], one signal piece at a time.
 
-    x0 is a vector or an (n, k) column block; each state row holds x
-    flattened.  With an input u (a vector x0), the state is
+    x0 is a vector or an (n, k) column block, n = signal.dim; each state
+    row holds x flattened.  With an input u (a vector x0), the state is
     (x, int |x|^2, int |u|^2), both integrals starting at zero.  With
-    spherical=True, x0 is a unit vector omega and the state is
-    (omega, log r), renormalized after every accepted step.
+    spherical=True, x0 is a unit vector omega and the rows are (omega,
+    log r).  In the plane the integrated state is (theta, log r), with
+
+        theta'   = (S11 - S22) sin theta - 2 S12 cos theta,
+        (log r)' = -[(S11 + S22)/2 + (S11 - S22)/2 cos theta + S12 sin theta],
+
+    and each RK piece starts from log r = 0 and from theta rebased by a
+    multiple of 2 pi (theta' has period 2 pi) into [-pi, pi], so the error
+    scale tol * (1 + |y|) is the piece's own.
 
     A constant piece without input is one exact step, x <- exp(-dt S) x.
-    Any other piece is integrated by adaptive_rk45 with S read from the
-    piece's own segment (a stage on the piece's right end reads the left
-    limit there); the step size carries over from piece to piece.
+    Any other piece goes to adaptive_rk45 with S read from the piece's own
+    segment (a stage on its right end reads the left limit there); the
+    step size carries over from piece to piece.
 
     Returns (ts, ys, drift): the piece ends and accepted steps, the states
-    there, and the summed renormalization drift.
+    there, and the summed renormalization drift (0 in the plane).
     """
     if not (t1 > t0 and 0.0 < tol < math.inf):  # exact pieces never reach adaptive_rk45
         raise ValueError(f"need t0 < t1 and a finite tol > 0, got {t0}, {t1}, {tol}")
     x0 = np.asarray(x0, dtype=float)
+    if x0.shape[:1] != (signal.dim,):
+        raise ValueError(f"x0 of shape {x0.shape} does not fit the signal's dimension {signal.dim}")
     shape, size = x0.shape, x0.size
     k = size // shape[0]  # columns of the block, 1 for a vector
+    planar = spherical and signal.dim == 2
 
     def f(t, y):  # reads S_at of the piece being integrated, as rows of floats
         S = S_at(t)
@@ -236,8 +246,13 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         uv = np.asarray(u(t), dtype=float).tolist()
         return [-v + w for v, w in zip(s_x, uv)] + [sum(map(mul, x, x)), sum(map(mul, uv, uv))]
 
-    extra = [0.0] if spherical else [] if u is None else [0.0, 0.0]
-    y = np.concatenate([x0.ravel(), extra])
+    def angle(t, y):  # the planar spherical flow in (theta, log r)
+        (s11, s12), (_, s22) = S_at(t)
+        c, s, d = math.cos(y[0]), math.sin(y[0]), s11 - s22
+        return [d * s - 2.0 * s12 * c, -0.5 * (s11 + s22 + d * c) - s12 * s]
+
+    y = (np.array([2.0 * math.atan2(x0[1], x0[0]), 0.0]) if planar else
+         np.concatenate([x0.ravel(), [0.0] if spherical else [] if u is None else [0.0, 0.0]]))
     ts, ys = [np.array([t0], dtype=float)], [y[None]]
     drift = 0.0
     h = (t1 - t0) / 100.0
@@ -246,7 +261,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         if u is None and len(seg.data) == 1:
             E = _exact_map(signal, seg, u1 - u0)
             y = y.copy()
-            if spherical:
+            if planar:
+                x = E @ RankOneSignal._unit(y[0])
+                y[:] = 2.0 * math.atan2(x[1], x[0]), y[1] + math.log(math.hypot(*x))
+            elif spherical:
                 x = E @ y[:-1]
                 nrm = float(np.linalg.norm(x))
                 y[:-1] = x / nrm
@@ -256,18 +274,23 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             ts.append(np.array([u1]))
             ys.append(y[None])
             continue
-        pts, pys, d, h = adaptive_rk45(f, u0, u1, y, tol=tol, h0=h,
-                                       post_step=_renormalize if spherical else None)
-        y = pys[-1]
+        off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if planar else 0.0
+        pts, pys, d, h = adaptive_rk45(angle if planar else f, u0, u1, y - off, tol=tol, h0=h,
+                                       post_step=_renormalize if spherical and not planar else None)
+        y = pys[-1] + off
         ts.append(pts[1:])
-        ys.append(pys[1:])
+        ys.append(pys[1:] + off)
         drift += d
-    return np.concatenate(ts), np.concatenate(ys), drift
+    ys = np.concatenate(ys)
+    if planar:
+        ys = np.column_stack([RankOneSignal._units(ys[:, 0]), ys[:, 1]])
+    return np.concatenate(ts), ys, drift
 
 
 def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = None,
                    tol: float = 1e-9) -> Trajectory:
-    """Solve the spherical system for omega(t) and log r(t) on [t0, t1]."""
+    """Solve the spherical system for omega(t) and log r(t) on [t0, t1]; in the
+    plane from theta0 = 2 atan2(omega0[1], omega0[0]) (omega0 with its sign), drift 0."""
     omega0 = np.asarray(omega0, dtype=float)
     if abs(np.linalg.norm(omega0) - 1.0) > 1e-9:
         raise ValueError("omega0 must be a unit vector")

@@ -30,7 +30,7 @@ from numpy.typing import NDArray
 
 from .extremal2d import solve_extremal
 from .flow import integrate_flow
-from .signals import RankOneSignal, Segment, _field, write_atomic
+from .signals import RankOneSignal, Segment, _field
 
 __all__ = [
     "GPESchedule",
@@ -38,9 +38,7 @@ __all__ = [
     "series_criterion",
     "build_gpe_signal",
     "asymptotic_norm",
-    "schedule_to_dict",
     "schedule_from_dict",
-    "save_schedule",
     "load_schedule",
 ]
 
@@ -210,19 +208,11 @@ def asymptotic_norm(schedule: GPESchedule, signal: RankOneSignal,
                           limit_estimate=float(predicted[-1]), max_rel_dev=rel_dev)
 
 
-def schedule_to_dict(schedule: GPESchedule) -> dict:
-    return {"a_seq": list(schedule.a_seq), "b_seq": list(schedule.b_seq),
-            "tau_seq": list(schedule.tau_seq), "tag": schedule.tag}
-
-
 def schedule_from_dict(doc: dict) -> GPESchedule:
-    """Inverse of schedule_to_dict; ValueError names the first malformed field."""
+    """Schedule of a document {a_seq, b_seq, tau_seq, tag}; ValueError names
+    the first malformed field."""
     seqs = [_field(doc, key, (list,)) for key in ("a_seq", "b_seq", "tau_seq")]
     return GPESchedule(*seqs, tag=doc.get("tag"))
-
-
-def save_schedule(schedule: GPESchedule, path: str) -> None:
-    write_atomic(path, json.dumps(schedule_to_dict(schedule), indent=2, sort_keys=True))
 
 
 def load_schedule(path: str) -> GPESchedule:

@@ -1,6 +1,8 @@
 """Test-only controls."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from peflow.signals import MatrixSignal, Segment
@@ -20,3 +22,11 @@ def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
         mat[0, j, j] = a * n / T
         segs.append(Segment(j * T / n, (j + 1) * T / n, mat))
     return MatrixSignal(tuple(segs), dim=n, period=T)
+
+
+def write_schedule(schedule, path: str) -> None:
+    """Write a GPE schedule as the JSON document gpe.load_schedule reads."""
+    doc = {"a_seq": list(schedule.a_seq), "b_seq": list(schedule.b_seq),
+           "tau_seq": list(schedule.tau_seq), "tag": schedule.tag}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")

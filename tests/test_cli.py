@@ -14,7 +14,7 @@ import pytest
 
 from peflow import cli, extremal2d, flow, gain, gpe, signals
 
-from controls import axis_hopping_control
+from controls import axis_hopping_control, write_schedule
 
 
 def run_cli(capsys, *argv):
@@ -371,7 +371,7 @@ class TestGpe:
     def test_schedule_file_json(self, capsys, tmp_path):
         s = gpe.GPESchedule((1.0, 0.5), (3.0, 1.5), (4.0, 6.0), tag="converges")
         path = tmp_path / "sched.json"
-        gpe.save_schedule(s, str(path))
+        write_schedule(s, str(path))
         code, doc = run_json(capsys, "gpe", "--signal", str(path))
         assert code == 0
         assert doc["verdict"] == "converges"

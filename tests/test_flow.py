@@ -153,6 +153,68 @@ class TestPropagate:
         assert 1.0 in ts
         assert np.min(np.diff(ts)) > 1e-4
 
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("layout", ["plain", "spherical", "input"])
+    def test_x0_length_must_match_dim(self, layout, length):
+        # a length-1 x0 on a planar signal used to integrate only x' = -S11 x
+        sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
+        x0 = np.eye(length)[0]
+        kwargs = {"spherical": layout == "spherical",
+                  "u": (lambda t: np.zeros(2)) if layout == "input" else None}
+        with pytest.raises(ValueError, match=rf"\({length},\).*dimension 2"):
+            flow.propagate(sig, x0, 0.0, 1.0, **kwargs)
+        if layout == "spherical":
+            with pytest.raises(ValueError, match="dimension 2"):
+                flow.integrate_flow(sig, x0, 0.0, 1.0)
+
+
+class TestAngleLayout:
+    """The planar spherical flow integrates (theta, log r) with
+    omega = (cos(theta/2), sin(theta/2))."""
+
+    @pytest.mark.parametrize("quadrant", range(4))
+    def test_constant_direction_closed_form(self, quadrant):
+        # two equal samples: a smooth segment, so RK45 runs, not the exact step;
+        # x(t) = x0 + expm1(-g t) (c . x0) c
+        g, phi = 2.3, 0.7
+        sig = signals.RankOneSignal((signals.Segment(0.0, 1.5, np.array([phi, phi]), g),))
+        psi = 0.4 + quadrant * math.pi / 2
+        om0 = np.array([math.cos(psi), math.sin(psi)])
+        traj = flow.integrate_flow(sig, om0, tol=1e-12)
+        c = np.array([math.cos(phi / 2), math.sin(phi / 2)])
+        x = om0 + np.expm1(-g * traj.ts)[:, None] * (om0 @ c) * c
+        nrm = np.linalg.norm(x, axis=1)
+        assert len(traj.ts) > 2
+        assert traj.log_r == pytest.approx(np.log(nrm), abs=1e-11)
+        assert traj.omegas == pytest.approx(x / nrm[:, None], abs=1e-11)
+        assert traj.renorm_drift == 0.0
+
+    @pytest.mark.parametrize("om0", [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+                                     (-0.6, -0.8)])
+    def test_initial_direction_round_trip(self, om0):
+        sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
+        traj = flow.integrate_flow(sig, np.array(om0), 0.0, 0.5)
+        assert traj.omegas[0] == pytest.approx(om0, abs=1e-15)
+
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (0.5, 0.5)])
+    def test_long_chain_against_windowed_plain_flow(self, a, b):
+        # 200 windows: the state angle turns through about 333 rad and log r
+        # reaches about -96 at (1, 3); each RK piece starts from a rebased
+        # angle and log r = 0, so the error does not grow with either
+        s = gpe.GPESchedule.constant(a, b, 1.0, 200)
+        sig, om0 = gpe.build_gpe_signal(s)
+        traj = flow.integrate_flow(sig, om0, 0.0, s.tau_seq[-1])
+        got = traj.log_r[np.searchsorted(traj.ts, s.tau_seq)]
+        x, log_r, ref = om0, 0.0, []
+        for ell in range(s.length):
+            _, _, u0, u1 = s.window(ell)
+            _, ys, _ = flow.propagate(sig, x, u0, u1, tol=1e-13)
+            nrm = np.linalg.norm(ys[-1])
+            log_r += math.log(nrm)
+            x = ys[-1] / nrm
+            ref.append(log_r)
+        assert np.max(np.abs(got - ref)) <= 2e-7
+
 
 @st.composite
 def smooth_signals(draw):
@@ -282,7 +344,7 @@ class TestWorkCounters:
     def test_rhs_evaluations(self, rhs_count):
         sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
         P = sig.period
-        assert rhs_count(lambda: flow.integrate_flow(sig, om0, 0.0, P)) <= 539
+        assert rhs_count(lambda: flow.integrate_flow(sig, om0, 0.0, P)) <= 530
         assert rhs_count(lambda: flow.fundamental_matrix(sig, 0.0, P)) <= 494
         c2, omega_star, mu_half = extremal2d.build_optimal_control(0.5, 1.5)
         assert rhs_count(lambda: gain.worst_input(c2, omega_star, mu_half)) <= 782
@@ -299,7 +361,7 @@ class TestWorkCounters:
     def test_gpe_chain_is_one_flow(self, rhs_count):
         s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 6)
         sig, om0 = gpe.build_gpe_signal(s)
-        assert rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0)) <= 1618
+        assert rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0)) <= 1548
 
     def test_gpe_solves_each_pair_once(self, monkeypatch):
         # build_gpe_signal and asymptotic_norm share one extremal solve per

@@ -14,6 +14,8 @@ import pytest
 
 from peflow import extremal2d, gpe, signals
 
+from controls import write_schedule
+
 
 class TestSchedule:
     def test_constant_constructor(self):
@@ -41,7 +43,7 @@ class TestSchedule:
     def test_round_trip(self, tmp_path):
         s = gpe.GPESchedule((0.5, 1.0), (1.0, 1.0), (1.0, 3.0), tag="converges")
         path = tmp_path / "sched.json"
-        gpe.save_schedule(s, str(path))
+        write_schedule(s, str(path))
         back = gpe.load_schedule(str(path))
         assert back == s
 
