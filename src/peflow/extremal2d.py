@@ -185,7 +185,7 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
 
 
 def _d_of_alpha(alpha: float, cot2: float) -> float:
-    return 0.5 * (-1.0 + np.sqrt(1.0 + 4.0 * cot2 * alpha * (1.0 - alpha)))
+    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * cot2 * alpha * (1.0 - alpha)))
 
 
 def solve_multipliers(phi0: float, nu: float) -> tuple[float, float]:
@@ -201,11 +201,11 @@ def solve_multipliers(phi0: float, nu: float) -> tuple[float, float]:
     if nu <= 0:
         raise ValueError("nu must be positive")
     half = phi0 / 2
-    cot2 = (np.cos(half) / np.sin(half)) ** 2
+    cot2 = float((np.cos(half) / np.sin(half)) ** 2)
 
     def nu_of(alpha: float) -> float:
         d = _d_of_alpha(alpha, cot2)
-        return np.sqrt((1.0 - alpha + d) / (2.0 * (alpha + d)))
+        return math.sqrt((1.0 - alpha + d) / (2.0 * (alpha + d)))
 
     lo, hi = 1e-15, 1.0 - 1e-15
     for _ in range(200):

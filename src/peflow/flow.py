@@ -14,8 +14,12 @@ I - (1 - e^{-g dt}) cc^T for a rank-one control of gain g and eigh for a
 constant matrix, and every other piece goes to an embedded Runge-Kutta
 5(4) pair (Dormand-Prince coefficients) that reads S from that piece's
 segment alone, so discontinuous piecewise controls are integrated
-without order loss.  The pair steps lists of Python floats, and the
-right-hand side reads S(t) as rows of floats.
+without order loss.  The pair steps lists of Python floats.  For a
+rank-one control S = g cc^T, c = (cos(phi/2), sin(phi/2)), a stage reads
+the one angle phi(t) from its segment: the planar spherical flow is
+theta' = g sin(theta - phi), (log r)' = -g (1 + cos(theta - phi))/2, and
+the plain, column-block and input layouts are x' = -g c (c^T x) per
+column.  A matrix signal's right-hand sides read S(t) as rows of floats.
 """
 from __future__ import annotations
 
@@ -193,9 +197,11 @@ def _exact_map(signal, seg: Segment, dt: float) -> NDArray:
     """exp(-dt S) for the constant S of seg: I + expm1(-g dt) cc^T for
     S = g cc^T, with g the segment's own gain, else by eigh."""
     if isinstance(signal, RankOneSignal):
-        cc = np.array(signal._rows_of(seg.at(seg.t0), 1.0))
-        return np.eye(signal.dim) + np.expm1(-seg.gain * dt) * cc
-    lam, V = np.linalg.eigh(np.array(signal._rows_of(seg.at(seg.t0), seg.gain)))
+        half = 0.5 * float(seg.data[0])
+        c0, c1 = math.cos(half), math.sin(half)
+        cc = np.array([[c0 * c0, c0 * c1], [c0 * c1, c1 * c1]])
+        return np.eye(2) + np.expm1(-seg.gain * dt) * cc
+    lam, V = np.linalg.eigh(np.array(signal.matrix_on(seg, 0.0)(seg.t0)))
     return (V * np.exp(-dt * lam)) @ V.T
 
 
@@ -207,18 +213,21 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     row holds x flattened.  With an input u (a vector x0), the state is
     (x, int |x|^2, int |u|^2), both integrals starting at zero.  With
     spherical=True, x0 is a unit vector omega and the rows are (omega,
-    log r).  In the plane the integrated state is (theta, log r), with
+    log r); an input there, or with a block x0, raises ValueError.  In
+    the plane the integrated state is (theta, log r), with
 
         theta'   = (S11 - S22) sin theta - 2 S12 cos theta,
         (log r)' = -[(S11 + S22)/2 + (S11 - S22)/2 cos theta + S12 sin theta],
 
+    which for S = g cc^T is g sin(theta - phi) and -g (1 + cos(theta - phi))/2,
     and each RK piece starts from log r = 0 and from theta rebased by a
     multiple of 2 pi (theta' has period 2 pi) into [-pi, pi], so the error
     scale tol * (1 + |y|) is the piece's own.
 
     A constant piece without input is one exact step, x <- exp(-dt S) x.
     Any other piece goes to adaptive_rk45 with S read from the piece's own
-    segment (a stage on its right end reads the left limit there); the
+    segment (a stage on its right end reads the left limit there): one
+    angle per stage for a RankOneSignal, rows of S for a MatrixSignal.  The
     step size carries over from piece to piece.
 
     Returns (ts, ys, drift): the piece ends and accepted steps, the states
@@ -227,13 +236,17 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     if not (t1 > t0 and 0.0 < tol < math.inf):  # exact pieces never reach adaptive_rk45
         raise ValueError(f"need t0 < t1 and a finite tol > 0, got {t0}, {t1}, {tol}")
     x0 = np.asarray(x0, dtype=float)
+    if u is not None and (spherical or x0.ndim != 1):
+        raise ValueError("an input u fits only a vector x0 with spherical=False: the "
+                         "spherical layouts and column blocks carry the free flow only")
     if x0.shape[:1] != (signal.dim,):
         raise ValueError(f"x0 of shape {x0.shape} does not fit the signal's dimension {signal.dim}")
     shape, size = x0.shape, x0.size
     k = size // shape[0]  # columns of the block, 1 for a vector
     planar = spherical and signal.dim == 2
+    rank_one = isinstance(signal, RankOneSignal)
 
-    def f(t, y):  # reads S_at of the piece being integrated, as rows of floats
+    def f(t, y):  # a MatrixSignal: reads S_at of the piece being integrated, as rows of floats
         S = S_at(t)
         cols = [y[j:size:k] for j in range(k)]
         s_x = [sum(map(mul, row, col)) for row in S for col in cols]  # S X, row-major
@@ -246,10 +259,27 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         uv = np.asarray(u(t), dtype=float).tolist()
         return [-v + w for v, w in zip(s_x, uv)] + [sum(map(mul, x, x)), sum(map(mul, uv, uv))]
 
-    def angle(t, y):  # the planar spherical flow in (theta, log r)
+    def angle(t, y):  # the planar spherical flow in (theta, log r) of a MatrixSignal
         (s11, s12), (_, s22) = S_at(t)
         c, s, d = math.cos(y[0]), math.sin(y[0]), s11 - s22
         return [d * s - 2.0 * s12 * c, -0.5 * (s11 + s22 + d * c) - s12 * s]
+
+    def rank_one_f(t, y):  # -g c (c^T x) per column (+ u), c = (cos(phi/2), sin(phi/2))
+        half = 0.5 * phi_at(t)
+        c0, c1 = math.cos(half), math.sin(half)
+        if k > 1:
+            p = [-g * (c0 * v + c1 * w) for v, w in zip(y[:k], y[k:])]
+            return [c0 * v for v in p] + [c1 * v for v in p]
+        y0, y1 = y[0], y[1]
+        p = -g * (c0 * y0 + c1 * y1)
+        if u is None:
+            return [c0 * p, c1 * p]
+        v0, v1 = np.asarray(u(t), dtype=float).tolist()
+        return [c0 * p + v0, c1 * p + v1, y0 * y0 + y1 * y1, v0 * v0 + v1 * v1]
+
+    def rank_one_angle(t, y):  # (theta, log r) under S = g cc^T, one angle read
+        d = y[0] - phi_at(t)
+        return [g * math.sin(d), -0.5 * g * (1.0 + math.cos(d))]
 
     y = (np.array([2.0 * math.atan2(x0[1], x0[0]), 0.0]) if planar else
          np.concatenate([x0.ravel(), [0.0] if spherical else [] if u is None else [0.0, 0.0]]))
@@ -257,7 +287,6 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     drift = 0.0
     h = (t1 - t0) / 100.0
     for u0, u1, seg, shift in signal.pieces(t0, t1):
-        S_at = signal.matrix_on(seg, shift)
         if u is None and len(seg.data) == 1:
             E = _exact_map(signal, seg, u1 - u0)
             y = y.copy()
@@ -274,8 +303,14 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             ts.append(np.array([u1]))
             ys.append(y[None])
             continue
+        if rank_one:
+            g, phi_at = signal.angle_on(seg, shift)
+            rhs = rank_one_angle if planar else rank_one_f
+        else:
+            S_at = signal.matrix_on(seg, shift)
+            rhs = angle if planar else f
         off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if planar else 0.0
-        pts, pys, d, h = adaptive_rk45(angle if planar else f, u0, u1, y - off, tol=tol, h0=h,
+        pts, pys, d, h = adaptive_rk45(rhs, u0, u1, y - off, tol=tol, h0=h,
                                        post_step=_renormalize if spherical and not planar else None)
         y = pys[-1] + off
         ts.append(pts[1:])

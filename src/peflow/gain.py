@@ -36,8 +36,10 @@ scaling gamma(a, b, T) = T * gamma(a, b, 1).
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -45,7 +47,7 @@ from scipy.interpolate import CubicSpline
 
 from .extremal2d import build_optimal_control, mu as window_mu
 from .flow import propagate
-from .signals import RankOneSignal, spline_at
+from .signals import RankOneSignal
 
 __all__ = [
     "CONVERGENCE_TOL",
@@ -61,6 +63,30 @@ __all__ = [
 _TAIL_PERIODS = 20  # cap on the input-free decay tail of simulate_gain
 _GL8 = np.polynomial.legendre.leggauss(8)
 CONVERGENCE_TOL = 0.02  # the k-period ratio must reach lower / (1 + this)
+
+
+def _spline_at(spline: CubicSpline) -> Callable[[float], list[float]]:
+    """Evaluator of spline at one scalar time: its components, flattened, as floats.
+
+    It picks the interval and sums the powers as scipy's PPoly does (the
+    last knot at or before t, clamped to the knots), so it returns the same
+    bits as CubicSpline.__call__ without its per-call overhead.
+    """
+    knots = spline.x.tolist()
+    last = len(knots) - 2
+    coef = spline.c.reshape(4, last + 1, -1).transpose(1, 2, 0)  # a view: (interval, component, power)
+
+    def at(t: float) -> list[float]:
+        i = bisect_right(knots, t) - 1
+        if i < 0:
+            i = 0
+        elif i > last:
+            i = last
+        s = t - knots[i]
+        s2 = s * s
+        s3 = s2 * s
+        return [((c3 + c2 * s) + c1 * s2) + c0 * s3 for c0, c1, c2, c3 in coef[i].tolist()]
+    return at
 
 
 @dataclass(frozen=True)
@@ -129,7 +155,7 @@ class WorstInput:
 
     @cached_property
     def _m_at(self):
-        return spline_at(self._m_spline)
+        return _spline_at(self._m_spline)
 
     def m(self, xi: float | NDArray) -> NDArray[np.float64]:
         """Flow of omega_star over one period: Phi(xi, 0) omega_star."""

@@ -9,12 +9,16 @@ throughout:
 * :class:`MatrixSignal` stores sampled symmetric matrices directly; it
   serves matrix files.
 
-Both types are segmented: each segment carries a uniform sample grid on
-[t0, t1] interpolated with a cubic spline, except single-sample segments
-which are exact constants (used for piecewise-constant controls), and a
-gain g > 0 that scales its matrix, so time_rescale only relabels times
-and gains and a rank-one control stays rank-one.  A periodic signal's
-period equals the span of its segments.  Instances are immutable.
+Both types are segmented: each segment carries samples on the uniform
+grid linspace(t0, t1, m), except single-sample segments which are exact
+constants (used for piecewise-constant controls), and a gain g > 0 that
+scales its matrix, so time_rescale only relabels times and gains and a
+rank-one control stays rank-one.  A segment interpolates its samples by
+the not-a-knot cubic in the sample index u = (t - t0)(m-1)/(t1 - t0),
+scipy's CubicSpline on that grid, built by one tridiagonal solve; a read
+at one time is int(u) and Horner on four stored coefficients, so a
+rank-one control hands the flow one angle per evaluation.  A periodic
+signal's period equals the span of its segments.  Instances are immutable.
 
 A span [t0, t1] is walked one piece at a time: pieces() cuts it at the
 segment boundaries, and a piece's values are read from its own segment
@@ -26,6 +30,7 @@ import contextlib
 import json
 import math
 import os
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,7 +38,7 @@ from typing import Callable, Literal
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 __all__ = [
     "Segment",
@@ -48,37 +53,12 @@ __all__ = [
     "write_atomic",
     "save_signal",
     "load_signal",
-    "spline_at",
 ]
 
 PSD_TOL = 1e-10
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
 _GRAM_SUBINTERVALS = 256  # quadrature cells per signal segment
-
-
-def spline_at(spline: CubicSpline) -> Callable[[float], list[float]]:
-    """Evaluator of spline at one scalar time: its components, flattened, as floats.
-
-    It picks the interval and sums the powers as scipy's PPoly does (the
-    last knot at or before t, clamped to the knots), so it returns the same
-    bits as CubicSpline.__call__ without its per-call overhead.
-    """
-    knots = spline.x.tolist()
-    last = len(knots) - 2
-    coef = spline.c.reshape(4, last + 1, -1).transpose(1, 2, 0)  # a view: (interval, component, power)
-
-    def at(t: float) -> list[float]:
-        i = bisect_right(knots, t) - 1
-        if i < 0:
-            i = 0
-        elif i > last:
-            i = last
-        s = t - knots[i]
-        s2 = s * s
-        s3 = s2 * s
-        return [((c3 + c2 * s) + c1 * s2) + c0 * s3 for c0, c1, c2, c3 in coef[i].tolist()]
-    return at
 
 
 @dataclass(frozen=True)
@@ -111,26 +91,75 @@ class Segment:
             raise ValueError(f"field 't1' must exceed t0, got [{self.t0}, {self.t1}]")
 
     @cached_property
-    def _spline(self) -> CubicSpline | None:
-        if len(self.data) < 2:
-            return None
-        ts = np.linspace(self.t0, self.t1, len(self.data))
-        return CubicSpline(ts, self.data, axis=0)
+    def _coef(self) -> array:
+        """The not-a-knot cubic in the sample index u = (t - t0)(m-1)/(t1 - t0),
+        flat: per interval i and per sample component, the coefficients of
+        s^0..s^3, s = u - i.
+
+        On the unit grid the slopes solve one constant-coefficient tridiagonal
+        system; m = 2 is a line and m = 3 one parabola, as in scipy.
+        """
+        m = len(self.data)
+        y = self.data.reshape(m, -1)
+        dy = np.diff(y, axis=0)
+        if m == 2:
+            slopes = np.concatenate([dy, dy])
+        elif m == 3:
+            slopes = np.concatenate([1.5 * dy[:1] - 0.5 * dy[1:], 0.5 * (dy[:1] + dy[1:]),
+                                     1.5 * dy[1:] - 0.5 * dy[:1]])
+        else:  # rows [1, 4, 1], and [1, 2] / [2, 1] where the first / last cubic spans two cells
+            band = np.ones((3, m))
+            band[1, 1:-1] = 4.0
+            band[0, 1] = band[2, -2] = 2.0
+            rhs = np.concatenate([0.5 * (5.0 * dy[:1] + dy[1:2]), 3.0 * (dy[:-1] + dy[1:]),
+                                  0.5 * (dy[-2:-1] + 5.0 * dy[-1:])])
+            slopes = solve_banded((1, 1), band, rhs, check_finite=False)
+        s0, s1 = slopes[:-1], slopes[1:]
+        coef = np.stack([y[:-1], s0, 3.0 * dy - 2.0 * s0 - s1, s0 + s1 - 2.0 * dy], axis=-1)
+        return array("d", coef.tobytes())
 
     def values(self, ts: NDArray) -> NDArray[np.float64]:
-        """Interpolated raw samples at an array of times."""
-        if self._spline is None:
-            base = self.data[0]
-            return np.broadcast_to(base, np.shape(ts) + base.shape).copy()
-        return self._spline(ts)
+        """Interpolated raw samples at an array of times, clamped to [t0, t1]."""
+        m, shape = len(self.data), np.shape(ts) + self.data.shape[1:]
+        if m == 1:
+            return np.broadcast_to(self.data[0], shape).copy()
+        u = np.clip((np.asarray(ts) - self.t0) * ((m - 1) / (self.t1 - self.t0)), 0.0, m - 1)
+        i = np.minimum(u.astype(int), m - 2)
+        s = (u - i)[..., None]
+        c = np.frombuffer(self._coef).reshape(m - 1, -1, 4)[i]
+        return (((c[..., 3] * s + c[..., 2]) * s + c[..., 1]) * s + c[..., 0]).reshape(shape)
+
+    def reader(self, shift: float = 0.0) -> Callable[[float], float | list[float]]:
+        """t -> the interpolated raw sample at local time t - shift, clamped to
+        [t0, t1]: a float for angles, the flattened matrix as floats otherwise.
+
+        A read takes int(u) for the interval and runs Horner on four array
+        entries per component: no search and no numpy call.
+        """
+        data = self.data
+        m = len(data)
+        if m == 1:
+            value = float(data[0]) if data.ndim == 1 else data[0].ravel().tolist()
+            return lambda t: value
+        C, top, last, k4 = self._coef, float(m - 1), m - 2, 4 * data[0].size
+        start, scale, angles = self.t0 + shift, (m - 1) / (self.t1 - self.t0), data.ndim == 1
+
+        def at(t: float) -> float | list[float]:
+            u = (t - start) * scale
+            u = 0.0 if u < 0.0 else top if u > top else u
+            i = int(u) if u < top else last
+            s = u - i
+            j = k4 * i
+            if angles:
+                return ((C[j + 3] * s + C[j + 2]) * s + C[j + 1]) * s + C[j]
+            return [((C[q + 3] * s + C[q + 2]) * s + C[q + 1]) * s + C[q]
+                    for q in range(j, j + k4, 4)]
+        return at
 
     @cached_property
-    def at(self) -> Callable[[float], list[float]]:
-        """Raw sample value at one scalar time, flattened to a list of floats."""
-        if self._spline is None:
-            base = self.data[0].ravel().tolist()
-            return lambda t: base
-        return spline_at(self._spline)
+    def at(self) -> Callable[[float], float | list[float]]:
+        """reader() made once: the interpolated raw sample at one local time."""
+        return self.reader()
 
 
 def _as_segments(segments, period: float | None) -> tuple[Segment, ...]:
@@ -214,25 +243,6 @@ class _SegmentedSignal:
             if i == len(segs):
                 i, k = 0, k + 1
 
-    def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], list[list[float]]]:
-        """t -> S(t) as n rows of n floats on a piece of seg: local time t - shift,
-        clamped to [seg.t0, seg.t1], the segment's gain folded in."""
-        rows_of, at, g = self._rows_of, seg.at, seg.gain
-        if len(seg.data) == 1:
-            S = rows_of(at(seg.t0), g)
-            return lambda t: S
-        lo, hi = seg.t0, seg.t1
-
-        def S_at(t: float) -> list[list[float]]:
-            t -= shift
-            return rows_of(at(lo if t < lo else hi if t > hi else t), g)
-        return S_at
-
-    def matrix(self, t: float) -> NDArray[np.float64]:
-        """S(t) as an (n, n) array."""
-        seg, tt = self._local(t)
-        return np.array(self.matrix_on(seg, 0.0)(tt))
-
 
 @dataclass(frozen=True)
 class RankOneSignal(_SegmentedSignal):
@@ -269,18 +279,21 @@ class RankOneSignal(_SegmentedSignal):
         return np.column_stack([np.cos(half), np.sin(half)])
 
     @staticmethod
-    def _rows_of(raw: list[float], g: float) -> list[list[float]]:
-        """g cc^T as rows of floats from the raw sample [phi]; exact cc^T at g = 1."""
-        half = 0.5 * raw[0]
-        c0, c1 = math.cos(half), math.sin(half)
-        g0 = g * c0
-        off = g0 * c1
-        return [[g0 * c0, off], [off, g * c1 * c1]]
+    def angle_on(seg: Segment, shift: float) -> tuple[float, Callable[[float], float]]:
+        """(g, t -> phi(t)) on a piece of seg: local time t - shift, clamped to
+        [seg.t0, seg.t1]."""
+        return seg.gain, seg.reader(shift)
 
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""
         seg, tt = self._local(t)
-        return self._unit(seg.at(tt)[0])
+        return self._unit(seg.at(tt))
+
+    def matrix(self, t: float) -> NDArray[np.float64]:
+        """S(t) = g cc^T as a (2, 2) array."""
+        seg, tt = self._local(t)
+        c = self._unit(seg.at(tt))
+        return seg.gain * np.outer(c, c)
 
 
 @dataclass(frozen=True)
@@ -306,13 +319,25 @@ class MatrixSignal(_SegmentedSignal):
             if lo < -PSD_TOL:
                 raise ValueError(f"matrix samples not PSD (min eigenvalue {lo:.2e})")
 
-    @cached_property
-    def _rows_of(self) -> Callable[[list[float], float], list[list[float]]]:
-        """(raw, g) -> g times the symmetric part 0.5 (R + R^T) as rows of
-        floats, R the flattened raw sample."""
-        n = self.dim
+    def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], list[list[float]]]:
+        """t -> S(t) as n rows of n floats on a piece of seg: local time t - shift,
+        clamped to [seg.t0, seg.t1], the segment's gain times the symmetric
+        part 0.5 (R + R^T) of the sample R."""
+        n, at, g = self.dim, seg.reader(shift), seg.gain
         pairs = [[(i * n + j, j * n + i) for j in range(n)] for i in range(n)]
-        return lambda raw, g: [[0.5 * g * (raw[p] + raw[q]) for p, q in row] for row in pairs]
+
+        def S_at(t: float) -> list[list[float]]:
+            raw = at(t)
+            return [[0.5 * g * (raw[p] + raw[q]) for p, q in row] for row in pairs]
+        if len(seg.data) == 1:
+            S = S_at(seg.t0)
+            return lambda t: S
+        return S_at
+
+    def matrix(self, t: float) -> NDArray[np.float64]:
+        """S(t) as an (n, n) array."""
+        seg, tt = self._local(t)
+        return np.array(self.matrix_on(seg, 0.0)(tt))
 
 
 @dataclass(frozen=True)

@@ -167,6 +167,60 @@ class TestPropagate:
             with pytest.raises(ValueError, match="dimension 2"):
                 flow.integrate_flow(sig, x0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("layout", ["planar", "vector", "block"])
+    def test_input_needs_the_plain_vector_layout(self, layout):
+        # the planar (theta, log r) and the vector (omega, log r) layouts carry
+        # the free flow only, so an input there must raise, not be dropped
+        dim = 3 if layout == "vector" else 2
+        sig = (axis_hopping_control(1.0, 1.0, 3) if layout == "vector"
+               else extremal2d.build_optimal_control(1.0, 3.0)[0])
+        x0 = np.eye(dim) if layout == "block" else np.eye(dim)[0]
+        with pytest.raises(ValueError, match="input u fits only a vector x0 with spherical=False"):
+            flow.propagate(sig, x0, 0.0, 1.0, spherical=layout != "block",
+                           u=lambda t: np.ones(dim))
+
+
+def sampled_matrix_twin(sig, m=2048):
+    """sig as a MatrixSignal: per segment, m samples of its g cc^T."""
+    segs = []
+    for seg in sig.segments:
+        cs = sig._units(np.array([seg.at(t) for t in np.linspace(seg.t0, seg.t1, m)]))
+        segs.append(signals.Segment(seg.t0, seg.t1, seg.gain * np.einsum("ki,kj->kij", cs, cs)))
+    return signals.MatrixSignal(tuple(segs), dim=2, period=sig.period)
+
+
+class TestRankOneRightHandSides:
+    """A rank-one control reads one angle per stage; the S-rows right-hand
+    sides of its sampled matrix twin integrate the same flow."""
+
+    @pytest.fixture(params=["periodic extremal", "gained chain"])
+    def pair(self, request):
+        if request.param == "periodic extremal":
+            sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
+        else:
+            s = gpe.GPESchedule((1.0, 0.5, 2.0), (3.0, 0.5, 5.0), (1.0, 2.5, 3.2))
+            sig = gpe.build_gpe_signal(s)[0]
+        return sig, sampled_matrix_twin(sig)
+
+    def test_planar_flow(self, pair):
+        om0 = np.array([0.6, -0.8])
+        ends = [flow.integrate_flow(sig, om0, tol=1e-12) for sig in pair]
+        assert ends[0].log_r[-1] == pytest.approx(ends[1].log_r[-1], abs=1e-9)
+        assert ends[0].omegas[-1] == pytest.approx(ends[1].omegas[-1], abs=1e-9)
+
+    def test_fundamental_matrix(self, pair):
+        t0, t1 = pair[0].t_start, pair[0].horizon
+        Phis = [flow.fundamental_matrix(sig, t0, t1, tol=1e-12) for sig in pair]
+        assert Phis[0] == pytest.approx(Phis[1], abs=1e-9)
+
+    def test_input_layout(self, pair):
+        def u(t):
+            return np.array([math.cos(t), math.sin(2.0 * t)])
+        t0, t1 = pair[0].t_start, pair[0].horizon
+        ends = [flow.propagate(sig, np.array([0.3, 0.1]), t0, t1, tol=1e-12, u=u)[1][-1]
+                for sig in pair]
+        assert ends[0] == pytest.approx(ends[1], abs=1e-9)
+
 
 class TestAngleLayout:
     """The planar spherical flow integrates (theta, log r) with

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from peflow import extremal2d, signals
 
@@ -49,6 +50,34 @@ class TestSegments:
         sig = signals.RankOneSignal((seg,))
         for t in (0.0, 0.3, 1.9):
             assert sig.c(t) == pytest.approx([math.cos(0.35), math.sin(0.35)])
+
+
+class TestUniformSpline:
+    """A segment's cubic in the sample index is scipy's not-a-knot
+    CubicSpline on linspace(t0, t1, m): a line at m = 2, one parabola at 3."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 2048])
+    @pytest.mark.parametrize("kind", ["angles", "matrices"])
+    def test_matches_scipy(self, m, kind):
+        t0, t1, shift = 0.3, 2.9, 4.0
+        grid = np.linspace(t0, t1, m)
+        # smooth samples, as the synthesized controls are: the index u carries
+        # a rounding of a few ulps of m, which only a steep sample-to-sample
+        # slope would lift above 1e-13
+        if kind == "angles":
+            data = 3.0 * np.sin(2.1 * grid) + grid
+        else:
+            c, s = np.cos(grid), np.sin(grid)
+            R = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+            data = np.einsum("kij,kj,klj->kil", R, np.stack([1.0 + grid, 0.3 + 0 * grid], -1), R)
+        seg = signals.Segment(t0, t1, data)
+        ts = np.concatenate([grid, 0.5 * (grid[1:] + grid[:-1]), [t0, t1, t0 - 0.4, t1 + 0.7]])
+        want = CubicSpline(grid, data, axis=0)(np.clip(ts, t0, t1))
+        bound = 1e-13 * np.max(np.abs(data))
+        assert np.max(np.abs(seg.values(ts) - want)) <= bound
+        at = seg.reader(shift)  # local time t - shift
+        got = np.array([at(t + shift) for t in ts.tolist()]).reshape(want.shape)
+        assert np.max(np.abs(got - want)) <= bound
 
 
 class TestRankOne:
