@@ -222,7 +222,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     which for S = g cc^T is g sin(theta - phi) and -g (1 + cos(theta - phi))/2,
     and each RK piece starts from log r = 0 and from theta rebased by a
     multiple of 2 pi (theta' has period 2 pi) into [-pi, pi], so the error
-    scale tol * (1 + |y|) is the piece's own.
+    scale tol * (1 + |y|) is the piece's own.  For the same reason a free x
+    or block whose largest entry has decayed below 1/2 enters each RK piece
+    scaled by a power of 2 into [1/2, 1) (the flow is linear, the scaling
+    exact); unscaled, the error scale would turn absolute as |x| decays.
 
     A constant piece without input is one exact step, x <- exp(-dt S) x.
     Any other piece goes to adaptive_rk45 with S read from the piece's own
@@ -310,11 +313,17 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             S_at = signal.matrix_on(seg, shift)
             rhs = angle if planar else f
         off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if planar else 0.0
-        pts, pys, d, h = adaptive_rk45(rhs, u0, u1, y - off, tol=tol, h0=h,
+        e = 0  # a decayed free x or block is integrated times 2^-e, exactly, in [0.5, 1)
+        if u is None and not spherical:
+            top = float(np.max(np.abs(y)))
+            if 0.0 < top < 0.5:
+                e = math.frexp(top)[1]
+        pts, pys, d, h = adaptive_rk45(rhs, u0, u1, np.ldexp(y - off, -e), tol=tol, h0=h,
                                        post_step=_renormalize if spherical and not planar else None)
-        y = pys[-1] + off
+        pys = np.ldexp(pys, e) + off
+        y = pys[-1]
         ts.append(pts[1:])
-        ys.append(pys[1:] + off)
+        ys.append(pys[1:])
         drift += d
     ys = np.concatenate(ys)
     if planar:
