@@ -320,7 +320,7 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
         s, c = math.sin(theta - phi), math.cos(theta - phi)
         return [s, -0.5 * (s + 2.0 * eta * c), 2.0 * eta / den, 0.5 * (1.0 + c)]
 
-    ts, ys, _, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
+    ts, ys, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
     eta_T = abs(float(ys[-1, 1]))
     if eta_T > 100.0 * _TOL:
         raise ArithmeticError(f"eta(T) = {eta_T:.3e} does not vanish; "

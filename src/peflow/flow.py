@@ -4,10 +4,9 @@ propagate holds the right-hand sides of the free and the driven flow,
 and every flow computation in the package goes through it.
 integrate_flow uses its spherical form x = r*omega, ||omega|| = 1, with
 the radius in log space, so it never underflows and the running cost
-int omega^T S omega dt is -log r(t) for free.  In the plane the state is
-(theta, log r), omega = (cos(theta/2), sin(theta/2)): two scalar ODEs with
-nothing to renormalize.  At other n it is (omega, log r), with
-omega' = -S omega + (omega^T S omega) omega renormalized after each step.
+int omega^T S omega dt is -log r(t) for free.  That form is planar only:
+the state is (theta, log r), omega = (cos(theta/2), sin(theta/2)), two
+scalar ODEs with nothing to renormalize.
 propagate walks the signal one piece at a time (signals.pieces): a
 constant piece without input is one exact step, exp(-dt g cc^T) =
 I - (1 - e^{-g dt}) cc^T for a rank-one control of gain g and eigh for a
@@ -67,7 +66,7 @@ _MAX_STEPS = 2_000_000
 
 
 def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
-                  post_step=None, h0: float | None = None):
+                  h0: float | None = None):
     """Integrate y' = f(t, y) from t0 to t1, recording every accepted step.
 
     The state is a list of Python floats: f(t, y) receives one and returns
@@ -76,12 +75,9 @@ def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
     whose per-call overhead exceeds the arithmetic.
 
     f must be smooth on [t0, t1]; a caller with a piecewise f integrates
-    one piece per call.  post_step, if given, maps an accepted (t, y) to a
-    corrected y (e.g. renormalization); the correction magnitude is
-    accumulated and returned.  h0 is the first trial step (default
-    (t1 - t0)/100).
+    one piece per call.  h0 is the first trial step (default (t1 - t0)/100).
 
-    Returns (ts, ys, drift, h) with ts shape (m,), ys shape (m, len(y0)),
+    Returns (ts, ys, h) with ts shape (m,), ys shape (m, len(y0)),
     and h the step the controller proposes next, so that a caller can carry
     it into the following piece.
     """
@@ -101,7 +97,6 @@ def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
     n = len(y)
     ts = [t0]
     ys = [y]
-    drift = 0.0
     t = t0
     h = span / 100.0 if h0 is None else h0
     k1 = f(t, y)  # the slope at (t, y)
@@ -137,21 +132,18 @@ def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
             if abs(t - t1) <= snap:
                 t = t1
             y = y5
-            if post_step is not None:
-                y = post_step(t, y5)
-                drift += max(abs(v - v5) for v, v5 in zip(y, y5))
             if t < t1:  # at t1 the next slope belongs to the caller's next piece
-                k1 = k7 if post_step is None else f(t, y)
+                k1 = k7
             ts.append(t)
             ys.append(y)
         factor = 0.9 * err ** -0.2 if err > 0 else 5.0
         h = h * min(5.0, max(0.2, factor))
-    return np.array(ts), np.array(ys), drift, h
+    return np.array(ts), np.array(ys), h
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-sampled spherical state (t, omega, log_r) of a flow.
+    """Time-sampled spherical state (t, omega, log_r) of a planar flow.
 
     Samples sit at accepted integrator steps and at every piece boundary;
     omega has unit norm at each sample and log_r is non-increasing for PSD
@@ -161,7 +153,6 @@ class Trajectory:
     ts: NDArray[np.float64]
     omegas: NDArray[np.float64]
     log_r: NDArray[np.float64]
-    renorm_drift: float = 0.0
 
     @property
     def cost(self) -> float:
@@ -187,12 +178,6 @@ class DecayReport:
     finite_horizon: bool = False
 
 
-def _renormalize(t, y):
-    x = y[:-1]
-    nrm = math.sqrt(sum(map(mul, x, x)))
-    return [v / nrm for v in x] + [y[-1]]
-
-
 def _exact_map(signal, seg: Segment, dt: float) -> NDArray:
     """exp(-dt S) for the constant S of seg: I + expm1(-g dt) cc^T for
     S = g cc^T, with g the segment's own gain, else by eigh."""
@@ -211,10 +196,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
 
     x0 is a vector or an (n, k) column block, n = signal.dim; each state
     row holds x flattened.  With an input u (a vector x0), the state is
-    (x, int |x|^2, int |u|^2), both integrals starting at zero.  With
-    spherical=True, x0 is a unit vector omega and the rows are (omega,
-    log r); an input there, or with a block x0, raises ValueError.  In
-    the plane the integrated state is (theta, log r), with
+    (x, int |x|^2, int |u|^2), both integrals starting at zero; it raises
+    ValueError with a block x0 or spherical=True.  With spherical=True the
+    signal must be planar (else ValueError), x0 is a unit vector omega, the
+    rows are (omega, log r), and the integrated state is (theta, log r), with
 
         theta'   = (S11 - S22) sin theta - 2 S12 cos theta,
         (log r)' = -[(S11 + S22)/2 + (S11 - S22)/2 cos theta + S12 sin theta],
@@ -233,32 +218,29 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     angle per stage for a RankOneSignal, rows of S for a MatrixSignal.  The
     step size carries over from piece to piece.
 
-    Returns (ts, ys, drift): the piece ends and accepted steps, the states
-    there, and the summed renormalization drift (0 in the plane).
+    Returns (ts, ys): the piece ends and accepted steps, and the states there.
     """
     if not (t1 > t0 and 0.0 < tol < math.inf):  # exact pieces never reach adaptive_rk45
         raise ValueError(f"need t0 < t1 and a finite tol > 0, got {t0}, {t1}, {tol}")
     x0 = np.asarray(x0, dtype=float)
     if u is not None and (spherical or x0.ndim != 1):
         raise ValueError("an input u fits only a vector x0 with spherical=False: the "
-                         "spherical layouts and column blocks carry the free flow only")
+                         "spherical layout and column blocks carry the free flow only")
+    if spherical and signal.dim != 2:
+        raise ValueError(f"the spherical layout is planar only, not of dimension {signal.dim}")
     if x0.shape[:1] != (signal.dim,):
         raise ValueError(f"x0 of shape {x0.shape} does not fit the signal's dimension {signal.dim}")
     shape, size = x0.shape, x0.size
     k = size // shape[0]  # columns of the block, 1 for a vector
-    planar = spherical and signal.dim == 2
     rank_one = isinstance(signal, RankOneSignal)
 
     def f(t, y):  # a MatrixSignal: reads S_at of the piece being integrated, as rows of floats
         S = S_at(t)
         cols = [y[j:size:k] for j in range(k)]
         s_x = [sum(map(mul, row, col)) for row in S for col in cols]  # S X, row-major
-        if u is None and not spherical:
+        if u is None:
             return [-v for v in s_x]
         x = cols[0]
-        if spherical:
-            q = sum(map(mul, x, s_x))
-            return [-v + q * w for v, w in zip(s_x, x)] + [-q]
         uv = np.asarray(u(t), dtype=float).tolist()
         return [-v + w for v, w in zip(s_x, uv)] + [sum(map(mul, x, x)), sum(map(mul, uv, uv))]
 
@@ -284,23 +266,17 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         d = y[0] - phi_at(t)
         return [g * math.sin(d), -0.5 * g * (1.0 + math.cos(d))]
 
-    y = (np.array([2.0 * math.atan2(x0[1], x0[0]), 0.0]) if planar else
-         np.concatenate([x0.ravel(), [0.0] if spherical else [] if u is None else [0.0, 0.0]]))
+    y = (np.array([2.0 * math.atan2(x0[1], x0[0]), 0.0]) if spherical else
+         np.concatenate([x0.ravel(), [] if u is None else [0.0, 0.0]]))
     ts, ys = [np.array([t0], dtype=float)], [y[None]]
-    drift = 0.0
     h = (t1 - t0) / 100.0
     for u0, u1, seg, shift in signal.pieces(t0, t1):
         if u is None and len(seg.data) == 1:
             E = _exact_map(signal, seg, u1 - u0)
             y = y.copy()
-            if planar:
+            if spherical:
                 x = E @ RankOneSignal._unit(y[0])
                 y[:] = 2.0 * math.atan2(x[1], x[0]), y[1] + math.log(math.hypot(*x))
-            elif spherical:
-                x = E @ y[:-1]
-                nrm = float(np.linalg.norm(x))
-                y[:-1] = x / nrm
-                y[-1] += math.log(nrm)
             else:
                 y[:] = (E @ y.reshape(shape)).ravel()
             ts.append(np.array([u1]))
@@ -308,33 +284,32 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             continue
         if rank_one:
             g, phi_at = signal.angle_on(seg, shift)
-            rhs = rank_one_angle if planar else rank_one_f
+            rhs = rank_one_angle if spherical else rank_one_f
         else:
             S_at = signal.matrix_on(seg, shift)
-            rhs = angle if planar else f
-        off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if planar else 0.0
+            rhs = angle if spherical else f
+        off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if spherical else 0.0
         e = 0  # a decayed free x or block is integrated times 2^-e, exactly, in [0.5, 1)
         if u is None and not spherical:
             top = float(np.max(np.abs(y)))
             if 0.0 < top < 0.5:
                 e = math.frexp(top)[1]
-        pts, pys, d, h = adaptive_rk45(rhs, u0, u1, np.ldexp(y - off, -e), tol=tol, h0=h,
-                                       post_step=_renormalize if spherical and not planar else None)
+        pts, pys, h = adaptive_rk45(rhs, u0, u1, np.ldexp(y - off, -e), tol=tol, h0=h)
         pys = np.ldexp(pys, e) + off
         y = pys[-1]
         ts.append(pts[1:])
         ys.append(pys[1:])
-        drift += d
     ys = np.concatenate(ys)
-    if planar:
+    if spherical:
         ys = np.column_stack([RankOneSignal._units(ys[:, 0]), ys[:, 1]])
-    return np.concatenate(ts), ys, drift
+    return np.concatenate(ts), ys
 
 
 def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = None,
                    tol: float = 1e-9) -> Trajectory:
-    """Solve the spherical system for omega(t) and log r(t) on [t0, t1]; in the
-    plane from theta0 = 2 atan2(omega0[1], omega0[0]) (omega0 with its sign), drift 0."""
+    """Solve the planar spherical system for omega(t) and log r(t) on [t0, t1]
+    from theta0 = 2 atan2(omega0[1], omega0[0]) (omega0 with its sign);
+    ValueError unless omega0 is a unit vector and signal.dim == 2."""
     omega0 = np.asarray(omega0, dtype=float)
     if abs(np.linalg.norm(omega0) - 1.0) > 1e-9:
         raise ValueError("omega0 must be a unit vector")
@@ -342,14 +317,14 @@ def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = N
         t0 = signal.t_start
     if t1 is None:
         t1 = signal.horizon
-    ts, ys, drift = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
-    return Trajectory(ts, ys[:, :-1], ys[:, -1], renorm_drift=drift)
+    ts, ys = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
+    return Trajectory(ts, ys[:, :-1], ys[:, -1])
 
 
 def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArray:
     """Phi(t1, t0) for xdot = -S(t) x, integrated column-block as one system."""
     n = signal.dim
-    _, ys, _ = propagate(signal, np.eye(n), t0, t1, tol=tol)
+    _, ys = propagate(signal, np.eye(n), t0, t1, tol=tol)
     return ys[-1].reshape(n, n)
 
 

@@ -164,15 +164,6 @@ class WorstInput:
     def v(self, xi: float) -> float:
         return self.kappa * np.exp(self.kappa * xi)
 
-    def V(self, s: float) -> float:
-        """Antiderivative of v with V(0) = 0."""
-        return np.exp(self.kappa * s) - 1.0
-
-    @property
-    def closure_residual(self) -> float:
-        """|rho_hat/(1-rho_hat) * V(period) - 1|; zero identically in exact arithmetic."""
-        return abs(self.rho_hat / (1.0 - self.rho_hat) * self.V(self.period) - 1.0)
-
     @cached_property
     def moments(self) -> tuple[float, float, float]:
         """(I0, I1, I2), I_j = int_0^P e^{j kappa xi} |m(xi)|^2 dxi.
@@ -223,7 +214,7 @@ def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float) -> WorstI
     omega_star = np.asarray(omega_star, dtype=float)
 
     t0 = c_star.t_start
-    ts, ys, _ = propagate(c_star, omega_star, t0, t0 + P, tol=1e-11)
+    ts, ys = propagate(c_star, omega_star, t0, t0 + P, tol=1e-11)
     rho_hat = float(np.exp(-2.0 * mu))
     seam = float(np.linalg.norm(ys[-1] - rho_hat * omega_star))
     if seam > 1e-6:
@@ -250,7 +241,7 @@ def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
     t0 = c.t_start
     t_end = t0 + k_periods * P
 
-    ts, ys, _ = propagate(c, np.zeros(n), t0, t_end, tol=tol, u=u)
+    ts, ys = propagate(c, np.zeros(n), t0, t_end, tol=tol, u=u)
     Iu = float(ys[-1][n + 1])
     if Iu <= 0.0:
         raise ValueError("input is identically zero over the horizon; "
@@ -266,7 +257,7 @@ def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
     for _ in range(_TAIL_PERIODS):
         if np.linalg.norm(x) <= 1e-12:
             break
-        ts2, ys2, _ = propagate(c, x, t_cur, t_cur + P, tol=tol, u=off)
+        ts2, ys2 = propagate(c, x, t_cur, t_cur + P, tol=tol, u=off)
         all_ts.append(ts2[1:])
         x_norms.append(np.linalg.norm(ys2[1:, :n], axis=1))
         x, Ix = ys2[-1][:n], Ix + float(ys2[-1][n])

@@ -51,7 +51,6 @@ __all__ = [
     "signal_to_dict",
     "signal_from_dict",
     "write_atomic",
-    "save_signal",
     "load_signal",
 ]
 
@@ -482,11 +481,6 @@ def write_atomic(path: str, text: str) -> None:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
-
-
-def save_signal(signal, path: str) -> None:
-    """Atomic JSON write of signal_to_dict(signal)."""
-    write_atomic(path, json.dumps(signal_to_dict(signal), indent=2, sort_keys=True))
 
 
 def load_signal(path: str) -> RankOneSignal | MatrixSignal:

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from peflow.signals import MatrixSignal, Segment
+from peflow.signals import MatrixSignal, Segment, signal_to_dict
 
 
 def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
@@ -22,6 +22,12 @@ def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
         mat[0, j, j] = a * n / T
         segs.append(Segment(j * T / n, (j + 1) * T / n, mat))
     return MatrixSignal(tuple(segs), dim=n, period=T)
+
+
+def write_signal(signal, path: str) -> None:
+    """Write a signal as the JSON document signals.load_signal reads."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(signal_to_dict(signal), indent=2, sort_keys=True) + "\n")
 
 
 def write_schedule(schedule, path: str) -> None:

@@ -14,7 +14,7 @@ import pytest
 
 from peflow import cli, extremal2d, flow, gain, gpe, signals
 
-from controls import axis_hopping_control, write_schedule
+from controls import axis_hopping_control, write_schedule, write_signal
 
 
 def run_cli(capsys, *argv):
@@ -289,7 +289,7 @@ class TestDecayGain:
 
     def test_decay_signal_file(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
-        signals.save_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
+        write_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
         code, doc = run_json(capsys, "decay", "--signal", str(path))
         assert code == 0
         assert doc["decay"]["rate"] == pytest.approx(1.0, rel=1e-7)
@@ -382,7 +382,7 @@ class TestGpe:
 class TestVerify:
     def test_axis_example(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
-        signals.save_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
+        write_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),
                              "--a", "1", "--b", "1", "--T", "1")
         assert code == 0
@@ -392,7 +392,7 @@ class TestVerify:
     def test_extremal_signal_gets_certificate(self, capsys, tmp_path):
         sig, _, _ = extremal2d.build_optimal_control(1.0, 3.0)
         path = tmp_path / "opt.json"
-        signals.save_signal(sig, str(path))
+        write_signal(sig, str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),
                              "--a", "1", "--b", "3", "--T", "4")
         assert code == 0
@@ -406,7 +406,7 @@ class TestVerify:
         sig = signals.RankOneSignal((signals.Segment(0.0, 3.0, np.array([0.0])),
                                      signals.Segment(3.0, 4.0, np.array([math.pi]))))
         path = tmp_path / "sample.json"
-        signals.save_signal(sig, str(path))
+        write_signal(sig, str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),
                              "--a", "1", "--b", "3", "--T", "4")
         assert code == 0
@@ -415,7 +415,7 @@ class TestVerify:
 
     def test_wrong_bounds_fail(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
-        signals.save_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
+        write_signal(axis_hopping_control(1.0, 1.0, 2), str(path))
         code, doc = run_json(capsys, "verify", "--signal", str(path),
                              "--a", "2", "--b", "2", "--T", "1")
         assert code == 1

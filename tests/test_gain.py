@@ -41,11 +41,6 @@ def half_extremal():
 
 
 class TestWorstInput:
-    def test_closure_identity(self, half_extremal):
-        c2, omega_star, mu_half = half_extremal
-        u = gain.worst_input(c2, omega_star, mu_half)
-        assert u.closure_residual < 1e-8
-
     def test_continuous_at_seam(self, half_extremal):
         c2, omega_star, mu_half = half_extremal
         u = gain.worst_input(c2, omega_star, mu_half)

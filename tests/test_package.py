@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import peflow
+from peflow import cli, flow
 
 
 @pytest.mark.parametrize("module", peflow.__all__)
@@ -64,3 +66,24 @@ print(max(built, default=0))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
     assert 0 < int(proc.stdout) <= 8
+
+
+def test_benchmark_tracer_contract(capsys):
+    # perfbench/tracer.py wraps every SPANNED name, counts adaptive_rk45's
+    # first parameter f and reads its result[0] as ts; this keeps what the
+    # benchmark reads in the fast suite, not only in the slow smoke tests
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    original = flow.adaptive_rk45
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert cli.main(["extremal", "--a", "1", "--b", "3"]) == 0
+    finally:
+        t.uninstall()
+    capsys.readouterr()
+    assert t.counts["flow.steps_accepted"] > 0
+    assert t.counts["flow.rhs_evals"] > 0
+    assert flow.adaptive_rk45 is original

@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 
 from peflow import extremal2d, signals
 
-from controls import axis_hopping_control
+from controls import axis_hopping_control, write_signal
 
 
 def const_angle_signal(phi: float, T: float, period: float | None = None):
@@ -309,7 +309,7 @@ class TestSerialization:
         seg = signals.Segment(0.0, 1.0, rng.uniform(-3, 3, size=17))
         sig = signals.RankOneSignal((seg,), period=1.0)
         path = tmp_path / "sig.json"
-        signals.save_signal(sig, str(path))
+        write_signal(sig, str(path))
         back = signals.load_signal(str(path))
         assert isinstance(back, signals.RankOneSignal)
         assert back.period == sig.period
@@ -319,7 +319,7 @@ class TestSerialization:
     def test_round_trip_gained(self, tmp_path):
         sig = signals.time_rescale(extremal2d.build_optimal_control(1.0, 3.0)[0], 2.5)
         path = tmp_path / "fast.json"
-        signals.save_signal(sig, str(path))
+        write_signal(sig, str(path))
         assert all(seg["gain"] == 2.5 for seg in json.loads(path.read_text())["segments"])
         back = signals.load_signal(str(path))
         assert isinstance(back, signals.RankOneSignal)
@@ -338,23 +338,29 @@ class TestSerialization:
     def test_round_trip_matrix(self, tmp_path):
         sig = axis_hopping_control(1.0, 1.0, 3)
         path = tmp_path / "axis.json"
-        signals.save_signal(sig, str(path))
+        write_signal(sig, str(path))
         back = signals.load_signal(str(path))
         assert isinstance(back, signals.MatrixSignal)
         for t in np.linspace(0, 1, 7):
             assert back.matrix(t) == pytest.approx(sig.matrix(t), abs=1e-12)
 
     def test_no_partial_file_on_failure(self, tmp_path):
+        # write_atomic is what --out uses: a write that fails before or at
+        # the rename leaves neither the target nor its temp file behind
         target = tmp_path / "sub" / "sig.json"
-        sig = axis_hopping_control(1.0, 1.0, 2)
         with pytest.raises(OSError):
-            signals.save_signal(sig, str(target))  # parent dir missing
+            signals.write_atomic(str(target), "{}")  # parent dir missing
         assert not target.exists()
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError):
+            signals.write_atomic(str(target), "{}")  # the rename onto a directory fails
+        assert target.is_dir() and sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
     def test_schema_fields(self, tmp_path):
         sig = axis_hopping_control(1.0, 1.0, 2)
         path = tmp_path / "axis.json"
-        signals.save_signal(sig, str(path))
+        write_signal(sig, str(path))
         doc = json.loads(path.read_text())
         assert set(doc) == {"dim", "period", "segments"}
         assert doc["segments"][0]["kind"] == "matrices"
