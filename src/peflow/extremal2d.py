@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
 from .flow import adaptive_rk45
-from .signals import RankOneSignal, Segment
+from .signals import RankOneSignal, Segment, _gauss_legendre
 
 __all__ = [
     "ExtremalParams",
@@ -45,12 +45,11 @@ __all__ = [
     "integrate_extremal",
     "solve_extremal",
     "mu",
+    "extremal_angles",
     "build_optimal_control",
     "cost_closed_form",
     "verify_extremal",
 ]
-
-_GL5 = np.polynomial.legendre.leggauss(5)
 
 _TOL = 1e-10  # RK45 tolerance of every extremal integration
 _SAMPLES = 2048  # angle samples of the synthesized half-period control
@@ -339,6 +338,15 @@ def mu(a: float, b: float) -> float:
     return solve_extremal(a, b)[1].mu
 
 
+def extremal_angles(a: float, b: float) -> tuple[float, NDArray, NDArray]:
+    """(mu, theta, phi) of the extremal for window bounds 0 < a <= b: its cost
+    and its state and control angles at _SAMPLES uniform times on [0, T],
+    from one spline read on a grid that ends exactly at 0 and T = a + b."""
+    params, traj = solve_extremal(a, b)
+    theta, _, phi, _ = traj.columns(np.linspace(0.0, params.T, _SAMPLES)).T
+    return traj.mu, theta, phi
+
+
 def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
     """Synthesize the 2T-periodic worst-case control for window bounds 0 < a <= b.
 
@@ -350,14 +358,13 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
     Returns (signal, omega0, mu): the rank-one angle signal with period 2T,
     the worst initial direction, and the per-window cost mu = J over [0, T].
     """
-    params, traj = solve_extremal(a, b)
-    T = params.T
-    phis = traj.phi(np.linspace(0.0, T, _SAMPLES))
+    mu, theta, phis = extremal_angles(a, b)
+    T = a + b
     seam = abs(float(phis[0] + phis[-1]) - 2.0 * np.pi)
     if seam > 2e-6:
         raise ArithmeticError(f"seam mismatch: |phi(0) + phi(T) - 2 pi| = {seam:.2e}")
     segs = (Segment(0.0, T, phis), Segment(T, 2 * T, 2.0 * np.pi - phis))
-    return RankOneSignal(segs, dim=2, period=2 * T), traj.omega(0.0), traj.mu
+    return RankOneSignal(segs, dim=2, period=2 * T), RankOneSignal._unit(theta[0]), mu
 
 
 @cache
@@ -456,11 +463,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     energy = params.nu ** 2 * (2.0 * eta / (1.0 - al + d)) ** 2 + np.cos(ph)
 
     # Gram of c over [0, T] by composite Gauss-Legendre on the spline
-    edges = np.linspace(0.0, T, 513)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halfw = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halfw[:, None] * _GL5[0][None, :]).ravel()
-    wq = (halfw[:, None] * _GL5[1][None, :]).ravel()
+    nodes, wq = _gauss_legendre(0.0, T, 512)
     half_q = 0.5 * traj.columns(nodes)[:, 2]
     cq = np.column_stack([np.cos(half_q), np.sin(half_q)])
     G = (cq.T * wq) @ cq

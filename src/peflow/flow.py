@@ -283,7 +283,7 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             ys.append(y[None])
             continue
         if rank_one:
-            g, phi_at = signal.angle_on(seg, shift)
+            g, phi_at = seg.gain, seg.reader(shift)
             rhs = rank_one_angle if spherical else rank_one_f
         else:
             S_at = signal.matrix_on(seg, shift)

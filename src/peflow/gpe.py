@@ -28,7 +28,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .extremal2d import solve_extremal
+from .extremal2d import extremal_angles
 from .flow import integrate_flow
 from .signals import RankOneSignal, Segment, _field
 
@@ -41,9 +41,6 @@ __all__ = [
     "schedule_from_dict",
     "load_schedule",
 ]
-
-_SAMPLES = 2048  # angle samples of each rescaled pendulum window
-
 
 @dataclass(frozen=True)
 class GPESchedule:
@@ -135,10 +132,8 @@ def _synthesize_window(schedule: GPESchedule, a: float, b: float):
     cache = schedule._extremals
     key = (a, b)
     if key not in cache:
-        params, traj = solve_extremal(a, b)
-        # one spline read; the grid ends exactly at 0 and T
-        th, _, phis, _ = traj.columns(np.linspace(0.0, params.T, _SAMPLES)).T
-        cache[key] = (traj.mu, phis, float(th[0]), float(th[-1]))
+        mu, theta, phis = extremal_angles(a, b)
+        cache[key] = (mu, phis, float(theta[0]), float(theta[-1]))
     return cache[key]
 
 

@@ -277,12 +277,6 @@ class RankOneSignal(_SegmentedSignal):
         half = 0.5 * phis
         return np.column_stack([np.cos(half), np.sin(half)])
 
-    @staticmethod
-    def angle_on(seg: Segment, shift: float) -> tuple[float, Callable[[float], float]]:
-        """(g, t -> phi(t)) on a piece of seg: local time t - shift, clamped to
-        [seg.t0, seg.t1]."""
-        return seg.gain, seg.reader(shift)
-
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""
         seg, tt = self._local(t)
@@ -349,15 +343,10 @@ class PEWindowReport:
     satisfies: bool
 
 
-def _piece_quadrature(u0: float, u1: float, seg_len: float):
-    """Yield (node, weight) pairs of composite 5-point Gauss-Legendre on [u0, u1].
-
-    The subinterval size is tied to the owning segment's length so that
-    resolution matches the sample density regardless of how the window
-    cuts the segment.
-    """
-    n_sub = max(1, int(np.ceil((u1 - u0) / seg_len * _GRAM_SUBINTERVALS)))
-    edges = np.linspace(u0, u1, n_sub + 1)
+def _gauss_legendre(u0: float, u1: float, cells: int) -> tuple[NDArray, NDArray]:
+    """Nodes and weights of composite 5-point Gauss-Legendre on [u0, u1] cut
+    into `cells` equal cells."""
+    edges = np.linspace(u0, u1, cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -376,7 +365,10 @@ def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float) -> NDArray[
         raise ValueError("need t0 < t1")
     total = np.zeros((signal.dim, signal.dim))
     for u0, u1, seg, shift in signal.pieces(t0, t1):
-        nodes, weights = _piece_quadrature(u0 - shift, u1 - shift, seg.t1 - seg.t0)
+        # cells sized to the owning segment, so resolution matches the sample
+        # density however the window cuts the segment
+        cells = max(1, int(np.ceil((u1 - u0) / (seg.t1 - seg.t0) * _GRAM_SUBINTERVALS)))
+        nodes, weights = _gauss_legendre(u0 - shift, u1 - shift, cells)
         weights = seg.gain * weights
         vals = seg.values(nodes)
         if isinstance(signal, RankOneSignal):
