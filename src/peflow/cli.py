@@ -73,7 +73,7 @@ def _emit_csv(header: list[str], rows, cfg: argparse.Namespace) -> None:
 def _cmd_mu(cfg: argparse.Namespace) -> int:
     """Optimal cost mu(a, b) with the mu <= a bound check."""
     mu = extremal2d.mu(cfg.a, cfg.b)
-    passed = mu <= cfg.a + 1e-6
+    passed = mu <= cfg.a
     _emit_json({
         "mu": mu,
         "ratio": mu * (1.0 + cfg.b ** 2) / cfg.a,

@@ -5,23 +5,23 @@ omega = (cos(theta/2), sin(theta/2)) for the state, c = (cos(phi/2),
 sin(phi/2)) for the control axis, with the adjoint reduced to a single
 scalar eta via p = eta * omega_perp.  Along an extremal the angle phi
 obeys a pendulum equation whose half-periods are complete elliptic
-integrals, which turns synthesis into two scalar root-finding problems:
+integrals, which turns synthesis into one root-find plus closed forms:
 
-  1. solve_shape:       K_plus(phi0)/K_minus(phi0) = a/b   ->  (phi0, nu)
-  2. solve_multipliers: nu(alpha, d(alpha)) = nu            ->  (alpha, d)
+  1. solve_shape:       K_plus(phi0)/K_minus(phi0) = a/b, by bisection  ->  (phi0, nu)
+  2. solve_multipliers: closed form  ->  (alpha, beta = 1 - alpha, d)
+  3. ExtremalParams.mu: the cost mu(a, b), one Carlson R_J
 
-after which the extremal dynamics are integrated on [0, T=a+b] and
+Only the trajectory needs an ODE: it is integrated on [0, T=a+b] and
 extended to a 2T-periodic signal by the fixed mirror D = diag(1, -1): the
 canonical branch of initial_conditions (sin theta0 < 0, phi running from
 phi0 to 2 pi - phi0) makes the control on [T, 2T] equal to D c(t - T) up
-to sign, which on angles is phi -> 2 pi - phi.  All maps involved are
-strictly monotone, so plain bisection is exact to machine precision.
+to sign, which on angles is phi -> 2 pi - phi.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -47,20 +47,21 @@ __all__ = [
     "mu",
     "extremal_angles",
     "build_optimal_control",
-    "cost_closed_form",
     "verify_extremal",
 ]
 
 _TOL = 1e-10  # RK45 tolerance of every extremal integration
 _SAMPLES = 2048  # angle samples of the synthesized half-period control
 _CHECK_SAMPLES = 2001  # sample times of the extremality certificate
+_RJ_TOL = 1e-16  # Carlson's relative truncation bound r for R_J
 
 
 def _agm_pair(x: float) -> tuple[float, float]:
-    # AGM iteration for K(x) with the companion sum for E(x).  Rounding can
-    # stall the gap c at half an ulp of 1 (~5.5e-17), above the 1e-17 stop;
-    # each stalled pass would add 2^n c^2 of noise to csum, so the loop also
-    # stops once |c| no longer shrinks.  The 60-pass cap is only a guard.
+    """(K(x), csum) with E = K (1 - csum) and K - E = K csum, no difference."""
+    # AGM iteration for K with its companion sum.  Rounding can stall the gap c
+    # at half an ulp of 1 (~5.5e-17), above the 1e-17 stop; each stalled pass
+    # would add 2^n c^2 of noise to csum, so the loop also stops once |c| no
+    # longer shrinks.  The 60-pass cap is only a guard.
     a, b, c = 1.0, math.sqrt((1.0 - x) * (1.0 + x)), x
     csum = 0.5 * c * c
     pow2 = 1.0
@@ -72,8 +73,7 @@ def _agm_pair(x: float) -> tuple[float, float]:
         csum += 0.5 * pow2 * c * c
         if abs(c) >= abs(c_prev):
             break
-    K = math.pi / (2.0 * a)
-    return K, K * (1.0 - csum)
+    return math.pi / (2.0 * a), csum
 
 
 def elliptic_K(x: float) -> float:
@@ -91,15 +91,16 @@ def elliptic_E(x: float) -> float:
         raise ValueError(f"elliptic_E needs x in [0, 1], got {x}")
     if x == 1.0:
         return 1.0
-    return _agm_pair(x)[1]
+    K, csum = _agm_pair(x)
+    return K * (1.0 - csum)
 
 
 def _half_periods(phi0: float) -> tuple[float, float]:
     """(K_plus(phi0), K_minus(phi0)) from one AGM pass."""
     if not 0.0 < phi0 < np.pi:
         raise ValueError("phi0 must lie in (0, pi)")
-    K, E = _agm_pair(float(np.cos(phi0 / 2)))
-    return 2.0 * math.sqrt(2.0) * (K - E), 2.0 * math.sqrt(2.0) * E
+    K, csum = _agm_pair(math.cos(0.5 * phi0))
+    return 2.0 * math.sqrt(2.0) * K * csum, 2.0 * math.sqrt(2.0) * K * (1.0 - csum)
 
 
 def K_plus(phi0: float) -> float:
@@ -112,20 +113,62 @@ def K_minus(phi0: float) -> float:
     return _half_periods(phi0)[1]
 
 
+def _carlson_rc(x: float, y: float) -> float:
+    """Carlson's R_C(x, y) for x >= 0, y > 0 (DLMF 19.2.17-19), in forms
+    that take no difference of nearby numbers."""
+    if x < y:
+        t = math.sqrt(y - x)
+        return math.atan2(t, math.sqrt(x)) / t
+    if y < x:  # log(1 + u) with u = (sqrt x - sqrt y + t)/sqrt y > 0
+        sx, sy, t = math.sqrt(x), math.sqrt(y), math.sqrt(x - y)
+        return math.log1p(t * (1.0 + t / (sx + sy)) / sy) / t
+    return 1.0 / math.sqrt(x)
+
+
+def _carlson_rj(x: float, y: float, z: float, p: float) -> float:
+    """Carlson's R_J(x, y, z, p), x, y, z >= 0 (at most one zero), p > 0, by
+    duplication to a relative error _RJ_TOL and the fifth-order series
+    (DLMF 19.36(i); Carlson, Numer. Algorithms 10, 1995).  Each step's R_C
+    takes arguments that are sums of positive terms."""
+    A0 = A = (x + y + z + 2.0 * p) / 5.0
+    dx, dy, dz = A0 - x, A0 - y, A0 - z
+    Q = (0.25 * _RJ_TOL) ** (-1.0 / 6.0) * max(abs(dx), abs(dy), abs(dz), abs(A0 - p))
+    total, fac = 0.0, 1.0  # fac = 4^-m
+    while fac * Q >= A:
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        cx = (p * (sx + sy + sz) + sx * sy * sz) ** 2
+        cy = p * (p + lam) ** 2
+        total += fac * _carlson_rc(cx, cy)
+        fac *= 0.25
+        x, y, z, p, A = (0.25 * (v + lam) for v in (x, y, z, p, A))
+    X, Y, Z = dx * fac / A, dy * fac / A, dz * fac / A
+    P = -0.5 * (X + Y + Z)
+    E2 = X * Y + X * Z + Y * Z - 3.0 * P * P
+    E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P ** 3
+    E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P ** 3) * P
+    E5 = X * Y * Z * P * P
+    series = (1.0 - 3.0 * E2 / 14.0 + E3 / 6.0 + 9.0 * E2 * E2 / 88.0 - 3.0 * E4 / 22.0
+              - 9.0 * E2 * E3 / 52.0 + 3.0 * E5 / 26.0)
+    return fac * series / (A * math.sqrt(A)) + 3.0 * total
+
+
 @dataclass(frozen=True)
 class ExtremalParams:
     """Synthesis parameters for the planar extremal with one oscillation arc.
 
-    Invariants enforced at construction: T = a + b, the pendulum frequency
-    relation nu = sqrt((1-alpha+d)/(2(alpha+d))), the half-period equations
-    a = nu*K_plus(phi0) and b = nu*K_minus(phi0), and the
-    turning-angle relation cos phi0 = -1 + 2d(1+d)/((alpha+d)(1-alpha+d)).
+    beta = 1 - alpha is its own float, never formed as a difference.
+    Invariants enforced at construction: T = a + b, alpha + beta = 1, the
+    pendulum frequency relation nu = sqrt((beta+d)/(2(alpha+d))), the
+    half-period equations a = nu*K_plus(phi0) and b = nu*K_minus(phi0), and
+    the turning-angle relation cos phi0 = -1 + 2d(1+d)/((alpha+d)(beta+d)).
     """
 
     a: float
     b: float
     T: float
     alpha: float
+    beta: float
     d: float
     nu: float
     phi0: float
@@ -133,13 +176,15 @@ class ExtremalParams:
     def __post_init__(self) -> None:
         if abs(self.T - (self.a + self.b)) > 1e-12 * (self.a + self.b):
             raise ValueError("T must equal a + b")
-        if not (0.0 < self.alpha < 1.0 and self.d > 0.0):
-            raise ValueError("need alpha in (0,1) and d > 0")
-        nu_chk = np.sqrt((1 - self.alpha + self.d) / (2 * (self.alpha + self.d)))
+        if not (0.0 < self.alpha <= 1.0 and 0.0 < self.beta <= 1.0 and self.d > 0.0):
+            raise ValueError("need alpha, beta in (0, 1] and d > 0")
+        if abs(self.alpha + self.beta - 1.0) > 1e-15:
+            raise ValueError(f"alpha + beta = {self.alpha + self.beta!r}, not 1")
+        nu_chk = math.sqrt((self.beta + self.d) / (2 * (self.alpha + self.d)))
         if abs(nu_chk - self.nu) > 1e-10 * max(1.0, self.nu):
             raise ValueError(f"nu inconsistent with (alpha, d): {self.nu} vs {nu_chk}")
         cos_chk = -1 + 2 * self.d * (1 + self.d) / (
-            (self.alpha + self.d) * (1 - self.alpha + self.d))
+            (self.alpha + self.d) * (self.beta + self.d))
         if abs(cos_chk - np.cos(self.phi0)) > 1e-10:
             raise ValueError("phi0 inconsistent with (alpha, d)")
         k_plus, k_minus = _half_periods(self.phi0)
@@ -147,6 +192,25 @@ class ExtremalParams:
         if abs(a_chk - self.a) > 1e-8 * self.a or abs(b_chk - self.b) > 1e-8 * self.b:
             raise ValueError(f"(a, b) inconsistent with (nu, phi0): "
                              f"got ({a_chk}, {b_chk}) vs ({self.a}, {self.b})")
+
+    @property
+    def mu(self) -> float:
+        """The extremal's cost mu(a, b) = int_0^T cos^2((theta - phi)/2) dt in
+        closed form: with den = beta + d, w = 2d/den and delta = 2 alpha/den,
+
+            mu = (sqrt 2/3) w delta R_J(0, 2 alpha beta/den^2, w + delta, delta).
+
+        The exact value lies below a.  A float above a by at most a * 1e-14
+        is rounding, and a is returned; anything higher raises ArithmeticError.
+        """
+        al, be, d = self.alpha, self.beta, self.d
+        den = be + d
+        w, delta = 2.0 * d / den, 2.0 * al / den
+        value = math.sqrt(2.0) / 3.0 * w * delta * _carlson_rj(
+            0.0, 2.0 * al * be / (den * den), w + delta, delta)
+        if value > self.a * (1.0 + 1e-14):
+            raise ArithmeticError(f"mu = {value!r} exceeds a = {self.a!r} beyond rounding")
+        return min(value, self.a)
 
 
 def solve_shape(a: float, b: float) -> tuple[float, float]:
@@ -164,9 +228,7 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
         k_plus, k_minus = _half_periods(phi0)
         return k_plus / k_minus
 
-    lo, hi = 1e-3, np.pi - 1e-9
-    while ratio(lo) <= target:
-        lo *= 0.5
+    lo, hi = 1e-3, np.pi - 1e-9  # the ratio is 7.99 at 1e-3, above any a/b <= 1
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -183,74 +245,47 @@ def solve_shape(a: float, b: float) -> tuple[float, float]:
     return float(phi0), float(nu)
 
 
-def _d_of_alpha(alpha: float, cot2: float) -> float:
-    return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 * cot2 * alpha * (1.0 - alpha)))
+def solve_multipliers(phi0: float, nu: float) -> tuple[float, float, float]:
+    """The multipliers (alpha, beta = 1 - alpha, d) of (phi0, nu), in closed form.
 
-
-def solve_multipliers(phi0: float, nu: float) -> tuple[float, float]:
-    """Recover the multipliers (alpha, d) from (phi0, nu).
-
-    The turning-angle relation pins d as a function of alpha through
-    d(alpha) = (-1 + sqrt(1 + 4 cot^2(phi0/2) alpha(1-alpha)))/2, and
-    nu(alpha, d(alpha)) decreases strictly from +inf to 0, so bisection
-    on alpha is exact.
+    The frequency and turning-angle relations solve exactly, with no
+    difference of nearby numbers: s = alpha + d = 1/hypot(1 - 2nu^2 cos phi0,
+    2nu^2 sin phi0), d = 4nu^2 cos^2(phi0/2) s^2/(1 + s(1 + 2nu^2)), and with
+    X = alpha - beta = s(1 - 2nu^2) the larger of alpha, beta is (1 + |X|)/2
+    and the smaller their product 2nu^2 sin^2(phi0/2) s^2 over the larger.
     """
     if not 0.0 < phi0 < np.pi:
         raise ValueError("phi0 must lie in (0, pi)")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    half = phi0 / 2
-    cot2 = float((np.cos(half) / np.sin(half)) ** 2)
-
-    def nu_of(alpha: float) -> float:
-        d = _d_of_alpha(alpha, cot2)
-        return math.sqrt((1.0 - alpha + d) / (2.0 * (alpha + d)))
-
-    lo, hi = 1e-15, 1.0 - 1e-15
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if nu_of(mid) > nu:
-            lo = mid
-        else:
-            hi = mid
-    alpha = 0.5 * (lo + hi)
-    d = _d_of_alpha(alpha, cot2)
-    cos_chk = -1.0 + 2.0 * d * (1.0 + d) / ((alpha + d) * (1.0 - alpha + d))
-    if abs(cos_chk - np.cos(phi0)) > 1e-10:
-        raise ArithmeticError("multiplier solve failed the turning-angle residual")
-    if abs(nu_of(alpha) - nu) > 1e-10 * max(1.0, nu):
-        raise ArithmeticError("multiplier solve failed the frequency residual")
-    return float(alpha), float(d)
+    n2 = 2.0 * nu * nu
+    s = 1.0 / math.hypot(1.0 - n2 * math.cos(phi0), n2 * math.sin(phi0))
+    d = 2.0 * n2 * math.cos(0.5 * phi0) ** 2 * s * s / (1.0 + s * (1.0 + n2))
+    X = s * (1.0 - n2)
+    big = 0.5 * (1.0 + abs(X))
+    small = n2 * math.sin(0.5 * phi0) ** 2 * s * s / big
+    return (big, small, d) if X >= 0.0 else (small, big, d)
 
 
 def solve_params(a: float, b: float) -> ExtremalParams:
     """Full parameter solve (a, b) -> ExtremalParams."""
     phi0, nu = solve_shape(a, b)
-    alpha, d = solve_multipliers(phi0, nu)
-    return ExtremalParams(a=a, b=b, T=a + b, alpha=alpha, d=d, nu=nu, phi0=phi0)
+    alpha, beta, d = solve_multipliers(phi0, nu)
+    return ExtremalParams(a=a, b=b, T=a + b, alpha=alpha, beta=beta, d=d, nu=nu, phi0=phi0)
 
 
-def initial_conditions(alpha: float, d: float) -> tuple[float, float]:
-    """Angles (theta0, phi0) at a turning time, where eta = 0, from (alpha, d).
+def initial_conditions(alpha: float, beta: float, d: float) -> tuple[float, float]:
+    """Angles (theta0, phi0) at a turning time, where eta = 0, from (alpha, beta, d).
 
-    cos theta0 = 1 - 2d(1-alpha)/(alpha+d) with sin theta0 < 0 (the mirror
-    solution is canonicalized away), and phi0 in (0, pi) so that
-    sin theta0 * sin phi0 < 0.
+    sin^2(theta0/2) = d beta/(alpha+d) with sin theta0 < 0 (the mirror solution
+    is canonicalized away), and cos^2(phi0/2) = d(1+d)/((alpha+d)(beta+d)) with
+    phi0 in (0, pi), so that sin theta0 * sin phi0 < 0.
     """
-    if not (0.0 < alpha < 1.0 and d > 0.0):
-        raise ValueError("need alpha in (0,1) and d > 0")
-    ct = 1.0 - 2.0 * d * (1.0 - alpha) / (alpha + d)
-    cp = -1.0 + 2.0 * d * (1.0 + d) / ((alpha + d) * (1.0 - alpha + d))
-    for name, val in (("cos theta0", ct), ("cos phi0", cp)):
-        if abs(val) > 1.0 + 1e-12:
-            raise ValueError(f"{name} = {val} outside [-1, 1] beyond roundoff")
-    ct = min(1.0, max(-1.0, ct))
-    cp = min(1.0, max(-1.0, cp))
-    theta0 = -np.arccos(ct)
-    phi0 = np.arccos(cp)
-    return float(theta0), float(phi0)
+    if not (0.0 < alpha <= 1.0 and 0.0 < beta <= 1.0 and d > 0.0):
+        raise ValueError("need alpha, beta in (0, 1] and d > 0")
+    theta0 = -2.0 * math.asin(math.sqrt(d * beta / (alpha + d)))
+    phi0 = 2.0 * math.acos(min(1.0, math.sqrt(d * (1.0 + d) / ((alpha + d) * (beta + d)))))
+    return theta0, phi0
 
 
 @dataclass(frozen=True)
@@ -304,14 +339,14 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
 
     thetadot = sin(theta - phi)
     etadot   = -(sin(theta - phi) + 2 eta cos(theta - phi)) / 2
-    phidot   = 2 eta / (1 - alpha + d)
+    phidot   = 2 eta / (beta + d)
 
     started at the turning state of initial_conditions, with the running
     cost accumulated as a fourth component.  eta(T) must return to zero;
     a large residual signals inconsistent parameters and raises.
     """
-    den = 1.0 - params.alpha + params.d
-    theta0, phi0 = initial_conditions(params.alpha, params.d)
+    den = params.beta + params.d
+    theta0, phi0 = initial_conditions(params.alpha, params.beta, params.d)
     y0 = [theta0, 0.0, phi0, 0.0]
 
     def f(t, y):
@@ -334,8 +369,9 @@ def solve_extremal(a: float, b: float) -> tuple[ExtremalParams, ExtremalTrajecto
 
 
 def mu(a: float, b: float) -> float:
-    """Optimal per-window contraction mu(a, b) in the plane, 0 < a <= b."""
-    return solve_extremal(a, b)[1].mu
+    """Optimal per-window contraction mu(a, b) <= a in the plane, 0 < a <= b,
+    in closed form (ExtremalParams.mu); no ODE is integrated."""
+    return solve_params(a, b).mu
 
 
 def extremal_angles(a: float, b: float) -> tuple[float, NDArray, NDArray]:
@@ -344,7 +380,7 @@ def extremal_angles(a: float, b: float) -> tuple[float, NDArray, NDArray]:
     from one spline read on a grid that ends exactly at 0 and T = a + b."""
     params, traj = solve_extremal(a, b)
     theta, _, phi, _ = traj.columns(np.linspace(0.0, params.T, _SAMPLES)).T
-    return traj.mu, theta, phi
+    return params.mu, theta, phi
 
 
 def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
@@ -367,44 +403,9 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
     return RankOneSignal(segs, dim=2, period=2 * T), RankOneSignal._unit(theta[0]), mu
 
 
-@cache
-def _gauss_legendre_200() -> tuple[NDArray, NDArray]:
-    """The 200-node rule of cost_closed_form, built on first use (it takes ~50 ms)."""
-    return np.polynomial.legendre.leggauss(200)
-
-
-def cost_closed_form(alpha: float, d: float) -> float:
-    """Extremal cost as a one-dimensional quadrature in the angle eps = theta - phi - pi.
-
-    J = 2 * int_0^{eps_bar} sin^2(eps/2) deps
-            / sqrt(2 mu_bar (cos eps - cos eps_bar) - cos^2 eps + cos^2 eps_bar)
-
-    with mu_bar = 1/(1-alpha+d) and cos eps_bar = 1 - 2d/(1-alpha+d).  The
-    endpoint singularity is removed by eps = eps_bar * sin(psi) before
-    Gauss-Legendre quadrature.  Only turning angles eps_bar in (0, pi/2)
-    are accepted.
-    """
-    if not (0.0 < alpha < 1.0 and d > 0.0):
-        raise ValueError("need alpha in (0,1) and d > 0")
-    mu_bar = 1.0 / (1.0 - alpha + d)
-    cos_eb = 1.0 - 2.0 * d / (1.0 - alpha + d)
-    if not 0.0 < cos_eb < 1.0:
-        raise ValueError(f"turning angle outside (0, pi/2): cos eps_bar = {cos_eb}")
-    eps_bar = np.arccos(cos_eb)
-
-    x, w = _gauss_legendre_200()
-    psi = 0.25 * np.pi * (x + 1.0)
-    wpsi = 0.25 * np.pi * w
-    eps = eps_bar * np.sin(psi)
-    arg = 2.0 * mu_bar * (np.cos(eps) - cos_eb) - np.cos(eps) ** 2 + cos_eb ** 2
-    arg = np.maximum(arg, 1e-300)
-    integrand = np.sin(eps / 2.0) ** 2 * (eps_bar * np.cos(psi)) / np.sqrt(arg)
-    return float(2.0 * np.dot(wpsi, integrand))
-
-
 @dataclass(frozen=True)
 class ExtremalReport:
-    """Named extremality residuals with the measured cost.
+    """Named extremality residuals with the closed-form cost.
 
     passed reflects the six primary residuals (seam, transversality, Mc,
     spectrum_drift, gram, quasi_periodicity); further diagnostics (adjoint,
@@ -460,7 +461,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     k_perp = eta_dot + 0.5 * th_dot + ct_om * ct_om * eta
     k_om = -0.5 * eta * th_dot
     adjoint = np.hypot(-k_perp * so + k_om * co - ct_p * cc, k_perp * co + k_om * so - ct_p * sc)
-    energy = params.nu ** 2 * (2.0 * eta / (1.0 - al + d)) ** 2 + np.cos(ph)
+    energy = params.nu ** 2 * (2.0 * eta / (params.beta + d)) ** 2 + np.cos(ph)
 
     # Gram of c over [0, T] by composite Gauss-Legendre on the spline
     nodes, wq = _gauss_legendre(0.0, T, 512)
@@ -486,4 +487,4 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "pendulum_energy": float(np.max(np.abs(energy - np.cos(params.phi0)))),
     }
     passed = all(residuals[k] < tol for k in ExtremalReport.PRIMARY)
-    return ExtremalReport(residuals=residuals, mu=traj.mu, passed=passed)
+    return ExtremalReport(residuals=residuals, mu=params.mu, passed=passed)

@@ -130,11 +130,10 @@ def _synthesize_window(schedule: GPESchedule, a: float, b: float):
     build_gpe_signal and asymptotic_norm share the solves.
     """
     cache = schedule._extremals
-    key = (a, b)
-    if key not in cache:
+    if (a, b) not in cache:
         mu, theta, phis = extremal_angles(a, b)
-        cache[key] = (mu, phis, float(theta[0]), float(theta[-1]))
-    return cache[key]
+        cache[a, b] = (mu, phis, float(theta[0]), float(theta[-1]))
+    return cache[a, b]
 
 
 def build_gpe_signal(schedule: GPESchedule) -> tuple[RankOneSignal, NDArray]:

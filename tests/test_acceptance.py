@@ -172,7 +172,7 @@ def test_acceptance_10_closed_form_cost():
     for a, b in ((1.0, 3.0), (1.0, 10.0)):
         params = extremal2d.solve_params(a, b)
         mu_int = extremal2d.integrate_extremal(params).mu
-        mu_cf = extremal2d.cost_closed_form(params.alpha, params.d)
+        mu_cf = params.mu
         worst = max(worst, abs(mu_cf - mu_int) / mu_int)
     ok = worst < 1e-6
     report(10, ok, f"closed form vs integrated rel err {worst:.1e}")

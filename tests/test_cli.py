@@ -205,6 +205,12 @@ class TestMu:
             sched = gpe.GPESchedule.constant(a, b, 1.0, 2)
             sig, om0 = gpe.build_gpe_signal(sched)
             assert gpe.asymptotic_norm(sched, sig, om0).mu_seq == (mu, mu)
+            ab = ("--a", repr(a), "--b", repr(b))
+            assert run_json(capsys, "decay", *ab, "--periods", "2")[1]["mu"] == mu
+            doc = run_json(capsys, "gain", *ab, "--periods", "8")[1]["gain"]
+            assert (doc["mu"], doc["mu_half"]) == (mu, extremal2d.mu(a / 2, b / 2))
+            _, doc = run_json(capsys, "oracle", *ab, "--seeds", "2", "--segments", "8")
+            assert doc["mu_extremal"] == mu
         # mu is continuous at a = b: no threshold separates b = a + 1e-13 from a = b
         b = repr(1.0 + 1e-13)
         _, doc = run_json(capsys, "mu", "--a", "1", "--b", b)
@@ -218,7 +224,7 @@ class TestExtremal:
         code, doc = run_json(capsys, "extremal", "--a", "1", "--b", "3")
         assert code == 0
         assert doc["passed"] is True
-        assert set(doc["params"]) == {"a", "b", "T", "alpha", "d", "nu", "phi0"}
+        assert set(doc["params"]) == {"a", "b", "T", "alpha", "beta", "d", "nu", "phi0"}
         assert all(v < 1e-6 for k, v in doc["residuals"].items()
                    if k in extremal2d.ExtremalReport.PRIMARY)
 

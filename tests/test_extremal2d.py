@@ -13,6 +13,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from peflow import extremal2d, flow, signals
@@ -48,6 +50,57 @@ def agm_gap_stalls(x):
     return False
 
 
+def reference_multipliers(phi0, nu, start):
+    """(alpha, beta, d) solving alpha + beta = 1, the frequency relation
+    2 nu^2 = (beta + d)/(alpha + d) and the turning-angle relation
+    1 + cos phi0 = 2d(1 + d)/((alpha + d)(beta + d)), each scaled to a
+    relative residual, by mpmath.findroot at 40 digits.  The unknowns are
+    the ratios to start, so all three are of order 1 for the root-find."""
+    with mpmath.workdps(40):
+        n2, c2 = 2 * mpmath.mpf(nu) ** 2, mpmath.cos(mpmath.mpf(phi0) / 2) ** 2
+        scale = [mpmath.mpf(v) for v in start]
+
+        def relations(*ratios):
+            al, be, d = (s * r for s, r in zip(scale, ratios))
+            return [al + be - 1, (be + d) / (n2 * (al + d)) - 1,
+                    d * (1 + d) / (c2 * (al + d) * (be + d)) - 1]
+        ratios = mpmath.findroot(relations, [mpmath.mpf(1)] * 3)
+        return [s * r for s, r in zip(scale, ratios)]
+
+
+def reference_mu(a, b):
+    """mu(a, b) solved independently at 40 digits: the shape by bisection in
+    x = cos(phi0/2) on K_plus/K_minus = (K - E)/E = a/b, the multipliers by
+    reference_multipliers, and the cost by quadrature of
+
+        mu = w int_0^1 sqrt(x) dx / sqrt((1 - x)(2 - w x)(delta + w x)),
+
+    w = 2d/(beta + d), delta = 2 alpha/(beta + d).  Bisecting in phi0
+    instead would lose x's relative accuracy as phi0 -> pi."""
+    with mpmath.workdps(40):
+        target = mpmath.mpf(a) / mpmath.mpf(b)
+        lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+        for _ in range(140):
+            x = (lo + hi) / 2
+            E = mpmath.ellipe(x * x)
+            lo, hi = (x, hi) if (mpmath.ellipk(x * x) - E) / E < target else (lo, x)
+        x = (lo + hi) / 2
+        nu = mpmath.mpf(b) / (2 * mpmath.sqrt(2) * mpmath.ellipe(x * x))
+        phi0 = 2 * mpmath.acos(x)
+        params = extremal2d.solve_params(a, b)  # only a start for the root-find
+        al, be, d = reference_multipliers(phi0, nu, (params.alpha, params.beta, params.d))
+        w, delta = 2 * d / (be + d), 2 * al / (be + d)
+        f = lambda t: mpmath.sqrt(t / ((1 - t) * (2 - w * t) * (delta + w * t)))  # noqa: E731
+        knee = delta / w  # where delta + w x turns from delta to w x
+        return float(w * mpmath.quad(f, [0, knee, 1] if knee < 1 else [0, 1]))
+
+
+# ROADMAP's domain probes: eight pairs that raised with the RK45 mu, and the
+# two corners of 1e-8 <= a <= 1e4, b/a <= 1e8
+EDGE_PAIRS = [(1.0, 1e4), (1.0, 1e6), (1.0, 1e8), (1e-6, 1.0), (1e-5, 1e-4),
+              (1e-8, 1e-7), (1e3, 1e4), (1e4, 1e4), (1e-8, 1e-8), (1e4, 1e12)]
+
+
 def reference_certificate(traj, params, tol=1e-6):
     """The extremality residuals from (k, 2, 2) matrix stacks, einsum and a
     batched eigvalsh, with one spline read per column: an independent
@@ -75,7 +128,7 @@ def reference_certificate(traj, params, tol=1e-6):
     target = np.sort([al - d - 1.0, 0.0])
     ct_om = np.einsum("ki,ki->k", c, omega)
     adj_rhs = c * np.einsum("ki,ki->k", c, p)[:, None] - (ct_om ** 2)[:, None] * p - om_dot
-    phi_dot = 2.0 * eta / (1.0 - al + d)
+    phi_dot = 2.0 * eta / (params.beta + d)
     energy = params.nu ** 2 * phi_dot ** 2 + np.cos(ph)
     gl_x, gl_w = np.polynomial.legendre.leggauss(5)
     edges = np.linspace(0.0, T, 513)
@@ -121,7 +174,8 @@ class TestElliptic:
         assert sum(map(agm_gap_stalls, xs)) > 50
         with mpmath.workdps(30):
             for x in xs:
-                K, E = extremal2d._agm_pair(x)
+                K, csum = extremal2d._agm_pair(x)
+                E = K * (1.0 - csum)
                 m = mpmath.mpf(x) ** 2
                 assert K == pytest.approx(float(mpmath.ellipk(m)), rel=3e-15, abs=0.0)
                 assert E == pytest.approx(float(mpmath.ellipe(m)), rel=3e-15, abs=0.0)
@@ -171,7 +225,7 @@ class TestShapeSolve:
 
     def test_initial_conditions_canonical_branch(self):
         params = extremal2d.solve_params(1.0, 3.0)
-        theta0, phi0 = extremal2d.initial_conditions(params.alpha, params.d)
+        theta0, phi0 = extremal2d.initial_conditions(params.alpha, params.beta, params.d)
         assert math.sin(theta0) < 0
         assert phi0 == pytest.approx(params.phi0, rel=1e-9)
 
@@ -245,12 +299,31 @@ class TestClosedFormCost:
     def test_matches_integrated_cost(self, a, b):
         params = extremal2d.solve_params(a, b)
         traj = extremal2d.integrate_extremal(params)
-        closed = extremal2d.cost_closed_form(params.alpha, params.d)
-        assert closed == pytest.approx(traj.mu, rel=1e-6)
+        assert params.mu == pytest.approx(traj.mu, rel=1e-6)
 
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            extremal2d.cost_closed_form(0.99, 5.0)
+    def test_multipliers_against_findroot(self):
+        rng = np.random.default_rng(17)
+        for phi0, nu in zip(rng.uniform(0.01, math.pi - 1e-6, 60),
+                            10.0 ** rng.uniform(-8.0, 4.0, 60)):
+            got = extremal2d.solve_multipliers(phi0, nu)
+            ref = reference_multipliers(phi0, nu, got)
+            for name, g, r in zip(("alpha", "beta", "d"), got, ref):
+                assert g == pytest.approx(float(r), rel=1e-14, abs=0.0), (phi0, nu, name)
+
+    @pytest.mark.parametrize("a,b", EDGE_PAIRS)
+    def test_edge_pairs_against_reference(self, a, b):
+        mu = extremal2d.mu(a, b)
+        assert mu <= a
+        assert mu == pytest.approx(reference_mu(a, b), rel=1e-11, abs=0.0)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(log_a=st.floats(-8.0, 4.0), log_ratio=st.floats(0.0, 8.0))
+    def test_sweep_against_reference(self, log_a, log_ratio):
+        a = 10.0 ** log_a
+        b = a * 10.0 ** log_ratio
+        mu = extremal2d.mu(a, b)
+        assert mu <= a
+        assert mu == pytest.approx(reference_mu(a, b), rel=1e-11, abs=0.0)
 
 
 class TestBuildOptimalControl:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from peflow import extremal2d, flow, gain, gpe, oracle, signals
+from peflow import cli, extremal2d, flow, gain, gpe, oracle, signals
 
 from controls import axis_hopping_control
 
@@ -390,7 +390,9 @@ class TestWorkCounters:
                 return f(t, y)
             return original(counted, *args, **kwargs)
 
-        monkeypatch.setattr(flow, "adaptive_rk45", counting)
+        # extremal2d imports adaptive_rk45 by name, so its binding is patched too
+        for module in (flow, extremal2d):
+            monkeypatch.setattr(module, "adaptive_rk45", counting)
 
         def measure(call):
             count[0] = 0
@@ -409,11 +411,19 @@ class TestWorkCounters:
         assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3280
 
     def test_gain_estimate_work_is_independent_of_horizon(self, rhs_count):
-        # one period of worst_input at (0.5, 1.5) is all the RK work; the
-        # extremal solves integrate through extremal2d's own import
+        # one period of worst_input and the one extremal integration at
+        # (0.5, 1.5) are all the RK work: mu(1, 3) makes none
         counts = [rhs_count(lambda: gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k))
                   for k in (8, 5000)]
-        assert counts[0] == counts[1] <= 782
+        extremal = rhs_count(lambda: extremal2d.solve_extremal(0.5, 1.5))
+        assert counts[0] == counts[1] <= 782 + extremal
+
+    def test_mu_makes_no_rk_evaluations(self, rhs_count, capsys):
+        assert rhs_count(lambda: extremal2d.mu(1.0, 3.0)) == 0
+        assert rhs_count(lambda: cli.main(["mu", "--a", "1e-8", "--b", "1"])) == 0
+        capsys.readouterr()
+        # the extremal's trajectory is still integrated, and counted
+        assert rhs_count(lambda: extremal2d.solve_extremal(1.0, 3.0)) > 0
 
     def test_gpe_chain_is_one_flow(self, rhs_count):
         s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 6)

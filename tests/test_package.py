@@ -49,7 +49,7 @@ def test_one_propagator():
 
 
 def test_import_builds_no_large_quadrature_rule():
-    # the 200-node rule of cost_closed_form is built on first use, not at import
+    # importing the CLI builds only the 5-node rule of the composite quadrature
     code = """
 import numpy.polynomial.legendre as legendre
 built = []
