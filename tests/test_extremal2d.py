@@ -90,13 +90,14 @@ def reference_mu(a, b):
         params = extremal2d.solve_params(a, b)  # only a start for the root-find
         al, be, d = reference_multipliers(phi0, nu, (params.alpha, params.beta, params.d))
         w, delta = 2 * d / (be + d), 2 * al / (be + d)
-        f = lambda t: mpmath.sqrt(t / ((1 - t) * (2 - w * t) * (delta + w * t)))  # noqa: E731
+
+        def integrand(x):
+            return mpmath.sqrt(x / ((1 - x) * (2 - w * x) * (delta + w * x)))
         knee = delta / w  # where delta + w x turns from delta to w x
-        return float(w * mpmath.quad(f, [0, knee, 1] if knee < 1 else [0, 1]))
+        return float(w * mpmath.quad(integrand, [0, knee, 1] if knee < 1 else [0, 1]))
 
 
-# ROADMAP's domain probes: eight pairs that raised with the RK45 mu, and the
-# two corners of 1e-8 <= a <= 1e4, b/a <= 1e8
+# the domain's edges: b/a up to 1e8, a from 1e-8 to 1e4, a = b at both scale ends
 EDGE_PAIRS = [(1.0, 1e4), (1.0, 1e6), (1.0, 1e8), (1e-6, 1.0), (1e-5, 1e-4),
               (1e-8, 1e-7), (1e3, 1e4), (1e4, 1e4), (1e-8, 1e-8), (1e4, 1e12)]
 

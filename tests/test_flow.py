@@ -412,7 +412,7 @@ class TestWorkCounters:
 
     def test_gain_estimate_work_is_independent_of_horizon(self, rhs_count):
         # one period of worst_input and the one extremal integration at
-        # (0.5, 1.5) are all the RK work: mu(1, 3) makes none
+        # (0.5, 1.5) are all the RK work
         counts = [rhs_count(lambda: gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k))
                   for k in (8, 5000)]
         extremal = rhs_count(lambda: extremal2d.solve_extremal(0.5, 1.5))

@@ -215,7 +215,8 @@ class TestGram:
         t0, t1 = sig.t_start + 0.3, min(sig.horizon, sig.t_start + 5.5)
         ref = np.zeros((2, 2))
         for u0, u1, seg, _ in sig.pieces(t0, t1):
-            cells = max(1, int(np.ceil((u1 - u0) / (seg.t1 - seg.t0) * 256)))
+            cells = max(1, int(np.ceil((u1 - u0) / (seg.t1 - seg.t0)
+                                       * signals._GRAM_SUBINTERVALS)))
             nodes, weights = signals._gauss_legendre(u0, u1, cells)
             ref += sum(w * sig.matrix(t) for w, t in zip(weights, nodes))
         assert np.max(np.abs(signals.gram(sig, t0, t1) - 0.5 * (ref + ref.T))) <= 1e-14
