@@ -317,9 +317,6 @@ class ExtremalTrajectory:
     def phi(self, t):
         return self.columns(t)[..., 2]
 
-    def cost_at(self, t):
-        return self.columns(t)[..., 3]
-
     def omega(self, t) -> NDArray[np.float64]:
         half = 0.5 * self.theta(t)
         return np.stack([np.cos(half), np.sin(half)], axis=-1)

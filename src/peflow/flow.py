@@ -328,23 +328,22 @@ def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArr
     return ys[-1].reshape(n, n)
 
 
-def cost_J(signal, omega0, T: float | None = None, tol: float = 1e-9) -> float:
+def cost_J(signal, omega0, T: float | None = None) -> float:
     """int_0^T omega^T S omega dt along the flow started at omega0."""
     t0 = signal.t_start
     t1 = t0 + T if T is not None else signal.horizon
-    traj = integrate_flow(signal, omega0, t0, t1, tol=tol)
+    traj = integrate_flow(signal, omega0, t0, t1, tol=1e-9)
     return traj.cost
 
 
-def decay_rate(signal, n_periods: int = 10, horizon: float | None = None,
-               tol: float = 1e-9) -> DecayReport:
+def decay_rate(signal, n_periods: int = 10, tol: float = 1e-9) -> DecayReport:
     """Asymptotic decay rate of ||Phi(t, 0)||.
 
     Periodic signals use the monodromy matrix (exact up to integration
     error) and also report the slope-regression diagnostic over n_periods
-    period maps with per-period renormalization.  Aperiodic signals need
-    an explicit horizon and get a slope estimate only, flagged as a
-    finite-horizon surrogate.
+    period maps with per-period renormalization.  Aperiodic signals get a
+    slope estimate over their span only, flagged as a finite-horizon
+    surrogate.
     """
     if signal.period is not None:
         P = signal.period
@@ -353,8 +352,7 @@ def decay_rate(signal, n_periods: int = 10, horizon: float | None = None,
         times = np.arange(n_periods + 1) * P
         phis = [phi] * n_periods
     else:
-        if horizon is None:
-            horizon = signal.horizon - signal.t_start
+        horizon = signal.horizon - signal.t_start
         edges = np.linspace(signal.t_start, signal.t_start + horizon, n_periods + 1)
         times = edges - edges[0]
         phis = (fundamental_matrix(signal, float(t0), float(t1), tol=tol)

@@ -103,20 +103,15 @@ class GPESchedule:
         return cls((a,) * L, (b,) * L, taus, tag=tag)
 
 
-def series_criterion(schedule: GPESchedule, L: int | None = None
-                     ) -> tuple[list[float], str]:
+def series_criterion(schedule: GPESchedule) -> tuple[list[float], str]:
     """Partial sums of a_ell/(1+b_ell^2) with the schedule's analytic verdict.
 
     The verdict is the schedule's tag when present, else "undetermined":
     a finite prefix cannot decide convergence.
     """
-    if L is None:
-        L = schedule.length
-    if not 1 <= L <= schedule.length:
-        raise ValueError(f"L must be in [1, {schedule.length}]")
     sums = []
     acc = 0.0
-    for a, b in zip(schedule.a_seq[:L], schedule.b_seq[:L]):
+    for a, b in zip(schedule.a_seq, schedule.b_seq):
         acc += a / (1.0 + b * b)
         sums.append(acc)
     return sums, schedule.tag if schedule.tag is not None else "undetermined"

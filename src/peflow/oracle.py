@@ -61,7 +61,6 @@ class OracleResult:
 
 class _Funcs(NamedTuple):
     lam_min: Callable
-    cost: Callable
     cost_grad: Callable
     constraint: dict
 
@@ -82,18 +81,6 @@ def _make_funcs(a: float, b: float, N: int) -> _Funcs:
 
     def lam_min(psis: NDArray) -> float:
         return half - 0.5 * dt * abs(np.exp(2j * psis).sum())
-
-    def cost(x) -> float:
-        xs = x.tolist() if isinstance(x, np.ndarray) else list(x)
-        xr = math.cos(xs[0])
-        xi = math.sin(xs[0])
-        for p in xs[1:]:
-            cr = math.cos(p)
-            ci = math.sin(p)
-            f = decay * (xr * cr + xi * ci)
-            xr += f * cr
-            xi += f * ci
-        return -0.5 * math.log(xr * xr + xi * xi)
 
     def cost_grad(z: NDArray) -> tuple[float, NDArray]:
         """J and its exact gradient by the adjoint recursion
@@ -126,7 +113,7 @@ def _make_funcs(a: float, b: float, N: int) -> _Funcs:
         e = np.exp(2j * z[1:])
         return np.concatenate([[0.0], 4.0 * (e.sum().conjugate() * e).imag])
 
-    return _Funcs(lam_min, cost, cost_grad,
+    return _Funcs(lam_min, cost_grad,
                   {"type": "ineq", "fun": gap, "jac": gap_jac})
 
 
@@ -210,14 +197,14 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
             z = res.x
             nfev += res.nfev
 
-        lamN, costN = funcs[N].lam_min, funcs[N].cost
+        lamN = funcs[N].lam_min
         if lamN(z[1:]) < a:
             fixed = _repair_last_pair(z[1:], a, T)
             if fixed is None or lamN(fixed) < a - FEAS_TOL:
                 continue
             z = np.concatenate([[z[0]], fixed])
         used += 1
-        c = costN(z)
+        c = funcs[N].cost_grad(z)[0]
         if c < best_cost:
             best_cost = c
             best_z = z
@@ -230,7 +217,7 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
     residual = max(0.0, a - lam, (T - lam) - b)
     control = _signal_from_angles(best_z[1:], T)
     omega0 = np.array([math.cos(best_z[0]), math.sin(best_z[0])])
-    mu_hat = cost_J(control, omega0, T=T, tol=1e-9)
+    mu_hat = cost_J(control, omega0, T=T)
     return OracleResult(mu_hat=float(mu_hat), control=control, omega0=omega0,
                         constraint_residual=float(residual), seeds_used=used,
                         nfev=nfev)

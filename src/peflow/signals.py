@@ -155,11 +155,6 @@ class Segment:
                     for q in range(j, j + k4, 4)]
         return at
 
-    @cached_property
-    def at(self) -> Callable[[float], float | list[float]]:
-        """reader() made once: the interpolated raw sample at one local time."""
-        return self.reader()
-
 
 def _as_segments(segments, period: float | None) -> tuple[Segment, ...]:
     segs = tuple(segments)
@@ -175,7 +170,7 @@ def _as_segments(segments, period: float | None) -> tuple[Segment, ...]:
 
 
 class _SegmentedSignal:
-    """Shared segment bookkeeping: lookup, horizon, periodic wrapping."""
+    """Shared segment bookkeeping: horizon, periodic wrapping, pieces."""
 
     segments: tuple[Segment, ...]
     period: float | None
@@ -192,16 +187,6 @@ class _SegmentedSignal:
     def _starts(self) -> list[float]:
         return [s.t0 for s in self.segments]
 
-    def _local(self, t: float) -> tuple[Segment, float]:
-        if self.period is not None:
-            t = self.t_start + (t - self.t_start) % self.period
-        elif t < self.t_start - 1e-9 or t > self.horizon + 1e-9:
-            raise ValueError(f"t={t} outside signal horizon [{self.t_start}, {self.horizon}]")
-        idx = bisect_right(self._starts, t) - 1
-        idx = min(max(idx, 0), len(self.segments) - 1)
-        seg = self.segments[idx]
-        return seg, min(max(t, seg.t0), seg.t1)
-
     def pieces(self, t0: float, t1: float) -> list[tuple[float, float, Segment, float]]:
         """Cut [t0, t1] at the segment boundaries into pieces (u0, u1, segment, shift).
 
@@ -210,7 +195,8 @@ class _SegmentedSignal:
         aperiodic one).  The walk starts at the segment holding t0 and steps
         through the segment list, one pass per period; a boundary within
         1e-12 of t0 or t1 makes no cut.  This is the one place that cuts a
-        span.
+        span; a point read at t takes the first piece of pieces(t, t), so at
+        a boundary it reads the segment on the right.
         """
         segs = self.segments
         if self.period is None:
@@ -279,13 +265,13 @@ class RankOneSignal(_SegmentedSignal):
 
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""
-        seg, tt = self._local(t)
-        return self._unit(seg.at(tt))
+        _, _, seg, shift = self.pieces(t, t)[0]
+        return self._unit(seg.reader(shift)(t))
 
     def matrix(self, t: float) -> NDArray[np.float64]:
         """S(t) = g cc^T as a (2, 2) array."""
-        seg, tt = self._local(t)
-        c = self._unit(seg.at(tt))
+        _, _, seg, shift = self.pieces(t, t)[0]
+        c = self._unit(seg.reader(shift)(t))
         return seg.gain * np.outer(c, c)
 
 
@@ -329,8 +315,8 @@ class MatrixSignal(_SegmentedSignal):
 
     def matrix(self, t: float) -> NDArray[np.float64]:
         """S(t) as an (n, n) array."""
-        seg, tt = self._local(t)
-        return np.array(self.matrix_on(seg, 0.0)(tt))
+        _, _, seg, shift = self.pieces(t, t)[0]
+        return np.array(self.matrix_on(seg, shift)(t))
 
 
 @dataclass(frozen=True)

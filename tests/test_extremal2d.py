@@ -290,7 +290,7 @@ class TestCertificateReference:
         params, traj = solved
         ts = np.linspace(0.0, params.T, 2001)
         cols = traj.columns(ts)
-        for i, column in enumerate((traj.theta, traj.eta, traj.phi, traj.cost_at)):
+        for i, column in enumerate((traj.theta, traj.eta, traj.phi)):
             assert np.array_equal(cols[:, i], column(ts))
             assert cols[0, i] == column(0.0) and cols[-1, i] == column(params.T)
 

@@ -183,7 +183,8 @@ def sampled_matrix_twin(sig, m=2048):
     """sig as a MatrixSignal: per segment, m samples of its g cc^T."""
     segs = []
     for seg in sig.segments:
-        cs = sig._units(np.array([seg.at(t) for t in np.linspace(seg.t0, seg.t1, m)]))
+        at = seg.reader()
+        cs = sig._units(np.array([at(t) for t in np.linspace(seg.t0, seg.t1, m)]))
         segs.append(signals.Segment(seg.t0, seg.t1, seg.gain * np.einsum("ki,kj->kij", cs, cs)))
     return signals.MatrixSignal(tuple(segs), dim=2, period=sig.period)
 
@@ -356,7 +357,7 @@ class TestDecayRate:
 
     def test_aperiodic_slope_surrogate(self):
         sig = constant_direction(0.0, 4.0)
-        report = flow.decay_rate(sig, horizon=4.0)
+        report = flow.decay_rate(sig)
         assert report.finite_horizon
         assert report.method == "slope"
         # only one axis decays, so the worst direction has rate zero

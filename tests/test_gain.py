@@ -22,6 +22,11 @@ class TestClosedFormBounds:
         assert gain.gain_upper(0.5, 1.0) == 1.0 / (1.0 - math.exp(-0.5))
         assert gain.gain_upper(0.5, 2.0) == 2.0 * gain.gain_upper(0.5, 1.0)
 
+    def test_upper_small_mu_keeps_precision(self):
+        # 1 - e^{-mu} cancels for small mu; expm1 does not
+        want = 1.0 / -math.expm1(-1e-8)
+        assert gain.gain_upper(1e-8, 1.0) == pytest.approx(want, rel=1e-15)
+
     def test_lower_formula(self):
         assert gain.gain_lower(0.4, 1.0) == 1.0 / 0.8
         assert gain.gain_lower(0.4, 2.0) == 2.0 * gain.gain_lower(0.4, 1.0)

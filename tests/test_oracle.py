@@ -35,7 +35,7 @@ class TestBruteForce:
         result = oracle.brute_force_mu2(1.2, 3.1, N=20, n_seeds=4)
         psis = [0.5 * float(seg.data[0]) for seg in result.control.segments]
         z = np.array([np.arctan2(result.omega0[1], result.omega0[0]), *psis])
-        closed = oracle._make_funcs(1.2, 3.1, 20).cost(z)
+        closed = oracle._make_funcs(1.2, 3.1, 20).cost_grad(z)[0]
         assert result.mu_hat == pytest.approx(closed, rel=1e-12)
 
     def test_control_is_admissible(self):
@@ -103,9 +103,9 @@ class TestGradients:
 
     def test_adjoint_matches_finite_differences(self, setup):
         funcs, z = setup
-        value, grad = funcs.cost_grad(z)
-        assert value == pytest.approx(funcs.cost(z), abs=1e-14)
-        assert np.allclose(grad, _central_diff(funcs.cost, z), rtol=0.0, atol=1e-7)
+        grad = funcs.cost_grad(z)[1]
+        cost = _central_diff(lambda y: funcs.cost_grad(y)[0], z)
+        assert np.allclose(grad, cost, rtol=0.0, atol=1e-7)
 
     def test_constraint_jacobian_matches_finite_differences(self, setup):
         funcs, z = setup

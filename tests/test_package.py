@@ -43,9 +43,12 @@ def _callers(name: str) -> set[str]:
 
 def test_one_propagator():
     # x' = -S(t) x (+ u) has one right-hand side, and one method cuts spans
-    # at segment boundaries for its two walkers
+    # at segment boundaries for its two walkers and finds the segment of a
+    # point read; two splines remain, each read over one RK45 solve
     assert _callers("adaptive_rk45") == {"flow.propagate", "extremal2d.integrate_extremal"}
-    assert _callers("pieces") == {"flow.propagate", "signals.gram"}
+    assert _callers("pieces") == {"flow.propagate", "signals.gram",
+                                  "signals.RankOneSignal", "signals.MatrixSignal"}
+    assert _callers("CubicSpline") == {"extremal2d.ExtremalTrajectory", "gain.WorstInput"}
 
 
 def test_import_builds_no_large_quadrature_rule():

@@ -98,6 +98,25 @@ class TestRankOne:
         sig = const_angle_signal(0.3, 1.0, period=1.0)
         assert sig.c(7.25) == pytest.approx(sig.c(0.25))
         assert sig.c(-0.75) == pytest.approx(sig.c(0.25))
+        # a smooth two-segment control with distinct gains and its matrix
+        # twin; at the inner boundary 0.75 the right segment is read
+        segs = [signals.Segment(t0, t1, 0.4 + 0.9 * np.sin(2.0 * np.pi * np.linspace(t0, t1, 9)),
+                                gain)
+                for t0, t1, gain in ((0.0, 0.75, 1.0), (0.75, 1.0, 2.5))]
+        smooth = signals.RankOneSignal(tuple(segs), period=1.0)
+        twin_segs = []
+        for s in segs:
+            cs = smooth._units(s.data)
+            twin_segs.append(signals.Segment(s.t0, s.t1, np.einsum("ki,kj->kij", cs, cs), s.gain))
+        twin = signals.MatrixSignal(tuple(twin_segs), period=1.0)
+        for t in (0.1, 0.4, 0.75, 0.9):
+            for k in (3, -2):
+                assert smooth.c(t + k) == pytest.approx(smooth.c(t), rel=0, abs=1e-12)
+                assert smooth.matrix(t + k) == pytest.approx(smooth.matrix(t), rel=0, abs=1e-12)
+                assert twin.matrix(t + k) == pytest.approx(twin.matrix(t), rel=0, abs=1e-12)
+        for s in (smooth, twin):
+            assert np.trace(s.matrix(0.75 + 3)) == pytest.approx(2.5, rel=1e-12)
+            assert np.trace(s.matrix(0.75 - 2)) == pytest.approx(2.5, rel=1e-12)
 
     def test_aperiodic_out_of_range(self):
         sig = const_angle_signal(0.3, 1.0)
