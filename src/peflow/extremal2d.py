@@ -7,7 +7,7 @@ scalar eta via p = eta * omega_perp.  Along an extremal the angle phi
 obeys a pendulum equation whose half-periods are complete elliptic
 integrals, which turns synthesis into one root-find plus closed forms:
 
-  1. solve_shape:       K_plus(phi0)/K_minus(phi0) = a/b, by bisection  ->  (phi0, nu)
+  1. solve_shape:       K_plus(phi0)/K_minus(phi0) = a/b, by bracketed Newton  ->  (phi0, nu)
   2. solve_multipliers: closed form  ->  (alpha, beta = 1 - alpha, d)
   3. ExtremalParams.mu: the cost mu(a, b), one Carlson R_J
 
@@ -54,6 +54,7 @@ _TOL = 1e-10  # RK45 tolerance of every extremal integration
 _SAMPLES = 2048  # angle samples of the synthesized half-period control
 _CHECK_SAMPLES = 2001  # sample times of the extremality certificate
 _RJ_TOL = 1e-16  # Carlson's relative truncation bound r for R_J
+_MAX_STEPS = 100_000  # RK45 step budget of one extremal; a solvable one takes under 2000
 
 
 def _agm_pair(x: float) -> tuple[float, float]:
@@ -216,28 +217,40 @@ class ExtremalParams:
 def solve_shape(a: float, b: float) -> tuple[float, float]:
     """Solve K_plus(phi0)/K_minus(phi0) = a/b for phi0, then nu = b/K_minus.
 
-    The ratio decreases strictly from +inf (phi0 -> 0) to 0 (phi0 -> pi),
-    so bisection is exact on all of 0 < a <= b; a = b is the interior
-    point phi0 = 0.8603.
+    In x = cos(phi0/2) the ratio is rho = csum/(1 - csum) of one AGM pass,
+    strictly increasing from 0 (phi0 -> pi) to +inf (phi0 -> 0), and
+    F(x) = log rho - log(a/b) has F'(x) = x/((1 - x^2) rho) + rho/x from the
+    same pass.  Newton steps on F stay inside a bracket that each pass
+    narrows and bisect when a step would leave it; the solve stops when a
+    step no longer moves x or shrinks, or the bracket is a few ulps wide.
+    The start sqrt(2t/(1 + 1.421 t)), t = a/b, is rho's small-x limit
+    x^2/2 bent to hit a = b, the interior point phi0 = 0.8603; a solve takes
+    about four passes.  The bracket is phi0 in [1e-3, pi - 1e-9], and a root
+    outside it fails the residual check.
     """
     if not 0.0 < a <= b:
         raise ValueError(f"solve_shape needs 0 < a <= b, got ({a}, {b})")
-    target = a / b
-
-    def ratio(phi0: float) -> float:
-        k_plus, k_minus = _half_periods(phi0)
-        return k_plus / k_minus
-
-    lo, hi = 1e-3, np.pi - 1e-9  # the ratio is 7.99 at 1e-3, above any a/b <= 1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if ratio(mid) > target:
-            lo = mid
+    t = a / b
+    log_t = math.log(t) if t > 0.0 else math.log(a) - math.log(b)
+    lo, hi = math.cos(0.5 * (math.pi - 1e-9)), math.cos(0.5e-3)
+    x = min(max(math.sqrt(2.0 * t / (1.0 + 1.421 * t)), lo), hi)
+    prev = math.inf
+    for _ in range(100):
+        _, csum = _agm_pair(x)
+        rho = csum / (1.0 - csum)
+        F = math.log(rho) - log_t
+        if F > 0.0:
+            hi = x
         else:
-            hi = mid
-    phi0 = 0.5 * (lo + hi)
+            lo = x
+        step = F / (x / ((1.0 - x) * (1.0 + x) * rho) + rho / x)
+        if abs(step) >= prev or x - step == x:
+            break
+        prev = abs(step)
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * math.ulp(x):
+            break
+    phi0 = 2.0 * math.acos(x)
     k_plus, k_minus = _half_periods(phi0)
     nu = b / k_minus
     if abs(nu * k_plus - a) > 1e-10 * a:
@@ -351,7 +364,7 @@ def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
         s, c = math.sin(theta - phi), math.cos(theta - phi)
         return [s, -0.5 * (s + 2.0 * eta * c), 2.0 * eta / den, 0.5 * (1.0 + c)]
 
-    ts, ys, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL)
+    ts, ys, _ = adaptive_rk45(f, 0.0, params.T, y0, tol=_TOL, max_steps=_MAX_STEPS)
     eta_T = abs(float(ys[-1, 1]))
     if eta_T > 100.0 * _TOL:
         raise ArithmeticError(f"eta(T) = {eta_T:.3e} does not vanish; "
@@ -385,8 +398,9 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
 
     Segment 1 holds the extremal's angles phi on [0, T]; segment 2 holds
     their image 2 pi - phi under the fixed mirror D = diag(1, -1) on
-    [T, 2T].  The seam is continuous iff phi(0) + phi(T) = 2 pi; a miss
-    above 2e-6 (1e-6 on c) raises ArithmeticError.
+    [T, 2T], derived from segment 1 so the two share one cubic.  The seam
+    is continuous iff phi(0) + phi(T) = 2 pi; a miss above 2e-6 (1e-6 on c)
+    raises ArithmeticError.
 
     Returns (signal, omega0, mu): the rank-one angle signal with period 2T,
     the worst initial direction, and the per-window cost mu = J over [0, T].
@@ -396,7 +410,8 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
     seam = abs(float(phis[0] + phis[-1]) - 2.0 * np.pi)
     if seam > 2e-6:
         raise ArithmeticError(f"seam mismatch: |phi(0) + phi(T) - 2 pi| = {seam:.2e}")
-    segs = (Segment(0.0, T, phis), Segment(T, 2 * T, 2.0 * np.pi - phis))
+    first = Segment(0.0, T, phis)
+    segs = (first, first.derive(T, 2 * T, 1.0, scale=-1.0, offset=2.0 * np.pi))
     return RankOneSignal(segs, dim=2, period=2 * T), RankOneSignal._unit(theta[0]), mu
 
 

@@ -14,9 +14,11 @@ lam = (a_ell + b_ell) / window length (Gram and cost are invariant under
 S -> lam * S(lam t)), and rotated so its optimal initial direction
 continues the state direction reached so far.  A rotation of the plane
 is a shift of every angle, so the chain is tracked as the state angle
-theta.  The log-contraction over window ell is then exactly
-mu(a_ell, b_ell, 2), so the norm at tau_L is exp(-sum of mu) by
-construction.
+theta.  Each distinct (a_ell, b_ell) is solved once, into a natural-clock
+template segment whose cubic every window of that pair derives (one banded
+solve per pair, not per window).  The log-contraction over window ell is
+then exactly mu(a_ell, b_ell, 2), so the norm at tau_L is exp(-sum of mu)
+by construction.
 """
 from __future__ import annotations
 
@@ -118,16 +120,17 @@ def series_criterion(schedule: GPESchedule) -> tuple[list[float], str]:
 
 
 def _synthesize_window(schedule: GPESchedule, a: float, b: float):
-    """Natural-clock window minimizer: (mu, phi samples on [0, a+b], theta(0),
-    theta(a+b)).
+    """Natural-clock window minimizer: (mu, template, theta(0), theta(a+b)),
+    where template is the segment of its phi samples on [0, a+b].
 
     Solved once per distinct (a, b) of the schedule and kept on it, so
-    build_gpe_signal and asymptotic_norm share the solves.
+    build_gpe_signal and asymptotic_norm share the solves, and every window
+    of the pair derives its segment from the one template cubic.
     """
     cache = schedule._extremals
     if (a, b) not in cache:
         mu, theta, phis = extremal_angles(a, b)
-        cache[a, b] = (mu, phis, float(theta[0]), float(theta[-1]))
+        cache[a, b] = (mu, Segment(0.0, a + b, phis), float(theta[0]), float(theta[-1]))
     return cache[a, b]
 
 
@@ -137,21 +140,23 @@ def build_gpe_signal(schedule: GPESchedule) -> tuple[RankOneSignal, NDArray]:
     Window ell is one segment: the (a_ell, b_ell) minimizer's angles
     shifted by the turn that carries its optimal initial angle onto the
     state angle theta reached so far, with gain (a_ell + b_ell) / window
-    length.  Returns the signal and the worst initial direction omega0.
+    length, derived from the pair's template so that its cubic is the
+    template's plus the turn.  Returns the signal and the worst initial
+    direction omega0.
     """
     segs: list[Segment] = []
     theta = None
     for ell in range(schedule.length):
         a, b, t0, t1 = schedule.window(ell)
         try:
-            _, phis, theta_start, theta_end = _synthesize_window(schedule, a, b)
+            _, template, theta_start, theta_end = _synthesize_window(schedule, a, b)
         except Exception as exc:
             raise RuntimeError(f"window {ell} synthesis failed for "
                                f"(a, b) = ({a}, {b})") from exc
         if theta is None:
             theta = theta0 = theta_start
         turn = theta - theta_start
-        segs.append(Segment(t0, t1, phis + turn, (a + b) / (t1 - t0)))
+        segs.append(template.derive(t0, t1, (a + b) / (t1 - t0), offset=turn))
         theta = theta_end + turn
     return RankOneSignal(tuple(segs)), RankOneSignal._unit(theta0)
 

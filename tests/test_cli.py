@@ -86,6 +86,16 @@ class TestExitCodes:
         assert doc["passed"] is False
         assert "error" in doc and doc["error"]["type"]
 
+    def test_hopeless_extremal_exit_1_fast(self, capsys):
+        # the extremal's own step budget ends the RK45 run in about a second,
+        # not after the 2 000 000 steps that propagate allows
+        def reject(name):
+            raise ValueError(f"non-finite number {name}")
+        code, out = run_cli(capsys, "extremal", "--a", "1e4", "--b", "1e12")
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 1 and doc["passed"] is False
+        assert doc["error"]["type"] == "IntegrationError"
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--a", "1", "--b", "3", "--segments", "2"],
         ["oracle", "--a", "1", "--b", "3", "--seeds", "0"],

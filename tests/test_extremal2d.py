@@ -224,6 +224,25 @@ class TestShapeSolve:
             1.0 + 4.0 * cot2 * params.alpha * (1.0 - params.alpha)))
         assert params.d == pytest.approx(d_expected, rel=1e-10)
 
+    def test_newton_needs_few_agm_passes(self, monkeypatch):
+        # bracketed Newton on log(K_plus/K_minus) in x = cos(phi0/2); the
+        # bisection it replaced made 54-55 passes per solve
+        calls = [0]
+        original = extremal2d._agm_pair
+
+        def counting(x):
+            calls[0] += 1
+            return original(x)
+
+        monkeypatch.setattr(extremal2d, "_agm_pair", counting)
+        rng = np.random.default_rng(19)
+        for log_a, log_ratio in zip(rng.uniform(-8.0, 4.0, 60), rng.uniform(0.0, 8.0, 60)):
+            a = 10.0 ** log_a
+            calls[0] = 0
+            phi0, nu = extremal2d.solve_shape(a, a * 10.0 ** log_ratio)
+            assert calls[0] <= 8
+            assert 0.0 < phi0 < math.pi and nu > 0.0
+
     def test_initial_conditions_canonical_branch(self):
         params = extremal2d.solve_params(1.0, 3.0)
         theta0, phi0 = extremal2d.initial_conditions(params.alpha, params.beta, params.d)

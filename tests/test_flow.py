@@ -449,8 +449,54 @@ class TestWorkCounters:
         gpe.asymptotic_norm(s, sig, om0)
         assert len(calls) == 4
 
+    def test_hopeless_extremal_fails_fast(self, rhs_count):
+        # (1e4, 1e12) has right parameters but no trajectory within the
+        # extremal's 100 000-step budget: 6 evaluations per attempted step
+        def call():
+            with pytest.raises(flow.IntegrationError, match="step budget"):
+                extremal2d.solve_extremal(1e4, 1e12)
+        assert rhs_count(call) <= 6 * 100_000 + 1
+
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)
         assert rhs_count(lambda: flow.cost_J(result.control, result.omega0)) == 0
         hopping = axis_hopping_control(1.0, 1.0, 2)
         assert rhs_count(lambda: flow.decay_rate(hopping)) == 0
+
+
+class TestSharedCubic:
+    """A derived segment takes its parent's cubic: one banded solve per
+    distinct angle sequence, however many windows or mirror halves read it."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        count = [0]
+        original = signals.solve_banded
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(signals, "solve_banded", counting)
+
+        def measure(call):
+            count[0] = 0
+            call()
+            return count[0]
+        return measure
+
+    def test_gpe_solves_once_per_pair(self, solves):
+        pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
+        s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+                            tuple(0.5 * (k + 1) for k in range(len(pairs))))
+
+        def call():
+            sig, om0 = gpe.build_gpe_signal(s)
+            gpe.asymptotic_norm(s, sig, om0)
+        assert solves(call) == 4
+
+    def test_mirror_half_shares_the_solve(self, solves):
+        def call():
+            sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
+            flow.integrate_flow(sig, om0, 0.0, sig.period)
+        assert solves(call) == 1

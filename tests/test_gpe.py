@@ -84,10 +84,10 @@ class TestBuildAndMeasure:
     def test_window_samples_from_one_read(self):
         # the 2048-point read ends exactly at 0 and T, so its first and last
         # theta are the same bits as reading theta(0) and theta(T) alone
-        _, phis, theta_start, theta_end = gpe._synthesize_window(
+        _, template, theta_start, theta_end = gpe._synthesize_window(
             gpe.GPESchedule((1.0,), (3.0,), (4.0,)), 1.0, 3.0)
         _, traj = extremal2d.solve_extremal(1.0, 3.0)
-        assert np.array_equal(phis, traj.phi(np.linspace(0.0, 4.0, 2048)))
+        assert np.array_equal(template.data, traj.phi(np.linspace(0.0, 4.0, 2048)))
         assert (theta_start, theta_end) == (float(traj.theta(0.0)), float(traj.theta(4.0)))
 
     def test_one_rank_one_segment_per_window(self):

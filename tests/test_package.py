@@ -49,6 +49,11 @@ def test_one_propagator():
     assert _callers("pieces") == {"flow.propagate", "signals.gram",
                                   "signals.RankOneSignal", "signals.MatrixSignal"}
     assert _callers("CubicSpline") == {"extremal2d.ExtremalTrajectory", "gain.WorstInput"}
+    # one banded solver, and every relabelled, turned or mirrored segment
+    # takes its parent's cubic instead of solving again
+    assert _callers("solve_banded") == {"signals.Segment"}
+    assert _callers("derive") == {"gpe.build_gpe_signal", "extremal2d.build_optimal_control",
+                                  "signals.time_rescale"}
 
 
 def test_import_builds_no_large_quadrature_rule():
