@@ -87,7 +87,7 @@ class TestExitCodes:
         assert "error" in doc and doc["error"]["type"]
 
     def test_hopeless_extremal_exit_1_fast(self, capsys):
-        # the extremal's own step budget ends the RK45 run in about a second,
+        # the extremal's own step budget ends the RK45 run within seconds,
         # not after the 2 000 000 steps that propagate allows
         def reject(name):
             raise ValueError(f"non-finite number {name}")
