@@ -419,8 +419,8 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
 class ExtremalReport:
     """Named extremality residuals with the closed-form cost.
 
-    passed reflects the six primary residuals (seam, transversality, Mc,
-    spectrum_drift, gram, quasi_periodicity); further diagnostics (adjoint,
+    passed reflects the seven primary residuals (seam, transversality, Mc,
+    spectrum_drift, gram, quasi_periodicity, cost); further diagnostics (adjoint,
     trace, hamiltonian, nsd_violation, pendulum_energy) are included in
     residuals but carry the same tolerance.
     """
@@ -430,7 +430,7 @@ class ExtremalReport:
     passed: bool
 
     PRIMARY = ("seam", "transversality", "Mc", "spectrum_drift", "gram",
-               "quasi_periodicity")
+               "quasi_periodicity", "cost")
 
 
 def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
@@ -441,8 +441,10 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     + omega omega^T) must kill the control axis (Mc = 0), stay negative
     semi-definite with constant spectrum {alpha-d-1, 0}, and the scalar
     adjoint must satisfy pdot = Sp - (omega^T S omega) p - omegadot with
-    p(0) = p(T) = 0.  The Gram over [0, T] must equal diag(a, b), and the
-    seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1).
+    p(0) = p(T) = 0.  The Gram over [0, T] must equal diag(a, b), the
+    seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1), and
+    the integrated cost J(T) must equal the closed-form params.mu (cost,
+    relative to mu).
 
     M is carried as its entries M11, M12, M22, and its spectrum is computed
     in closed form: (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12).
@@ -492,6 +494,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(max(abs(co[-1] ** 2 - co[0] ** 2),
                                        abs(so[-1] ** 2 - so[0] ** 2))),
+        "cost": abs(traj.mu - params.mu) / params.mu,
         "adjoint": float(np.max(adjoint)),
         "trace": float(np.max(np.abs(M11 + M22 - (al - d - 1.0)))),
         "hamiltonian": float(np.max(np.abs(0.5 * (cc * Mc1 + sc * Mc2)))),

@@ -6,6 +6,7 @@ and the axis-hopping control whose monodromy is exactly e^{-a} I.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -426,10 +427,20 @@ class TestWorkCounters:
         # the extremal's trajectory is still integrated, and counted
         assert rhs_count(lambda: extremal2d.solve_extremal(1.0, 3.0)) > 0
 
-    def test_gpe_chain_is_one_flow(self, rhs_count):
-        s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 6)
-        sig, om0 = gpe.build_gpe_signal(s)
-        assert rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0)) <= 1548
+    def test_gpe_integrates_each_repeated_pair_once(self, rhs_count):
+        def count(pairs, lengths):
+            s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+                                tuple(itertools.accumulate(lengths)))
+            sig, om0 = gpe.build_gpe_signal(s)
+            return rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0))
+        # one window map per repeated pair, whatever the chain's length
+        constant = {count([(1.0, 3.0)] * L, [1.0] * L) for L in (2, 6, 200)}
+        assert len(constant) == 1
+        mixed = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
+        assert count(mixed, [0.5] * 20) <= 1650
+        # pairs used once stay direct flows, no costlier than the one chain flow
+        distinct = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0), (0.8, 1.2), (0.4, 1.6)]
+        assert count(distinct, [1.0] * 6) <= 1416
 
     def test_gpe_solves_each_pair_once(self, monkeypatch):
         # build_gpe_signal and asymptotic_norm share one extremal solve per

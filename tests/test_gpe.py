@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from peflow import extremal2d, gpe, signals
+from peflow import extremal2d, flow, gpe, signals
 
 from controls import write_schedule
 
@@ -137,3 +139,78 @@ class TestBuildAndMeasure:
         assert asym.norms[-1] == pytest.approx(
             math.exp(-sum(asym.mu_seq)), rel=1e-4)
         assert asym.limit_estimate == asym.predicted_norms[-1]
+
+
+def _schedule(pairs, lengths) -> gpe.GPESchedule:
+    taus, t = [], 0.0
+    for length in lengths:
+        t = round(t + length, 9)
+        taus.append(t)
+    return gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), tuple(taus))
+
+
+def _one_flow_norms(s, sig, om0):
+    """The reference: one tight spherical flow over [0, tau_L], read at the window ends."""
+    traj = flow.integrate_flow(sig, om0, 0.0, s.tau_seq[-1], tol=1e-12)
+    return np.exp(traj.log_r[np.searchsorted(traj.ts, s.tau_seq)])
+
+
+MIXED = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
+
+
+class TestWindowMaps:
+    """A pair used by several windows is integrated once, as a window map
+    chained by rotation; a pair used once is a direct flow.  Both agree with
+    one tight flow over the whole chain."""
+
+    @pytest.mark.parametrize("s", [
+        _schedule(MIXED, [0.5 + 0.075 * k for k in range(20)]),
+        gpe.GPESchedule.constant(1.0, 3.0, 1.0, 50),
+        _schedule([(0.5 + 0.1 * k, 1.5 + 0.3 * k) for k in range(6)], [1.0, 0.5, 2.0, 0.7, 1.3, 1.1]),
+    ], ids=["mixed", "constant", "distinct"])
+    def test_matches_one_flow(self, s):
+        sig, om0 = gpe.build_gpe_signal(s)
+        norms = np.array(gpe.asymptotic_norm(s, sig, om0).norms)
+        assert np.max(np.abs(norms / _one_flow_norms(s, sig, om0) - 1.0)) <= 1e-7
+
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(pool=st.lists(st.tuples(st.floats(0.3, 2.0), st.just(1.0) | st.floats(1.0, 3.0)),
+                         min_size=1, max_size=3),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.floats(0.5, 2.0)),
+                          min_size=2, max_size=8))
+    def test_sweep_matches_one_flow(self, pool, picks):
+        # pool pairs (a, b/a) with a = b drawn often; a pick names a pair and a length
+        pairs = [(round(a, 3), round(a * ratio, 3)) for a, ratio in pool]
+        s = _schedule([pairs[i % len(pairs)] for i, _ in picks], [length for _, length in picks])
+        sig, om0 = gpe.build_gpe_signal(s)
+        norms = np.array(gpe.asymptotic_norm(s, sig, om0).norms)
+        assert np.max(np.abs(norms / _one_flow_norms(s, sig, om0) - 1.0)) <= 1e-7
+
+    def test_one_map_per_repeated_pair(self, monkeypatch):
+        spans = []
+        original = gpe.fundamental_matrix
+
+        def counting(signal, t0, t1, *args, **kwargs):
+            spans.append(t1 - t0)
+            return original(signal, t0, t1, *args, **kwargs)
+
+        monkeypatch.setattr(gpe, "fundamental_matrix", counting)
+        s = _schedule(MIXED[:8] + [(0.7, 1.9)], [1.0] * 9)  # (0.7, 1.9) serves one window
+        sig, om0 = gpe.build_gpe_signal(s)
+        gpe.asymptotic_norm(s, sig, om0)
+        assert sorted(spans) == [2.0, 2.5, 4.0, 7.0]  # [0, a + b] of each repeated pair
+
+    @pytest.mark.parametrize("edit", ["gain", "sample"])
+    def test_window_off_the_template_raises(self, edit):
+        s = _schedule(MIXED[:8], [1.0] * 8)
+        sig, om0 = gpe.build_gpe_signal(s)
+        segs = list(sig.segments)
+        seg = segs[5]
+        if edit == "gain":
+            segs[5] = signals.Segment(seg.t0, seg.t1, seg.data, 2.0 * seg.gain)
+        else:
+            data = seg.data.copy()
+            data[700] += 1e-6
+            segs[5] = signals.Segment(seg.t0, seg.t1, data, seg.gain)
+        with pytest.raises(ValueError, match="window 5"):
+            gpe.asymptotic_norm(s, signals.RankOneSignal(tuple(segs)), om0)
