@@ -20,27 +20,24 @@ solve per pair, not per window).  The log-contraction over window ell is
 then exactly mu(a_ell, b_ell, 2), so the norm at tau_L is exp(-sum of mu)
 by construction.
 
-asymptotic_norm measures that norm without integrating every window: a
-window of a pair that serves several windows is its template turned and
-time-rescaled, so its map is the template's window map, integrated once per
-pair, conjugated by the rotation by half the turn.  Windows whose pairs
-serve only them keep a direct flow.
+asymptotic_norm measures that norm without integrating every window:
+each window is its pair's template turned and time-rescaled, so its map is
+the template's window map conjugated by the rotation by half the turn, and
+a pair's map is integrated once, as at most two template flows.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
 from typing import Literal
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .extremal2d import extremal_angles
-from .flow import fundamental_matrix, integrate_flow
+from .flow import integrate_flow
 from .signals import RankOneSignal, Segment, _field
 
 __all__ = [
@@ -187,17 +184,15 @@ class GPEAsymptotics:
     max_rel_dev: float
 
 
-# A window map's error repeats, unchanged, in every window of its pair, so it
-# is integrated 10x tighter than integrate_flow's default 1e-9: at 1e-9 one
-# map was up to 5.4e-9 off per window at a in [0.25, 2], b/a in [1, 4].
+# A pair's map repeats its error, unchanged, in every window of the pair, so
+# its flows run 10x tighter than integrate_flow's default 1e-9: at 1e-9 a
+# constant (0.5, 0.5) chain of 50 windows came out 1.7e-7 off a tol-1e-12
+# one-flow reference, at 1e-10 4.6e-9.
 _MAP_TOL = 1e-10
 
 
-def _window_map(schedule: GPESchedule, signal: RankOneSignal, maps: dict,
-                ell: int) -> NDArray:
-    """R Phi R^T, the map of window ell of a repeated pair (a, b), from the
-    pair's template map Phi (integrated on first use, kept in maps) and the
-    rotation R by half the window's turn.
+def _turn(schedule: GPESchedule, signal: RankOneSignal, template: Segment, ell: int) -> float:
+    """The turn of window ell: every sample of its segment minus the template's.
 
     ValueError unless window ell is segment ell of the signal and that
     segment is the template turned and time-rescaled: gain * span = a + b
@@ -205,7 +200,6 @@ def _window_map(schedule: GPESchedule, signal: RankOneSignal, maps: dict,
     rounding.
     """
     a, b, t0, t1 = schedule.window(ell)
-    template = _synthesize_window(schedule, a, b)[1]
     seg = signal.segments[ell] if ell < len(signal.segments) else None
     if seg is None or max(abs(seg.t0 - t0), abs(seg.t1 - t1)) > 1e-12 * max(1.0, abs(t1)):
         raise ValueError(f"window {ell} is not segment {ell} of the signal")
@@ -216,11 +210,7 @@ def _window_map(schedule: GPESchedule, signal: RankOneSignal, maps: dict,
     if seg.data.shape != template.data.shape or \
             np.max(np.abs(seg.data - turn - template.data)) > rounding:
         raise ValueError(f"window {ell}: samples are not the ({a}, {b}) template turned")
-    if (a, b) not in maps:
-        maps[a, b] = fundamental_matrix(RankOneSignal((template,)), 0.0, a + b, tol=_MAP_TOL)
-    c, s = math.cos(0.5 * turn), math.sin(0.5 * turn)
-    R = np.array([[c, -s], [s, c]])
-    return R @ maps[a, b] @ R.T
+    return turn
 
 
 def asymptotic_norm(schedule: GPESchedule, signal: RankOneSignal,
@@ -228,40 +218,40 @@ def asymptotic_norm(schedule: GPESchedule, signal: RankOneSignal,
     """State norms at the window ends against the exp(-sum mu) prediction.
 
     The state is chained from omega0 window by window, as a unit direction
-    and the log of its norm, so a long chain cannot underflow.  A pair
-    (a, b) that serves two or more windows is integrated once: each of its
-    windows is the pair's template turned by a shift of every angle
-    (S -> R S R^T) and time-rescaled with gain * span = a + b (which leaves
-    the whole-window map unchanged), so it steps the state by R Phi R^T,
-    with Phi the template's map on [0, a + b] at _MAP_TOL.  _window_map
-    raises ValueError for a window that is not such a copy.  Consecutive
-    windows whose pairs serve only them are one direct integrate_flow: a
-    map used once would cost more, since a 2x2 block step costs about 1.8
-    spherical steps.  Measured and predicted norms must agree within 1% at
-    every window.
+    and the log of its norm, so a long chain cannot underflow.  Window ell
+    of pair (a, b) is the pair's template turned by a shift of every angle
+    (S -> R S R^T, R the rotation by half the turn) and time-rescaled with
+    gain * span = a + b, which leaves the whole-window map unchanged; so it
+    steps the state x to R Phi R^T x, with Phi the template's map on
+    [0, a + b].  _turn raises ValueError for a window that is not such a
+    copy.  Phi is integrated as the windows need it, as spherical template
+    flows at _MAP_TOL from orthonormal inputs: the pair's first window
+    starts one from its own state, its second one from the perpendicular
+    direction, which completes Phi.  A pair used once thus costs one flow
+    and a pair used many times two.  Measured and predicted norms must
+    agree within 1% at every window.
     """
     omega = np.asarray(omega0, dtype=float)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-9:
-        raise ValueError("omega0 must be a unit vector")
     pairs = list(zip(schedule.a_seq, schedule.b_seq))
     mus = [_synthesize_window(schedule, a, b)[0] for a, b in pairs]
-    uses = Counter(pairs)
-    maps: dict = {}
+    columns: dict = {}  # (a, b) -> [(input u, log |Phi u|, Phi u / |Phi u|)]
     log_norm, log_norms = 0.0, []
-    for once, run in groupby(range(schedule.length), key=lambda ell: uses[pairs[ell]] == 1):
-        run = list(run)
-        if once:  # one flow over the run; its pieces end at the window ends
-            taus = schedule.tau_seq[run[0]:run[-1] + 1]
-            traj = integrate_flow(signal, omega, schedule.window(run[0])[2], taus[-1])
-            log_rs = traj.log_r[np.searchsorted(traj.ts, taus)]
-            log_norms.extend(log_norm + log_rs)
-            omega, log_norm = traj.omegas[-1], log_norm + float(log_rs[-1])
-        else:
-            for ell in run:
-                x = _window_map(schedule, signal, maps, ell) @ omega
-                r = math.hypot(x[0], x[1])
-                omega, log_norm = x / r, log_norm + math.log(r)
-                log_norms.append(log_norm)
+    for ell, (a, b) in enumerate(pairs):
+        template = _synthesize_window(schedule, a, b)[1]
+        half = 0.5 * _turn(schedule, signal, template, ell)
+        c, s = math.cos(half), math.sin(half)
+        R = np.array([[c, -s], [s, c]])
+        u = R.T @ omega
+        known = columns.setdefault((a, b), [])
+        if len(known) < 2:
+            start = u if not known else np.array([-known[0][0][1], known[0][0][0]])
+            traj = integrate_flow(RankOneSignal((template,)), start, 0.0, a + b, tol=_MAP_TOL)
+            known.append((start, float(traj.log_r[-1]), traj.omegas[-1]))
+        top = max(log_r for _, log_r, _ in known)
+        x = R @ sum((v @ u) * math.exp(log_r - top) * w for v, log_r, w in known)
+        r = math.hypot(x[0], x[1])
+        omega, log_norm = x / r, log_norm + top + math.log(r)
+        log_norms.append(log_norm)
     norms = np.exp(log_norms)
     predicted = np.exp(-np.cumsum(mus))
     rel_dev = float(np.max(np.abs(norms / predicted - 1.0)))

@@ -147,7 +147,7 @@ def reference_certificate(traj, params, tol=1e-6):
         "spectrum_drift": float(np.max(np.abs(eigs - target[None, :]))),
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(np.max(np.abs(omega[-1] ** 2 - omega[0] ** 2))),
-        "cost": abs(float(traj.columns(T)[3]) - params.mu) / params.mu,
+        "cost": abs(float(traj.columns(T)[3]) - params.mu) / math.sqrt(params.mu * (T - params.mu)),
         "adjoint": float(np.max(np.linalg.norm(p_dot - adj_rhs, axis=1))),
         "trace": float(np.max(np.abs(np.trace(M, axis1=1, axis2=2) - (al - d - 1.0)))),
         "hamiltonian": float(np.max(np.abs(0.5 * np.einsum("ki,ki->k", c, Mc)))),
@@ -293,7 +293,8 @@ class TestExtremalTrajectory:
         bad = extremal2d.ExtremalTrajectory(
             ts=traj.ts, states=traj.states, cost=traj.cost * (1.0 + 1e-5))
         report = extremal2d.verify_extremal(bad, params)
-        assert report.residuals["cost"] == pytest.approx(1e-5, rel=1e-3)
+        miss = 1e-5 * params.mu / math.sqrt(params.mu * (params.T - params.mu))
+        assert report.residuals["cost"] == pytest.approx(miss, rel=1e-3)
         assert not report.passed
 
 

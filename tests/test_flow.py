@@ -433,14 +433,16 @@ class TestWorkCounters:
                                 tuple(itertools.accumulate(lengths)))
             sig, om0 = gpe.build_gpe_signal(s)
             return rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0))
-        # one window map per repeated pair, whatever the chain's length
+        # each pair's map is two template flows at tol 1e-10, whatever the
+        # chain's length; the parent's one chain flow took 530, 1548, 51488
         constant = {count([(1.0, 3.0)] * L, [1.0] * L) for L in (2, 6, 200)}
-        assert len(constant) == 1
+        assert len(constant) == 1 and constant.pop() <= 760
         mixed = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
-        assert count(mixed, [0.5] * 20) <= 1650
-        # pairs used once stay direct flows, no costlier than the one chain flow
+        assert count(mixed, [0.5] * 20) <= 3100  # parent 5276
+        # a pair used once is one template flow, at tol 1e-10 where the
+        # parent's chain flow ran at 1e-9 (1416)
         distinct = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0), (0.8, 1.2), (0.4, 1.6)]
-        assert count(distinct, [1.0] * 6) <= 1416
+        assert count(distinct, [1.0] * 6) <= 2300
 
     def test_gpe_solves_each_pair_once(self, monkeypatch):
         # build_gpe_signal and asymptotic_norm share one extremal solve per

@@ -159,9 +159,9 @@ MIXED = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
 
 
 class TestWindowMaps:
-    """A pair used by several windows is integrated once, as a window map
-    chained by rotation; a pair used once is a direct flow.  Both agree with
-    one tight flow over the whole chain."""
+    """Each pair's window map is integrated once, as at most two template
+    flows, and chained by rotation; the norms agree with one tight flow
+    over the whole chain."""
 
     @pytest.mark.parametrize("s", [
         _schedule(MIXED, [0.5 + 0.075 * k for k in range(20)]),
@@ -186,19 +186,20 @@ class TestWindowMaps:
         norms = np.array(gpe.asymptotic_norm(s, sig, om0).norms)
         assert np.max(np.abs(norms / _one_flow_norms(s, sig, om0) - 1.0)) <= 1e-7
 
-    def test_one_map_per_repeated_pair(self, monkeypatch):
+    def test_each_pair_integrated_once(self, monkeypatch):
         spans = []
-        original = gpe.fundamental_matrix
+        original = gpe.integrate_flow
 
-        def counting(signal, t0, t1, *args, **kwargs):
+        def counting(signal, omega0, t0, t1, *args, **kwargs):
             spans.append(t1 - t0)
-            return original(signal, t0, t1, *args, **kwargs)
+            return original(signal, omega0, t0, t1, *args, **kwargs)
 
-        monkeypatch.setattr(gpe, "fundamental_matrix", counting)
+        monkeypatch.setattr(gpe, "integrate_flow", counting)
         s = _schedule(MIXED[:8] + [(0.7, 1.9)], [1.0] * 9)  # (0.7, 1.9) serves one window
         sig, om0 = gpe.build_gpe_signal(s)
         gpe.asymptotic_norm(s, sig, om0)
-        assert sorted(spans) == [2.0, 2.5, 4.0, 7.0]  # [0, a + b] of each repeated pair
+        # [0, a + b]: two flows for each repeated pair, one for the pair used once
+        assert sorted(spans) == pytest.approx([2.0, 2.0, 2.5, 2.5, 2.6, 4.0, 4.0, 7.0, 7.0])
 
     @pytest.mark.parametrize("edit", ["gain", "sample"])
     def test_window_off_the_template_raises(self, edit):
