@@ -454,7 +454,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     M is carried as its entries M11, M12, M22, and its spectrum is computed
     in closed form: (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12).
     """
-    al, d = params.alpha, params.d
+    al, d, mu = params.alpha, params.d, params.mu  # mu is one R_J per read
     T = params.T
     th, eta, ph, _ = traj.columns(np.linspace(0.0, T, _CHECK_SAMPLES)).T
     co, so = np.cos(0.5 * th), np.sin(0.5 * th)  # omega; omega_perp = (-so, co)
@@ -499,7 +499,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(max(abs(co[-1] ** 2 - co[0] ** 2),
                                        abs(so[-1] ** 2 - so[0] ** 2))),
-        "cost": abs(traj.mu - params.mu) / math.sqrt(params.mu * (T - params.mu)),
+        "cost": abs(traj.mu - mu) / math.sqrt(mu * (T - mu)),
         "adjoint": float(np.max(adjoint)),
         "trace": float(np.max(np.abs(M11 + M22 - (al - d - 1.0)))),
         "hamiltonian": float(np.max(np.abs(0.5 * (cc * Mc1 + sc * Mc2)))),
@@ -507,4 +507,4 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "pendulum_energy": float(np.max(np.abs(energy - np.cos(params.phi0)))),
     }
     passed = all(residuals[k] < tol for k in ExtremalReport.PRIMARY)
-    return ExtremalReport(residuals=residuals, mu=params.mu, passed=passed)
+    return ExtremalReport(residuals=residuals, mu=mu, passed=passed)
