@@ -89,7 +89,7 @@ def _cmd_extremal(cfg: argparse.Namespace) -> int:
     report = extremal2d.verify_extremal(traj, params, tol=cfg.tol)
     if cfg.format == "csv":
         ts = np.linspace(0.0, params.T, 2001)
-        rows = np.column_stack([ts, traj.columns(ts)])
+        rows = np.column_stack([ts, traj.columns(ts), traj.cost(ts)])
         _emit_csv(["t", "theta", "eta", "phi", "cost"],
                   [[repr(float(v)) for v in row] for row in rows], cfg)
     else:

@@ -62,11 +62,10 @@ _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 _E1, _E3, _E4 = _B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640
 _E5, _E6, _E7 = _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40
 
-_MAX_STEPS = 2_000_000  # the default step budget, propagate's: long user horizons need it
+_MAX_STEPS = 2_000_000  # attempted steps per call; long user horizons need this many
 
 
-def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
-                  h0: float | None = None, max_steps: int = _MAX_STEPS):
+def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9, h0: float | None = None):
     """Integrate y' = f(t, y) from t0 to t1, recording every accepted step.
 
     The state is a list of Python floats: f(t, y) receives one and returns
@@ -76,8 +75,8 @@ def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
 
     f must be smooth on [t0, t1]; a caller with a piecewise f integrates
     one piece per call.  h0 is the first trial step (default (t1 - t0)/100).
-    After max_steps attempted steps, accepted or rejected, it raises
-    IntegrationError: the caller sizes the budget to what its problem needs.
+    After _MAX_STEPS attempted steps, accepted or rejected, it raises
+    IntegrationError.
 
     Returns (ts, ys, h) with ts shape (m,), ys shape (m, len(y0)),
     and h the step the controller proposes next, so that a caller can carry
@@ -104,7 +103,7 @@ def adaptive_rk45(f, t0: float, t1: float, y0, tol: float = 1e-9,
     k1 = f(t, y)  # the slope at (t, y)
     steps = 0
     while t < end:
-        if steps >= max_steps:
+        if steps >= _MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
         h = min(h, t1 - t)
         if h < 1e-14 * max(1.0, abs(t)):

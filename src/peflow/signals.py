@@ -280,9 +280,9 @@ class RankOneSignal(_SegmentedSignal):
 
     @staticmethod
     def _units(phis: NDArray) -> NDArray[np.float64]:
-        """Unit vectors of an array of angles, shape (k, 2)."""
+        """Unit vectors of an array of angles, shape (..., 2)."""
         half = 0.5 * phis
-        return np.column_stack([np.cos(half), np.sin(half)])
+        return np.stack([np.cos(half), np.sin(half)], axis=-1)
 
     def c(self, t: float) -> NDArray[np.float64]:
         """Unit vector c(t)."""

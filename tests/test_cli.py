@@ -86,15 +86,16 @@ class TestExitCodes:
         assert doc["passed"] is False
         assert "error" in doc and doc["error"]["type"]
 
-    def test_hopeless_extremal_exit_1_fast(self, capsys):
-        # the extremal's own step budget ends the RK45 run within seconds,
-        # not after the 2 000 000 steps that propagate allows
+    @pytest.mark.parametrize("a,b", [("1.51", "1.7667"), ("1", "1e6"), ("1", "1e8"),
+                                     ("1e4", "1e5"), ("1e4", "1e12")])
+    def test_former_extremal_failures_pass(self, capsys, a, b):
+        # the RK45 trajectory failed here: passed false on Mc, seam or gram,
+        # ArithmeticError on eta(T) at (1, 1e8), the step budget at (1e4, 1e12)
         def reject(name):
             raise ValueError(f"non-finite number {name}")
-        code, out = run_cli(capsys, "extremal", "--a", "1e4", "--b", "1e12")
+        code, out = run_cli(capsys, "extremal", "--a", a, "--b", b)
         doc = json.loads(out, parse_constant=reject)
-        assert code == 1 and doc["passed"] is False
-        assert doc["error"]["type"] == "IntegrationError"
+        assert code == 0 and doc["passed"] is True
 
     @pytest.mark.parametrize("argv", [
         ["oracle", "--a", "1", "--b", "3", "--segments", "2"],
@@ -248,10 +249,10 @@ class TestExtremal:
         last = [float(v) for v in lines[-1].split(",")]
         assert last[0] == pytest.approx(4.0)
         assert last[4] == pytest.approx(0.4819817203199967, rel=1e-6)
-        # the one spline read gives the same bits as the per-column accessors
+        # the one columns read gives the same bits as the per-column accessors
         _, traj = extremal2d.solve_extremal(1.0, 3.0)
         ts = np.linspace(0.0, 4.0, 2001)
-        cols = [ts, traj.theta(ts), traj.eta(ts), traj.phi(ts), traj.columns(ts)[:, 3]]
+        cols = [ts, traj.theta(ts), traj.eta(ts), traj.phi(ts), traj.cost(ts)]
         assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
 
 

@@ -4,10 +4,13 @@ Independent oracles: direct quadrature and 30-digit mpmath for the
 complete elliptic integrals, frozen solver outputs for the (1, 3)
 pendulum shape (computed once with this code at tight tolerance and
 pinned), the flow integrator replaying the synthesized control from
-scratch, and a matrix-stack formulation of the extremality certificate.
+scratch, RK45 on the extremal ODE against the closed-form trajectory,
+and a matrix-stack formulation of the extremality certificate.
 """
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 
 import mpmath
@@ -102,9 +105,51 @@ EDGE_PAIRS = [(1.0, 1e4), (1.0, 1e6), (1.0, 1e8), (1e-6, 1.0), (1e-5, 1e-4),
               (1e-8, 1e-7), (1e3, 1e4), (1e4, 1e4), (1e-8, 1e-8), (1e4, 1e12)]
 
 
+def extremal_ode(params):
+    """The reduced extremal system with the running cost as a fourth component,
+    for adaptive_rk45: the reference the closed form is checked against.
+
+    thetadot = sin(theta - phi)
+    etadot   = -(sin(theta - phi) + 2 eta cos(theta - phi)) / 2
+    phidot   = 2 eta / (beta + d)
+    Jdot     = cos^2((theta - phi)/2)
+    """
+    den = params.beta + params.d
+
+    def f(t, y):
+        theta, eta, phi, _ = y
+        s, c = math.sin(theta - phi), math.cos(theta - phi)
+        return [s, -0.5 * (s + 2.0 * eta * c), 2.0 * eta / den, 0.5 * (1.0 + c)]
+    return f
+
+
+def recast(traj, cls, **extra):
+    """traj's fields as an instance of the ExtremalTrajectory subclass cls."""
+    return cls(**{f.name: getattr(traj, f.name) for f in dataclasses.fields(traj)}, **extra)
+
+
+@dataclasses.dataclass(frozen=True)
+class ScaledColumns(extremal2d.ExtremalTrajectory):
+    """A corrupted trajectory: its (theta, eta, phi) columns times scale."""
+    scale: float = 1.0
+
+    def columns(self, t):
+        return super().columns(t) * self.scale
+
+
+@dataclasses.dataclass(frozen=True)
+class ScaledCost(extremal2d.ExtremalTrajectory):
+    """A corrupted trajectory: its cost J times scale, its path untouched."""
+    scale: float = 1.0
+
+    def cost(self, t):
+        return super().cost(t) * self.scale
+
+
 def reference_certificate(traj, params, tol=1e-6):
     """The extremality residuals from (k, 2, 2) matrix stacks, einsum and a
-    batched eigvalsh, with one spline read per column: an independent
+    batched eigvalsh, with one read per column, and the extremal ODE's
+    right-hand side from the vectors c, omega and omega_perp: an independent
     formulation of extremal2d.verify_extremal.  Returns (residuals, passed)."""
     al, d = params.alpha, params.d
     T = params.T
@@ -131,6 +176,10 @@ def reference_certificate(traj, params, tol=1e-6):
     adj_rhs = c * np.einsum("ki,ki->k", c, p)[:, None] - (ct_om ** 2)[:, None] * p - om_dot
     phi_dot = 2.0 * eta / (params.beta + d)
     energy = params.nu ** 2 * phi_dot ** 2 + np.cos(ph)
+    # omegadot = -S omega + (omega^T S omega) omega and the adjoint, on omega_perp
+    ct_op = np.einsum("ki,ki->k", c, operp)
+    th_rhs = -2.0 * ct_om * ct_op
+    rhs = np.stack([th_rhs, eta * (ct_op ** 2 - ct_om ** 2) - 0.5 * th_rhs, phi_dot], axis=-1)
     gl_x, gl_w = np.polynomial.legendre.leggauss(5)
     edges = np.linspace(0.0, T, 513)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -147,7 +196,8 @@ def reference_certificate(traj, params, tol=1e-6):
         "spectrum_drift": float(np.max(np.abs(eigs - target[None, :]))),
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(np.max(np.abs(omega[-1] ** 2 - omega[0] ** 2))),
-        "cost": abs(float(traj.columns(T)[3]) - params.mu) / math.sqrt(params.mu * (T - params.mu)),
+        "cost": abs(traj.mu - params.mu) / params.mu,
+        "ode": float(np.max(np.abs(traj.rates(ts) - rhs) / (1.0 + np.abs(rhs)))),
         "adjoint": float(np.max(np.linalg.norm(p_dot - adj_rhs, axis=1))),
         "trace": float(np.max(np.abs(np.trace(M, axis1=1, axis2=2) - (al - d - 1.0)))),
         "hamiltonian": float(np.max(np.abs(0.5 * np.einsum("ki,ki->k", c, Mc)))),
@@ -245,10 +295,17 @@ class TestShapeSolve:
             assert 0.0 < phi0 < math.pi and nu > 0.0
 
     def test_initial_conditions_canonical_branch(self):
-        params = extremal2d.solve_params(1.0, 3.0)
-        theta0, phi0 = extremal2d.initial_conditions(params.alpha, params.beta, params.d)
-        assert math.sin(theta0) < 0
-        assert phi0 == pytest.approx(params.phi0, rel=1e-9)
+        # at t = 0 the closed form sits at the turning state eta = 0 with
+        # sin^2(theta0/2) = d beta/(alpha + d) and sin theta0 < 0
+        for a, b in [(1.0, 3.0), (1.0, 1.0), (1e4, 1e4), (1.0, 1e8)]:
+            params, traj = extremal2d.solve_extremal(a, b)
+            theta0, eta0, phi0 = traj.columns(0.0)
+            al, be, d = params.alpha, params.beta, params.d
+            assert math.sin(theta0) < 0
+            assert theta0 == pytest.approx(-2.0 * math.asin(math.sqrt(d * be / (al + d))),
+                                           rel=1e-9, abs=1e-15)
+            assert phi0 == pytest.approx(params.phi0, rel=1e-15)
+            assert abs(eta0) < 1e-15 * (1.0 + abs(traj.rates(0.0)[1]))
 
 
 @pytest.fixture(scope="module")
@@ -280,21 +337,70 @@ class TestExtremalTrajectory:
             assert report.residuals[key] < 1e-6, key
 
     def test_certificate_catches_corruption(self, solved):
+        # a 0.1% error in nu or phi0 breaks the pendulum's period and shape
         params, traj = solved
-        bad = extremal2d.ExtremalTrajectory(
-            ts=traj.ts, states=traj.states * 1.01, cost=traj.cost)
-        report = extremal2d.verify_extremal(bad, params)
-        assert not report.passed
+        for field in ("nu", "phi0"):
+            bad = dataclasses.replace(traj, **{field: getattr(traj, field) * 1.001})
+            report = extremal2d.verify_extremal(bad, params)
+            assert not report.passed, field
+            assert report.residuals["gram"] > 1e-5, field
+        report = extremal2d.verify_extremal(dataclasses.replace(traj, nu=traj.nu * 1.001), params)
+        assert report.residuals["ode"] > 1e-4 and report.residuals["Mc"] > 1e-4
+        report = extremal2d.verify_extremal(recast(traj, ScaledColumns, scale=1.01), params)
+        assert not report.passed and report.residuals["ode"] > 1e-3
 
-    def test_certificate_checks_the_cost(self, solved):
-        # J(T) off the closed-form mu by 1e-5 fails, the path itself untouched
-        params, traj = solved
-        assert extremal2d.verify_extremal(traj, params).residuals["cost"] < 1e-8
-        bad = extremal2d.ExtremalTrajectory(
-            ts=traj.ts, states=traj.states, cost=traj.cost * (1.0 + 1e-5))
-        report = extremal2d.verify_extremal(bad, params)
-        miss = 1e-5 * params.mu / math.sqrt(params.mu * (params.T - params.mu))
-        assert report.residuals["cost"] == pytest.approx(miss, rel=1e-3)
+    def test_certificate_checks_the_cost(self):
+        # J(T) off the closed-form mu by 1e-5 fails, the path itself
+        # untouched; at the wide pairs a miss scaled by sqrt(mu (T - mu))
+        # instead of mu would pass
+        for a, b in [(1.0, 3.0), (6.321, 6.725e4), (1.0, 1e6)]:
+            params, traj = extremal2d.solve_extremal(a, b)
+            assert extremal2d.verify_extremal(traj, params).residuals["cost"] < 1e-14
+            report = extremal2d.verify_extremal(recast(traj, ScaledCost, scale=1.0 + 1e-5), params)
+            assert report.residuals["cost"] == pytest.approx(1e-5, rel=1e-6)
+            assert not report.passed
+
+
+class TestClosedFormTrajectory:
+    """The Jacobi closed form against independent integrations and over the
+    certified domain."""
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1.51, 1.7667), (1.0, 1.0), (0.5, 4.0)])
+    def test_matches_rk45(self, a, b):
+        # RK45 on the extremal ODE from the closed form's t = 0 state, at its nodes
+        params, traj = extremal2d.solve_extremal(a, b)
+        y0 = [*traj.columns(0.0), 0.0]
+        ts, ys, _ = flow.adaptive_rk45(extremal_ode(params), 0.0, params.T, y0, tol=1e-10)
+        assert len(ts) > 50
+        assert np.max(np.abs(traj.columns(ts) - ys[:, :3])) < 1e-9
+        assert np.max(np.abs(traj.cost(ts) - ys[:, 3])) < 1e-9
+
+    def test_seeded_pairs_certify(self):
+        # a log-uniform in [1e-8, 1e4], b/a log-uniform in [1, 1e8]
+        rng = np.random.default_rng(21)
+        for log_a, log_ratio in zip(rng.uniform(-8.0, 4.0, 300), rng.uniform(0.0, 8.0, 300)):
+            a = 10.0 ** log_a
+            params, traj = extremal2d.solve_extremal(a, a * 10.0 ** log_ratio)
+            report = extremal2d.verify_extremal(traj, params)
+            assert report.passed, (a, params.b, report.residuals)
+            assert traj.mu == pytest.approx(params.mu, rel=1e-12, abs=0.0), (a, params.b)
+
+    def test_theta_needs_no_unwrap(self):
+        # atan2 stays inside (-pi, pi) on [0, T], so theta is continuous
+        for a, b in [(1e4, 1e4), (1e-8, 1e-8), (1.0, 1.0), (1.0, 3.0)]:
+            params, traj = extremal2d.solve_extremal(a, b)
+            theta = traj.theta(np.linspace(0.0, params.T, 20001))
+            assert np.max(np.abs(theta)) < 2.5
+            assert np.max(np.abs(np.diff(theta))) < 1e-2
+
+    def test_nu_error_on_wide_pairs_fails_the_cost(self):
+        # at (1, 1e8) the rates are 1e-8, and a wrong nu moves neither ode
+        # nor gram (1.4e-7, scaled by a + b) past the tolerance; the
+        # relative cost sees J(T) 0.1% off
+        params, traj = extremal2d.solve_extremal(1.0, 1e8)
+        report = extremal2d.verify_extremal(dataclasses.replace(traj, nu=traj.nu * 1.001), params)
+        assert report.residuals["ode"] < 1e-6 and report.residuals["gram"] < 1e-6
+        assert report.residuals["cost"] == pytest.approx(1e-3, rel=1e-2)
         assert not report.passed
 
 
@@ -305,11 +411,11 @@ class TestCertificateReference:
     @pytest.mark.parametrize("a,b,scale", [
         (1.0, 3.0, 1.0), (2.5, 40.1, 1.0), (0.5, 0.5, 1.0), (0.001, 0.001, 1.0),
         (0.0001278, 0.001786, 1.0),
-        # the corrupted trajectory of test_certificate_catches_corruption
+        # the corrupted columns of test_certificate_catches_corruption
         pytest.param(1.0, 3.0, 1.01, id="corrupted")])
     def test_residuals_match(self, a, b, scale):
         params, traj = extremal2d.solve_extremal(a, b)
-        traj = extremal2d.ExtremalTrajectory(traj.ts, traj.states * scale, traj.cost)
+        traj = recast(traj, ScaledColumns, scale=scale)
         report = extremal2d.verify_extremal(traj, params)
         residuals, passed = reference_certificate(traj, params)
         assert report.residuals.keys() == residuals.keys()
@@ -346,7 +452,15 @@ class TestClosedFormCost:
     def test_edge_pairs_against_reference(self, a, b):
         mu = extremal2d.mu(a, b)
         assert mu <= a
-        assert mu == pytest.approx(reference_mu(a, b), rel=1e-11, abs=0.0)
+        ref = reference_mu(a, b)
+        assert mu == pytest.approx(ref, rel=1e-11, abs=0.0)
+        # the closed-form trajectory certifies, and its quadrature J(T) meets
+        # the Carlson mu to rounding; both carry phi0's rounding, which at
+        # (1, 1e8) and (1e4, 1e12) puts them 1.1e-12 from the reference
+        params, traj = extremal2d.solve_extremal(a, b)
+        assert extremal2d.verify_extremal(traj, params).passed
+        assert traj.mu == pytest.approx(mu, rel=1e-14, abs=0.0)
+        assert traj.mu == pytest.approx(ref, rel=2e-12, abs=0.0)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(log_a=st.floats(-8.0, 4.0), log_ratio=st.floats(0.0, 8.0))
@@ -386,6 +500,15 @@ class TestBuildOptimalControl:
         eigs = np.linalg.eigvalsh(signals.gram(sig, 0.0, 2.0))
         assert eigs == pytest.approx([1.0, 1.0], abs=1e-6)
         assert flow.cost_J(sig, om0, T=2.0) == pytest.approx(mu, rel=1e-6)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1.0, 1.0), (1e-8, 1e-8), (1e4, 1e12)])
+    def test_saved_control_reloads_bit_for_bit(self, a, b):
+        # every mirror sample 2 pi - phi is exact, so the fresh cubic of a
+        # reloaded file is the derived one at every time
+        sig, _, _ = extremal2d.build_optimal_control(a, b)
+        back = signals.signal_from_dict(json.loads(json.dumps(signals.signal_to_dict(sig))))
+        ts = np.linspace(0.0, sig.period, 1001)
+        assert all(np.array_equal(back.matrix(t), sig.matrix(t)) for t in ts)
 
     def test_halved_bounds_frozen(self):
         # mu is not homogeneous in (a, b); pin the halved pair used by the

@@ -392,9 +392,7 @@ class TestWorkCounters:
                 return f(t, y)
             return original(counted, *args, **kwargs)
 
-        # extremal2d imports adaptive_rk45 by name, so its binding is patched too
-        for module in (flow, extremal2d):
-            monkeypatch.setattr(module, "adaptive_rk45", counting)
+        monkeypatch.setattr(flow, "adaptive_rk45", counting)
 
         def measure(call):
             count[0] = 0
@@ -413,19 +411,18 @@ class TestWorkCounters:
         assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3280
 
     def test_gain_estimate_work_is_independent_of_horizon(self, rhs_count):
-        # one period of worst_input and the one extremal integration at
-        # (0.5, 1.5) are all the RK work
+        # one period of worst_input is all the RK work: the extremal at
+        # (0.5, 1.5) is in closed form
         counts = [rhs_count(lambda: gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k))
                   for k in (8, 5000)]
-        extremal = rhs_count(lambda: extremal2d.solve_extremal(0.5, 1.5))
-        assert counts[0] == counts[1] <= 782 + extremal
+        assert counts[0] == counts[1] <= 782
 
     def test_mu_makes_no_rk_evaluations(self, rhs_count, capsys):
         assert rhs_count(lambda: extremal2d.mu(1.0, 3.0)) == 0
         assert rhs_count(lambda: cli.main(["mu", "--a", "1e-8", "--b", "1"])) == 0
         capsys.readouterr()
-        # the extremal's trajectory is still integrated, and counted
-        assert rhs_count(lambda: extremal2d.solve_extremal(1.0, 3.0)) > 0
+        # nor does the extremal's trajectory, which is in closed form
+        assert rhs_count(lambda: extremal2d.solve_extremal(1.0, 3.0)) == 0
 
     def test_gpe_integrates_each_repeated_pair_once(self, rhs_count):
         def count(pairs, lengths):
@@ -462,13 +459,16 @@ class TestWorkCounters:
         gpe.asymptotic_norm(s, sig, om0)
         assert len(calls) == 4
 
-    def test_hopeless_extremal_fails_fast(self, rhs_count):
-        # (1e4, 1e12) has right parameters but no trajectory within the
-        # extremal's 100 000-step budget: 6 evaluations per attempted step
+    def test_step_budget_raises(self, rhs_count, monkeypatch):
+        # adaptive_rk45 stops after flow._MAX_STEPS attempted steps, each
+        # making 6 evaluations (7 for the first)
+        sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
+        monkeypatch.setattr(flow, "_MAX_STEPS", 20)
+
         def call():
             with pytest.raises(flow.IntegrationError, match="step budget"):
-                extremal2d.solve_extremal(1e4, 1e12)
-        assert rhs_count(call) <= 6 * 100_000 + 1
+                flow.propagate(sig, om0, 0.0, sig.period, tol=1e-12)
+        assert rhs_count(call) <= 6 * 20 + 1
 
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)

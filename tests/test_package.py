@@ -44,11 +44,11 @@ def _callers(name: str) -> set[str]:
 def test_one_propagator():
     # x' = -S(t) x (+ u) has one right-hand side, and one method cuts spans
     # at segment boundaries for its two walkers and finds the segment of a
-    # point read; two splines remain, each read over one RK45 solve
-    assert _callers("adaptive_rk45") == {"flow.propagate", "extremal2d.integrate_extremal"}
+    # point read; one spline remains, read over one RK45 solve
+    assert _callers("adaptive_rk45") == {"flow.propagate"}
     assert _callers("pieces") == {"flow.propagate", "signals.gram",
                                   "signals.RankOneSignal", "signals.MatrixSignal"}
-    assert _callers("CubicSpline") == {"extremal2d.ExtremalTrajectory", "gain.WorstInput"}
+    assert _callers("CubicSpline") == {"gain.WorstInput"}
     # one banded solver, and every relabelled, turned or mirrored segment
     # takes its parent's cubic instead of solving again
     assert _callers("solve_banded") == {"signals.Segment"}
@@ -79,7 +79,8 @@ print(max(built, default=0))
 def test_benchmark_tracer_contract(capsys):
     # perfbench/tracer.py wraps every SPANNED name, counts adaptive_rk45's
     # first parameter f and reads its result[0] as ts; this keeps what the
-    # benchmark reads in the fast suite, not only in the slow smoke tests
+    # benchmark reads in the fast suite, not only in the slow smoke tests;
+    # decay integrates the flow, where extremal no longer calls adaptive_rk45
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -88,7 +89,7 @@ def test_benchmark_tracer_contract(capsys):
     t = tracer.Tracer()
     t.install()
     try:
-        assert cli.main(["extremal", "--a", "1", "--b", "3"]) == 0
+        assert cli.main(["decay", "--a", "1", "--b", "3"]) == 0
     finally:
         t.uninstall()
     capsys.readouterr()
