@@ -97,6 +97,16 @@ class TestExitCodes:
         doc = json.loads(out, parse_constant=reject)
         assert code == 0 and doc["passed"] is True
 
+    def test_hopeless_extremal_exit_1_fast(self, capsys):
+        # b/a = 1e15 puts phi0 outside the shape solve's bracket: the
+        # residual check fails before any trajectory is built
+        def reject(name):
+            raise ValueError(f"non-finite number {name}")
+        code, out = run_cli(capsys, "extremal", "--a", "1", "--b", "1e15")
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 1 and doc["passed"] is False
+        assert doc["error"]["type"] == "ArithmeticError"
+
     @pytest.mark.parametrize("argv", [
         ["oracle", "--a", "1", "--b", "3", "--segments", "2"],
         ["oracle", "--a", "1", "--b", "3", "--seeds", "0"],

@@ -459,6 +459,14 @@ class TestWorkCounters:
         gpe.asymptotic_norm(s, sig, om0)
         assert len(calls) == 4
 
+    def test_hopeless_extremal_fails_fast(self, rhs_count):
+        # (1, 1e15) has no shape root inside the solve's bracket: the
+        # extremal raises from the closed form, with no RK45 evaluation
+        def call():
+            with pytest.raises(ArithmeticError, match="shape solve residual"):
+                extremal2d.solve_extremal(1.0, 1e15)
+        assert rhs_count(call) == 0
+
     def test_step_budget_raises(self, rhs_count, monkeypatch):
         # adaptive_rk45 stops after flow._MAX_STEPS attempted steps, each
         # making 6 evaluations (7 for the first)
