@@ -93,8 +93,10 @@ def _cmd_extremal(cfg: argparse.Namespace) -> int:
         _emit_csv(["t", "theta", "eta", "phi", "cost"],
                   [[repr(float(v)) for v in row] for row in rows], cfg)
     else:
+        shape = {**asdict(params), "phi0": params.phi0}  # reported as phi0, not k = cos(phi0/2)
+        del shape["k"]
         _emit_json({
-            "params": asdict(params),
+            "params": shape,
             "mu": report.mu,
             "residuals": report.residuals,
             "passed": report.passed,

@@ -87,7 +87,7 @@ class TestExitCodes:
         assert "error" in doc and doc["error"]["type"]
 
     @pytest.mark.parametrize("a,b", [("1.51", "1.7667"), ("1", "1e6"), ("1", "1e8"),
-                                     ("1e4", "1e5"), ("1e4", "1e12")])
+                                     ("1e4", "1e5"), ("1e4", "1e12"), ("1", "1e15")])
     def test_former_extremal_failures_pass(self, capsys, a, b):
         # the RK45 trajectory failed here: passed false on Mc, seam or gram,
         # ArithmeticError on eta(T) at (1, 1e8), the step budget at (1e4, 1e12)
@@ -98,11 +98,12 @@ class TestExitCodes:
         assert code == 0 and doc["passed"] is True
 
     def test_hopeless_extremal_exit_1_fast(self, capsys):
-        # b/a = 1e15 puts phi0 outside the shape solve's bracket: the
-        # residual check fails before any trajectory is built
+        # b/a = 1e20 puts the shape root k = 1.4e-10 below the solve's
+        # bracket (k >= 5e-10, phi0 <= pi - 1e-9): the residual check fails
+        # before any trajectory is built
         def reject(name):
             raise ValueError(f"non-finite number {name}")
-        code, out = run_cli(capsys, "extremal", "--a", "1", "--b", "1e15")
+        code, out = run_cli(capsys, "extremal", "--a", "1", "--b", "1e20")
         doc = json.loads(out, parse_constant=reject)
         assert code == 1 and doc["passed"] is False
         assert doc["error"]["type"] == "ArithmeticError"

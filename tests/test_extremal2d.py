@@ -9,6 +9,7 @@ and a matrix-stack formulation of the extremality certificate.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -53,14 +54,14 @@ def agm_gap_stalls(x):
     return False
 
 
-def reference_multipliers(phi0, nu, start):
+def reference_multipliers(k, nu, start):
     """(alpha, beta, d) solving alpha + beta = 1, the frequency relation
     2 nu^2 = (beta + d)/(alpha + d) and the turning-angle relation
-    1 + cos phi0 = 2d(1 + d)/((alpha + d)(beta + d)), each scaled to a
+    k^2 = (1 + cos phi0)/2 = d(1 + d)/((alpha + d)(beta + d)), each scaled to a
     relative residual, by mpmath.findroot at 40 digits.  The unknowns are
     the ratios to start, so all three are of order 1 for the root-find."""
     with mpmath.workdps(40):
-        n2, c2 = 2 * mpmath.mpf(nu) ** 2, mpmath.cos(mpmath.mpf(phi0) / 2) ** 2
+        n2, c2 = 2 * mpmath.mpf(nu) ** 2, mpmath.mpf(k) ** 2
         scale = [mpmath.mpf(v) for v in start]
 
         def relations(*ratios):
@@ -71,27 +72,32 @@ def reference_multipliers(phi0, nu, start):
         return [s * r for s, r in zip(scale, ratios)]
 
 
-def reference_mu(a, b):
-    """mu(a, b) solved independently at 40 digits: the shape by bisection in
-    x = cos(phi0/2) on K_plus/K_minus = (K - E)/E = a/b, the multipliers by
-    reference_multipliers, and the cost by quadrature of
-
-        mu = w int_0^1 sqrt(x) dx / sqrt((1 - x)(2 - w x)(delta + w x)),
-
-    w = 2d/(beta + d), delta = 2 alpha/(beta + d).  Bisecting in phi0
-    instead would lose x's relative accuracy as phi0 -> pi."""
+def reference_shape(a, b):
+    """The modulus k = cos(phi0/2) of K_plus/K_minus = (K - E)/E = a/b, by
+    140 bisections in k at 40 digits.  Bisecting in phi0 instead would lose
+    k's relative accuracy as phi0 -> pi."""
     with mpmath.workdps(40):
         target = mpmath.mpf(a) / mpmath.mpf(b)
         lo, hi = mpmath.mpf(0), mpmath.mpf(1)
         for _ in range(140):
-            x = (lo + hi) / 2
-            E = mpmath.ellipe(x * x)
-            lo, hi = (x, hi) if (mpmath.ellipk(x * x) - E) / E < target else (lo, x)
-        x = (lo + hi) / 2
-        nu = mpmath.mpf(b) / (2 * mpmath.sqrt(2) * mpmath.ellipe(x * x))
-        phi0 = 2 * mpmath.acos(x)
+            k = (lo + hi) / 2
+            E = mpmath.ellipe(k * k)
+            lo, hi = (k, hi) if (mpmath.ellipk(k * k) - E) / E < target else (lo, k)
+        return (lo + hi) / 2
+
+
+def reference_mu(a, b):
+    """mu(a, b) solved independently at 40 digits: the shape by reference_shape,
+    the multipliers by reference_multipliers, and the cost by quadrature of
+
+        mu = w int_0^1 sqrt(x) dx / sqrt((1 - x)(2 - w x)(delta + w x)),
+
+    w = 2d/(beta + d), delta = 2 alpha/(beta + d)."""
+    with mpmath.workdps(40):
+        k = reference_shape(a, b)
+        nu = mpmath.mpf(b) / (2 * mpmath.sqrt(2) * mpmath.ellipe(k * k))
         params = extremal2d.solve_params(a, b)  # only a start for the root-find
-        al, be, d = reference_multipliers(phi0, nu, (params.alpha, params.beta, params.d))
+        al, be, d = reference_multipliers(k, nu, (params.alpha, params.beta, params.d))
         w, delta = 2 * d / (be + d), 2 * al / (be + d)
 
         def integrand(x):
@@ -128,13 +134,22 @@ def recast(traj, cls, **extra):
     return cls(**{f.name: getattr(traj, f.name) for f in dataclasses.fields(traj)}, **extra)
 
 
+def corrupted(params, **fields):
+    """The trajectory of params with fields replaced, bypassing ExtremalParams'
+    invariant checks, which reject such a shape."""
+    bad = copy.copy(params)
+    vars(bad).update(fields)
+    return extremal2d.integrate_extremal(bad)
+
+
 @dataclasses.dataclass(frozen=True)
 class ScaledColumns(extremal2d.ExtremalTrajectory):
-    """A corrupted trajectory: its (theta, eta, phi) columns times scale."""
+    """A corrupted trajectory: its (theta, eta, phi) columns times scale, as
+    columns and the certificate read them; its rates untouched."""
     scale: float = 1.0
 
-    def columns(self, t):
-        return super().columns(t) * self.scale
+    def _columns(self, jac):
+        return super()._columns(jac) * self.scale
 
 
 @dataclasses.dataclass(frozen=True)
@@ -290,9 +305,9 @@ class TestShapeSolve:
         for log_a, log_ratio in zip(rng.uniform(-8.0, 4.0, 60), rng.uniform(0.0, 8.0, 60)):
             a = 10.0 ** log_a
             calls[0] = 0
-            phi0, nu = extremal2d.solve_shape(a, a * 10.0 ** log_ratio)
+            k, nu = extremal2d.solve_shape(a, a * 10.0 ** log_ratio)
             assert calls[0] <= 8
-            assert 0.0 < phi0 < math.pi and nu > 0.0
+            assert 0.0 < k < 1.0 and nu > 0.0
 
     def test_initial_conditions_canonical_branch(self):
         # at t = 0 the closed form sits at the turning state eta = 0 with
@@ -338,15 +353,15 @@ class TestExtremalTrajectory:
 
     def test_certificate_catches_corruption(self, solved):
         # a 0.1% error in nu or phi0 breaks the pendulum's period and shape
-        params, traj = solved
-        for field in ("nu", "phi0"):
-            bad = dataclasses.replace(traj, **{field: getattr(traj, field) * 1.001})
-            report = extremal2d.verify_extremal(bad, params)
+        params, _ = solved
+        for field, value in (("nu", params.nu * 1.001),
+                             ("k", math.cos(0.5 * (params.phi0 * 1.001)))):
+            report = extremal2d.verify_extremal(corrupted(params, **{field: value}), params)
             assert not report.passed, field
             assert report.residuals["gram"] > 1e-5, field
-        report = extremal2d.verify_extremal(dataclasses.replace(traj, nu=traj.nu * 1.001), params)
+        report = extremal2d.verify_extremal(corrupted(params, nu=params.nu * 1.001), params)
         assert report.residuals["ode"] > 1e-4 and report.residuals["Mc"] > 1e-4
-        report = extremal2d.verify_extremal(recast(traj, ScaledColumns, scale=1.01), params)
+        report = extremal2d.verify_extremal(ScaledColumns(params, scale=1.01), params)
         assert not report.passed and report.residuals["ode"] > 1e-3
 
     def test_certificate_checks_the_cost(self):
@@ -356,7 +371,7 @@ class TestExtremalTrajectory:
         for a, b in [(1.0, 3.0), (6.321, 6.725e4), (1.0, 1e6)]:
             params, traj = extremal2d.solve_extremal(a, b)
             assert extremal2d.verify_extremal(traj, params).residuals["cost"] < 1e-14
-            report = extremal2d.verify_extremal(recast(traj, ScaledCost, scale=1.0 + 1e-5), params)
+            report = extremal2d.verify_extremal(ScaledCost(params, scale=1.0 + 1e-5), params)
             assert report.residuals["cost"] == pytest.approx(1e-5, rel=1e-6)
             assert not report.passed
 
@@ -397,8 +412,8 @@ class TestClosedFormTrajectory:
         # at (1, 1e8) the rates are 1e-8, and a wrong nu moves neither ode
         # nor gram (1.4e-7, scaled by a + b) past the tolerance; the
         # relative cost sees J(T) 0.1% off
-        params, traj = extremal2d.solve_extremal(1.0, 1e8)
-        report = extremal2d.verify_extremal(dataclasses.replace(traj, nu=traj.nu * 1.001), params)
+        params = extremal2d.solve_params(1.0, 1e8)
+        report = extremal2d.verify_extremal(corrupted(params, nu=params.nu * 1.001), params)
         assert report.residuals["ode"] < 1e-6 and report.residuals["gram"] < 1e-6
         assert report.residuals["cost"] == pytest.approx(1e-3, rel=1e-2)
         assert not report.passed
@@ -443,24 +458,30 @@ class TestClosedFormCost:
         rng = np.random.default_rng(17)
         for phi0, nu in zip(rng.uniform(0.01, math.pi - 1e-6, 60),
                             10.0 ** rng.uniform(-8.0, 4.0, 60)):
-            got = extremal2d.solve_multipliers(phi0, nu)
-            ref = reference_multipliers(phi0, nu, got)
+            k = math.cos(0.5 * phi0)
+            got = extremal2d.solve_multipliers(k, nu)
+            ref = reference_multipliers(k, nu, got)
             for name, g, r in zip(("alpha", "beta", "d"), got, ref):
-                assert g == pytest.approx(float(r), rel=1e-14, abs=0.0), (phi0, nu, name)
+                assert g == pytest.approx(float(r), rel=1e-14, abs=0.0), (k, nu, name)
 
     @pytest.mark.parametrize("a,b", EDGE_PAIRS)
     def test_edge_pairs_against_reference(self, a, b):
         mu = extremal2d.mu(a, b)
         assert mu <= a
         ref = reference_mu(a, b)
-        assert mu == pytest.approx(ref, rel=1e-11, abs=0.0)
+        assert mu == pytest.approx(ref, rel=1e-14, abs=0.0)
         # the closed-form trajectory certifies, and its quadrature J(T) meets
-        # the Carlson mu to rounding; both carry phi0's rounding, which at
-        # (1, 1e8) and (1e4, 1e12) puts them 1.1e-12 from the reference
+        # the reference to rounding too: the shape reaches both as k, whose
+        # relative precision phi0 = 2 acos(k) would lose as phi0 -> pi
         params, traj = extremal2d.solve_extremal(a, b)
         assert extremal2d.verify_extremal(traj, params).passed
-        assert traj.mu == pytest.approx(mu, rel=1e-14, abs=0.0)
-        assert traj.mu == pytest.approx(ref, rel=2e-12, abs=0.0)
+        assert traj.mu == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("a,b", EDGE_PAIRS)
+    def test_shape_against_reference(self, a, b):
+        # solve_shape's Newton in k lands within a few ulps of the bisection root
+        k, _ = extremal2d.solve_shape(a, b)
+        assert k == pytest.approx(float(reference_shape(a, b)), rel=1e-14, abs=0.0)
 
     @settings(max_examples=30, derandomize=True, deadline=None)
     @given(log_a=st.floats(-8.0, 4.0), log_ratio=st.floats(0.0, 8.0))
@@ -469,7 +490,7 @@ class TestClosedFormCost:
         b = a * 10.0 ** log_ratio
         mu = extremal2d.mu(a, b)
         assert mu <= a
-        assert mu == pytest.approx(reference_mu(a, b), rel=1e-11, abs=0.0)
+        assert mu == pytest.approx(reference_mu(a, b), rel=1e-14, abs=0.0)
 
 
 class TestBuildOptimalControl:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import peflow
-from peflow import cli, flow
+from peflow import cli, extremal2d, flow
 
 
 @pytest.mark.parametrize("module", peflow.__all__)
@@ -54,6 +54,19 @@ def test_one_propagator():
     assert _callers("solve_banded") == {"signals.Segment"}
     assert _callers("derive") == {"gpe.build_gpe_signal", "extremal2d.build_optimal_control",
                                   "signals.time_rescale"}
+
+
+def test_extremal_shape_is_carried_as_k():
+    # the shape reaches solve_multipliers, ExtremalParams and the Jacobi
+    # functions as k = cos(phi0/2); phi0 = 2 acos(k) is only reported, and the
+    # trajectory holds its params, not copies of them
+    tree = ast.parse(Path(extremal2d.__file__).read_text())
+    inverse_cosines = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                       for node in ast.walk(fn) if isinstance(node, ast.Call)
+                       and getattr(node.func, "attr", getattr(node.func, "id", None))
+                       in ("acos", "arccos")}
+    assert inverse_cosines == {"phi0"}
+    assert _callers("ExtremalTrajectory") == {"extremal2d.integrate_extremal"}
 
 
 def test_import_builds_no_large_quadrature_rule():
