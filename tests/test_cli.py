@@ -90,7 +90,8 @@ class TestExitCodes:
                                      ("1e4", "1e5"), ("1e4", "1e12"), ("1", "1e15")])
     def test_former_extremal_failures_pass(self, capsys, a, b):
         # the RK45 trajectory failed here: passed false on Mc, seam or gram,
-        # ArithmeticError on eta(T) at (1, 1e8), the step budget at (1e4, 1e12)
+        # ArithmeticError on eta(T) at (1, 1e8), the step budget at (1e4, 1e12);
+        # at (1, 1e15) the shape's round trip through phi0 failed its residual
         def reject(name):
             raise ValueError(f"non-finite number {name}")
         code, out = run_cli(capsys, "extremal", "--a", a, "--b", b)

@@ -475,6 +475,7 @@ class TestClosedFormCost:
         # relative precision phi0 = 2 acos(k) would lose as phi0 -> pi
         params, traj = extremal2d.solve_extremal(a, b)
         assert extremal2d.verify_extremal(traj, params).passed
+        assert traj.mu == pytest.approx(mu, rel=1e-14, abs=0.0)
         assert traj.mu == pytest.approx(ref, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("a,b", EDGE_PAIRS)
