@@ -165,8 +165,7 @@ def _cmd_gpe(cfg: argparse.Namespace) -> int:
         schedule = gpe.GPESchedule.constant(cfg.a, cfg.b, cfg.T, cfg.periods)
     L = schedule.length
     sums, verdict = gpe.series_criterion(schedule)
-    sig, omega0 = gpe.build_gpe_signal(schedule)
-    asym = gpe.asymptotic_norm(schedule, sig, omega0)
+    asym = gpe.asymptotic_norm(schedule)
     passed = asym.max_rel_dev <= 0.01
     if cfg.format == "csv":
         rows = [[str(ell), repr(asym.taus[ell]), repr(asym.norms[ell]),

@@ -370,7 +370,9 @@ class ExtremalTrajectory:
         return RankOneSignal._units(self.theta(t))
 
     def c(self, t) -> NDArray[np.float64]:
-        return RankOneSignal._units(self.phi(t))
+        """The control axis (cos(phi/2), sin(phi/2)) = (-k sn, dn) at t, shape (..., 2)."""
+        k, _, sn, _, dn = self._jacobi(t)
+        return np.stack([-k * sn, dn], axis=-1)
 
     @property
     def mu(self) -> float:
@@ -429,8 +431,8 @@ def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, f
 @dataclass(frozen=True)
 class ExtremalReport:
     """Named extremality residuals with the closed-form cost.  passed reflects
-    the PRIMARY residuals; the diagnostics adjoint, trace, hamiltonian,
-    nsd_violation and pendulum_energy carry the same tolerance."""
+    the PRIMARY residuals; the diagnostics hamiltonian, nsd_violation and
+    pendulum_energy carry the same tolerance."""
 
     residuals: dict[str, float]
     mu: float
@@ -445,17 +447,17 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     """Check the full set of extremality conditions along a trajectory.
 
     At sampled times the matrix M = diag(alpha, -d) - (omega p^T + p omega^T
-    + omega omega^T) must kill the control axis (Mc = 0), stay negative
-    semi-definite with constant spectrum {alpha-d-1, 0}, and the scalar
-    adjoint must satisfy pdot = Sp - (omega^T S omega) p - omegadot with
-    p(0) = p(T) = 0.  The Gram over [0, T] must equal diag(a, b), the seam
-    needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1), the cost
-    |J(T) - mu|/mu must vanish against the closed-form params.mu, and ode
-    holds traj.rates against the extremal ODE thetadot = sin(theta - phi),
+    + omega omega^T) must kill the control axis (Mc = 0) and stay negative
+    semi-definite with constant spectrum {alpha-d-1, 0}, and the adjoint
+    p = eta omega_perp must vanish at both ends (transversality).  The Gram
+    over [0, T] must equal diag(a, b), the seam needs c(T) = +-D c(0) for
+    the fixed mirror D = diag(1, -1), the cost |J(T) - mu|/mu must vanish
+    against the closed-form params.mu, and ode holds traj.rates against the
+    extremal ODE thetadot = sin(theta - phi),
     etadot = -(sin(theta - phi) + 2 eta cos(theta - phi))/2, phidot = 2 eta/(beta + d)
     on the columns, each miss over 1 + |right-hand side| (rates reach 1e8 at a = 1e-8).
-    On a consistent closed-form trajectory Mc, trace, hamiltonian,
-    spectrum_drift, nsd_violation and pendulum_energy hold by construction.
+    On a consistent closed-form trajectory Mc, hamiltonian, spectrum_drift,
+    nsd_violation and pendulum_energy hold by construction.
 
     M is carried as its entries M11, M12, M22, and its spectrum is computed
     in closed form: (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12).
@@ -476,17 +478,10 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     mid, rad = 0.5 * (M11 + M22), np.hypot(0.5 * (M11 - M22), M12)
     eig_lo, eig_hi = mid - rad, mid + rad  # closed-form spectrum of the symmetric 2x2 M
 
-    # adjoint residual pdot - (c c^T p - (c^T omega)^2 p - omegadot) from the exact
-    # derivatives omegadot = thdot/2 omega_perp, pdot = etadot omega_perp - eta thdot/2 omega
-    # (no numerical differencing); it is k_perp omega_perp + k_om omega - (c^T p) c
+    # the extremal ODE's right-hand side on the columns
     delta = th - ph
     th_dot = np.sin(delta)
     eta_dot = -0.5 * (th_dot + 2.0 * eta * np.cos(delta))
-    ct_om = cc * co + sc * so
-    ct_p = eta * (sc * co - cc * so)
-    k_perp = eta_dot + 0.5 * th_dot + ct_om * ct_om * eta
-    k_om = -0.5 * eta * th_dot
-    adjoint = np.hypot(-k_perp * so + k_om * co - ct_p * cc, k_perp * co + k_om * so - ct_p * sc)
     phi_dot = 2.0 * eta / (params.beta + d)
     energy = params.nu ** 2 * phi_dot ** 2 + np.cos(ph)
     rhs = np.stack([th_dot, eta_dot, phi_dot], axis=-1)
@@ -510,8 +505,6 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
                                        abs(so[-1] ** 2 - so[0] ** 2))),
         "cost": abs(traj.mu - mu) / mu,
         "ode": float(np.max(ode)),
-        "adjoint": float(np.max(adjoint)),
-        "trace": float(np.max(np.abs(M11 + M22 - (al - d - 1.0)))),
         "hamiltonian": float(np.max(np.abs(0.5 * (cc * Mc1 + sc * Mc2)))),
         "nsd_violation": float(max(np.max(eig_hi), 0.0)),
         "pendulum_energy": float(np.max(np.abs(energy - (2.0 * params.k * params.k - 1.0)))),

@@ -131,15 +131,13 @@ def test_acceptance_08_gpe_schedules():
                            tuple(1.0 for _ in range(L)),
                            tuple(float(l) for l in range(1, L + 1)),
                            tag="converges")
-    sig, om0 = gpe.build_gpe_signal(conv)
-    asym = gpe.asymptotic_norm(conv, sig, om0)
+    asym = gpe.asymptotic_norm(conv)
     predicted = math.exp(-sum(asym.mu_seq))
     conv_err = abs(asym.norms[-1] - predicted) / predicted
     plateau = asym.norms[-1]
 
     div = gpe.GPESchedule.constant(1.0, 1.0, 1.0, L, tag="diverges")
-    sig_d, om0_d = gpe.build_gpe_signal(div)
-    asym_d = gpe.asymptotic_norm(div, sig_d, om0_d)
+    asym_d = gpe.asymptotic_norm(div)
     dt = time.perf_counter() - t0
     ok = (conv_err < 0.01 and plateau > 0.1
           and asym_d.norms[-1] < math.exp(-10.0) and dt < 120.0)

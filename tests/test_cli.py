@@ -226,8 +226,7 @@ class TestMu:
             assert doc["mu"] == mu
             assert gain.gain_estimate(a, b, 1.0, k_periods=8).mu == mu
             sched = gpe.GPESchedule.constant(a, b, 1.0, 2)
-            sig, om0 = gpe.build_gpe_signal(sched)
-            assert gpe.asymptotic_norm(sched, sig, om0).mu_seq == (mu, mu)
+            assert gpe.asymptotic_norm(sched).mu_seq == (mu, mu)
             ab = ("--a", repr(a), "--b", repr(b))
             assert run_json(capsys, "decay", *ab, "--periods", "2")[1]["mu"] == mu
             doc = run_json(capsys, "gain", *ab, "--periods", "8")[1]["gain"]
@@ -406,6 +405,20 @@ class TestGpe:
         assert doc["verdict"] == "converges"
         assert len(doc["norms"]) == 2
         assert doc["max_rel_dev"] < 0.01
+
+    def test_norms_off_the_prediction_fail(self, capsys, monkeypatch):
+        # template maps that contract 5% too much in log r: the norms leave
+        # the mu-sum prediction by more than 1%, reported rather than raised
+        original = gpe.integrate_flow
+
+        def off(*args, **kwargs):
+            traj = original(*args, **kwargs)
+            return flow.Trajectory(traj.ts, traj.omegas, 1.05 * traj.log_r)
+
+        monkeypatch.setattr(gpe, "integrate_flow", off)
+        code, doc = run_json(capsys, "gpe", "--a", "1", "--b", "3", "--periods", "4")
+        assert code == 1 and doc["passed"] is False
+        assert doc["max_rel_dev"] > 0.01 and len(doc["norms"]) == 4
 
 
 class TestVerify:

@@ -428,8 +428,7 @@ class TestWorkCounters:
         def count(pairs, lengths):
             s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
                                 tuple(itertools.accumulate(lengths)))
-            sig, om0 = gpe.build_gpe_signal(s)
-            return rhs_count(lambda: gpe.asymptotic_norm(s, sig, om0))
+            return rhs_count(lambda: gpe.asymptotic_norm(s))
         # each pair's map is two template flows at tol 1e-10, whatever the
         # chain's length; the parent's one chain flow took 530, 1548, 51488
         constant = {count([(1.0, 3.0)] * L, [1.0] * L) for L in (2, 6, 200)}
@@ -442,8 +441,8 @@ class TestWorkCounters:
         assert count(distinct, [1.0] * 6) <= 2300
 
     def test_gpe_solves_each_pair_once(self, monkeypatch):
-        # build_gpe_signal and asymptotic_norm share one extremal solve per
-        # distinct (a, b) of the schedule
+        # asymptotic_norm solves the extremal once per distinct (a, b) of
+        # the schedule, however many windows repeat it
         calls = []
         original = extremal2d.solve_params
 
@@ -455,8 +454,7 @@ class TestWorkCounters:
         pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 2
         s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
                             tuple(float(k + 1) for k in range(len(pairs))))
-        sig, om0 = gpe.build_gpe_signal(s)
-        gpe.asymptotic_norm(s, sig, om0)
+        gpe.asymptotic_norm(s)
         assert len(calls) == 4
 
     def test_hopeless_extremal_fails_fast(self, rhs_count):
@@ -510,11 +508,7 @@ class TestSharedCubic:
         pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
         s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
                             tuple(0.5 * (k + 1) for k in range(len(pairs))))
-
-        def call():
-            sig, om0 = gpe.build_gpe_signal(s)
-            gpe.asymptotic_norm(s, sig, om0)
-        assert solves(call) == 4
+        assert solves(lambda: gpe.asymptotic_norm(s)) == 4
 
     def test_mirror_half_shares_the_solve(self, solves):
         def call():

@@ -56,6 +56,13 @@ def test_one_propagator():
                                   "signals.time_rescale"}
 
 
+def test_gpe_walks_its_chain_once():
+    # the witness and the norms both read the one chain walk; no package
+    # code builds the witness, which the tests integrate as their reference
+    assert _callers("_chain") == {"gpe.build_gpe_signal", "gpe.asymptotic_norm"}
+    assert _callers("build_gpe_signal") == set()
+
+
 def test_extremal_shape_is_carried_as_k():
     # the shape reaches solve_multipliers, ExtremalParams and the Jacobi
     # functions as k = cos(phi0/2); phi0 = 2 acos(k) is only reported, and the
@@ -93,19 +100,28 @@ def test_benchmark_tracer_contract(capsys):
     # perfbench/tracer.py wraps every SPANNED name, counts adaptive_rk45's
     # first parameter f and reads its result[0] as ts; this keeps what the
     # benchmark reads in the fast suite, not only in the slow smoke tests;
-    # decay integrates the flow, where extremal no longer calls adaptive_rk45
+    # decay integrates the flow, where extremal no longer calls adaptive_rk45,
+    # and gpe keeps the schedule workload's per-layer view wired
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     original = flow.adaptive_rk45
-    t = tracer.Tracer()
-    t.install()
-    try:
-        assert cli.main(["decay", "--a", "1", "--b", "3"]) == 0
-    finally:
-        t.uninstall()
-    capsys.readouterr()
+
+    def traced(*argv):
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert cli.main(list(argv)) == 0
+        finally:
+            t.uninstall()
+        capsys.readouterr()
+        return t
+
+    t = traced("decay", "--a", "1", "--b", "3")
     assert t.counts["flow.steps_accepted"] > 0
+    assert t.counts["flow.rhs_evals"] > 0
+    t = traced("gpe", "--a", "1", "--b", "3", "--periods", "5")
+    assert t.calls["gpe.asymptotic_norm"] == 1
     assert t.counts["flow.rhs_evals"] > 0
     assert flow.adaptive_rk45 is original
