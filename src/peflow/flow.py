@@ -217,7 +217,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     Any other piece goes to adaptive_rk45 with S read from the piece's own
     segment (a stage on its right end reads the left limit there): one
     angle per stage for a RankOneSignal, rows of S for a MatrixSignal.  The
-    step size carries over from piece to piece.
+    step size carries over from piece to piece.  A piece on which the
+    stability limit h < 3.3/lambda alone needs over _MAX_STEPS steps raises
+    IntegrationError before its first step (lambda: the gain, times the
+    largest sample trace for a matrix signal).
 
     Returns (ts, ys): the piece ends and accepted steps, and the states there.
     """
@@ -289,6 +292,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         else:
             S_at = signal.matrix_on(seg, shift)
             rhs = angle if spherical else f
+        lam = seg.gain * (1.0 if rank_one else float(np.max(np.trace(seg.data, axis1=1, axis2=2))))
+        if lam * (u1 - u0) > 3.5 * _MAX_STEPS:
+            raise IntegrationError(f"piece [{u0:.6g}, {u1:.6g}] of gain {lam:.3g} needs over "
+                                   f"{_MAX_STEPS} steps: RK45 is stable only for h < 3.3/gain")
         off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if spherical else 0.0
         e = 0  # a decayed free x or block is integrated times 2^-e, exactly, in [0.5, 1)
         if u is None and not spherical:

@@ -45,7 +45,7 @@ from scipy.interpolate import CubicSpline
 
 from .extremal2d import build_optimal_control, mu as window_mu
 from .flow import propagate
-from .signals import RankOneSignal
+from .signals import RankOneSignal, _gauss_legendre
 
 __all__ = [
     "CONVERGENCE_TOL",
@@ -59,7 +59,6 @@ __all__ = [
 ]
 
 _TAIL_PERIODS = 20  # cap on the input-free decay tail of simulate_gain
-_GL8 = np.polynomial.legendre.leggauss(8)
 CONVERGENCE_TOL = 0.02  # the k-period ratio must reach lower / (1 + this)
 
 
@@ -138,12 +137,10 @@ class WorstInput:
     def moments(self) -> tuple[float, float, float]:
         """(I0, I1, I2), I_j = int_0^P e^{j kappa xi} |m(xi)|^2 dxi.
 
-        An 8-point Gauss-Legendre rule on each accepted step of the
+        The 5-point Gauss-Legendre rule on each accepted step of the
         one-period solve, with m read from its spline in one call.
         """
-        half = 0.5 * np.diff(self._m_ts)[:, None]
-        nodes = (self._m_ts[:-1, None] + half * (1.0 + _GL8[0])).ravel()
-        weights = (half * _GL8[1]).ravel()
+        nodes, weights = _gauss_legendre(self._m_ts)
         m = self.m(nodes)
         wm2 = weights * np.einsum("ij,ij->i", m, m)
         e = np.exp(self.kappa * nodes)

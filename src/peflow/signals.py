@@ -350,10 +350,9 @@ class PEWindowReport:
     satisfies: bool
 
 
-def _gauss_legendre(u0: float, u1: float, cells: int) -> tuple[NDArray, NDArray]:
-    """Nodes and weights of composite 5-point Gauss-Legendre on [u0, u1] cut
-    into `cells` equal cells."""
-    edges = np.linspace(u0, u1, cells + 1)
+def _gauss_legendre(edges: NDArray) -> tuple[NDArray, NDArray]:
+    """Nodes and weights of composite 5-point Gauss-Legendre on the cells
+    between consecutive edges."""
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
@@ -375,7 +374,7 @@ def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float) -> NDArray[
         # cells sized to the owning segment, so resolution matches the sample
         # density however the window cuts the segment
         cells = max(1, int(np.ceil((u1 - u0) / (seg.t1 - seg.t0) * _GRAM_SUBINTERVALS)))
-        nodes, weights = _gauss_legendre(u0 - shift, u1 - shift, cells)
+        nodes, weights = _gauss_legendre(np.linspace(u0 - shift, u1 - shift, cells + 1))
         weights = seg.gain * weights
         vals = seg.values(nodes)
         if isinstance(signal, RankOneSignal):

@@ -476,6 +476,24 @@ class TestWorkCounters:
                 flow.propagate(sig, om0, 0.0, sig.period, tol=1e-12)
         assert rhs_count(call) <= 6 * 20 + 1
 
+    def test_stiff_piece_fails_before_any_step(self, rhs_count):
+        # on a piece of gain g and length L, RK45's stability limit h < 3.3/g
+        # alone needs L g/3.3 steps; past the budget it raises at once instead
+        # of grinding through _MAX_STEPS steps (28 s for gpe at (1, 1e7)); a
+        # matrix signal's gain is its segment gain times the largest trace
+        sig, om0, _ = extremal2d.build_optimal_control(1.0, 1e7)
+        seg = sig.segments[0]
+        cs = signals.RankOneSignal._units(seg.data[::64])
+        matrix = signals.MatrixSignal((signals.Segment(
+            seg.t0, seg.t1, 0.5 * cs[:, :, None] * cs[:, None, :], 2.0),))
+
+        def call(signal, **kw):
+            with pytest.raises(flow.IntegrationError, match="stable only for h < 3.3/gain"):
+                flow.propagate(signal, om0, 0.0, seg.t1, **kw)
+        for signal, kw in ((sig, {}), (sig, {"spherical": True}), (matrix, {}),
+                           (sig, {"u": lambda t: np.zeros(2)})):
+            assert rhs_count(lambda: call(signal, **kw)) == 0
+
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)
         assert rhs_count(lambda: flow.cost_J(result.control, result.omega0)) == 0

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import peflow
@@ -76,6 +77,23 @@ def test_extremal_shape_is_carried_as_k():
     assert _callers("ExtremalTrajectory") == {"extremal2d.integrate_extremal"}
 
 
+def test_certificate_reads_the_closed_form_once(monkeypatch):
+    # verify_extremal evaluates the Jacobi functions once, at the Gram's
+    # nodes plus both ends, and once more through traj.mu for J(T)
+    calls = []
+    original = extremal2d.ExtremalTrajectory._jacobi
+
+    def counting(self, t):
+        calls.append(np.shape(t))
+        return original(self, t)
+
+    params, traj = extremal2d.solve_extremal(1.0, 3.0)
+    monkeypatch.setattr(extremal2d.ExtremalTrajectory, "_jacobi", counting)
+    report = extremal2d.verify_extremal(traj, params)
+    assert report.passed and set(report.residuals) == set(extremal2d.ExtremalReport.PRIMARY)
+    assert calls == [(2562,), (extremal2d._COST_CELLS * 5,)]
+
+
 def test_import_builds_no_large_quadrature_rule():
     # importing the CLI builds only the 5-node rule of the composite quadrature
     code = """
@@ -93,7 +111,7 @@ print(max(built, default=0))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert 0 < int(proc.stdout) <= 8
+    assert int(proc.stdout) == 5
 
 
 def test_benchmark_tracer_contract(capsys):
@@ -101,7 +119,8 @@ def test_benchmark_tracer_contract(capsys):
     # first parameter f and reads its result[0] as ts; this keeps what the
     # benchmark reads in the fast suite, not only in the slow smoke tests;
     # decay integrates the flow, where extremal no longer calls adaptive_rk45,
-    # and gpe keeps the schedule workload's per-layer view wired
+    # and gpe and extremal keep the schedule and certify workloads' per-layer
+    # views wired
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -124,4 +143,7 @@ def test_benchmark_tracer_contract(capsys):
     t = traced("gpe", "--a", "1", "--b", "3", "--periods", "5")
     assert t.calls["gpe.asymptotic_norm"] == 1
     assert t.counts["flow.rhs_evals"] > 0
+    t = traced("extremal", "--a", "1", "--b", "3")
+    assert t.calls["extremal2d.verify_extremal"] == 1
+    assert t.calls["extremal2d.solve_params"] >= 1
     assert flow.adaptive_rk45 is original
