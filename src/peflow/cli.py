@@ -131,11 +131,11 @@ def _cmd_decay(cfg: argparse.Namespace) -> int:
         sig, _, mu = extremal2d.build_optimal_control(cfg.a, cfg.b)
     report = flow.decay_rate(sig, n_periods=cfg.periods, tol=cfg.tol)
     passed = report.rate >= -1e-12
-    doc = {"decay": asdict(report), "passed": passed}
-    if mu is not None:
-        doc["mu"] = mu
-        doc["expected_rate"] = 2.0 * mu / sig.period
-    _emit_json(doc, cfg)
+    doc = {"decay": asdict(report)}
+    if mu is not None:  # a synthesized control must decay at its own rate 2 mu per period
+        doc["mu"], doc["expected_rate"] = mu, 2.0 * mu / sig.period
+        passed = passed and abs(report.rate / doc["expected_rate"] - 1.0) <= 1e-6
+    _emit_json({**doc, "passed": passed}, cfg)
     return 0 if passed else 1
 
 
@@ -173,17 +173,8 @@ def _cmd_gpe(cfg: argparse.Namespace) -> int:
                 for ell in range(L)]
         _emit_csv(["ell", "tau", "norm", "predicted_norm", "partial_sum"], rows, cfg)
     else:
-        _emit_json({
-            "verdict": verdict,
-            "partial_sums": sums,
-            "taus": list(asym.taus),
-            "norms": list(asym.norms),
-            "predicted_norms": list(asym.predicted_norms),
-            "mu_seq": list(asym.mu_seq),
-            "limit_estimate": asym.limit_estimate,
-            "max_rel_dev": asym.max_rel_dev,
-            "passed": passed,
-        }, cfg)
+        _emit_json({**asdict(asym), "verdict": verdict, "partial_sums": sums,
+                    "passed": passed}, cfg)
     return 0 if passed else 1
 
 

@@ -406,25 +406,23 @@ def extremal_angles(a: float, b: float) -> tuple[float, NDArray, NDArray]:
 def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
     """Synthesize the 2T-periodic worst-case control for window bounds 0 < a <= b.
 
-    Segment 1 holds the extremal's angles phi on [0, T]; segment 2 holds
-    their image 2 pi - phi under the fixed mirror D = diag(1, -1) on
-    [T, 2T], derived from segment 1 so the two share one cubic.  The seam
-    is continuous iff phi(0) + phi(T) = 2 pi; a miss above 2e-6 (1e-6 on c)
-    raises ArithmeticError.  The angles are rounded to multiples of 2^-50, the float
-    spacing on [4, 8), so 2 pi - phi is exact and a saved control reloads bit for bit.
+    One segment holds the pendulum's angles over its full period 2T: the
+    extremal's phi on [0, T], then 2 pi - phi on [T, 2T], which is the
+    pendulum's own second half (sn(u + 2K) = -sn(u), so phi(t + T) =
+    2 pi - phi(t)) and the image of the first under the mirror D = diag(1, -1).
+    The seam is continuous iff phi(0) + phi(T) = 2 pi; a miss above 2e-6
+    (1e-6 on c) raises ArithmeticError.
 
     Returns (signal, omega0, mu): the rank-one angle signal with period 2T,
     the worst initial direction, and the per-window cost mu = J over [0, T].
     """
     mu, theta, phis = extremal_angles(a, b)
-    phis = np.round(phis * 2.0 ** 50) * 2.0 ** -50
     T = a + b
     seam = abs(float(phis[0] + phis[-1]) - 2.0 * np.pi)
     if seam > 2e-6:
         raise ArithmeticError(f"seam mismatch: |phi(0) + phi(T) - 2 pi| = {seam:.2e}")
-    first = Segment(0.0, T, phis)
-    segs = (first, first.derive(T, 2 * T, 1.0, scale=-1.0, offset=2.0 * np.pi))
-    return RankOneSignal(segs, dim=2, period=2 * T), RankOneSignal._unit(theta[0]), mu
+    seg = Segment(0.0, 2 * T, np.concatenate([phis, 2.0 * np.pi - phis[1:]]))
+    return RankOneSignal((seg,), dim=2, period=2 * T), RankOneSignal._unit(theta[0]), mu
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,12 @@ theta.  _chain walks the schedule once: it solves each distinct
 window its turn.  The log-contraction over window ell is then exactly
 mu(a_ell, b_ell, 2), so the norm at tau_L is exp(-sum of mu) by construction.
 
-build_gpe_signal derives the witness from that chain, each window's cubic
-from its pair's template (one banded solve per pair, not per window).
-asymptotic_norm measures the norm from the same chain, without building
-the witness or integrating every window: each window's map is its
-template's window map conjugated by the rotation by half the turn, and a
-pair's map is integrated once, as at most two template flows.
+build_gpe_signal builds the witness from that chain, each window its
+pair's template samples plus the window's turn.  asymptotic_norm measures
+the norm from the same chain, without building the witness or integrating
+every window: each window's map is its template's window map conjugated by
+the rotation by half the turn, and a pair's map is integrated once, as at
+most two template flows.
 """
 from __future__ import annotations
 
@@ -156,16 +156,15 @@ def _chain(schedule: GPESchedule) -> tuple[float, list[tuple[float, Segment, flo
 def build_gpe_signal(schedule: GPESchedule) -> tuple[RankOneSignal, NDArray]:
     """Chain per-window worst-case controls into one signal on [0, tau_L].
 
-    Window ell is one segment: its pair's template turned by the window's
-    turn from _chain, with gain (a_ell + b_ell) / window length, derived so
-    that its cubic is the template's plus the turn.  Returns the signal and
-    the worst initial direction omega0.
+    Window ell is one segment: its pair's template samples turned by the
+    window's turn from _chain, with gain (a_ell + b_ell) / window length.
+    Returns the signal and the worst initial direction omega0.
     """
     theta0, windows = _chain(schedule)
     segs = []
     for ell, (_, template, turn) in enumerate(windows):
         a, b, t0, t1 = schedule.window(ell)
-        segs.append(template.derive(t0, t1, (a + b) / (t1 - t0), offset=turn))
+        segs.append(Segment(t0, t1, template.data + turn, (a + b) / (t1 - t0)))
     return RankOneSignal(tuple(segs)), RankOneSignal._unit(theta0)
 
 

@@ -17,11 +17,7 @@ rank-one control stays rank-one.  A segment interpolates its samples by
 the not-a-knot cubic in the sample index u = (t - t0)(m-1)/(t1 - t0),
 scipy's CubicSpline on that grid, built by one tridiagonal solve; a read
 at one time is int(u) and Horner on four stored coefficients, so a
-rank-one control hands the flow one angle per evaluation.  That cubic is
-linear in the samples and blind to t0, t1 and the gain, so a segment
-derived from another (Segment.derive: samples scale * data + offset, new
-times, new gain) maps its parent's coefficients instead of solving again;
-relabelled, turned and mirrored copies share one solve.  A periodic
+rank-one control hands the flow one angle per evaluation.  A periodic
 signal's period equals the span of its segments.  Instances are immutable.
 
 A span [t0, t1] is walked one piece at a time: pieces() cuts it at the
@@ -120,23 +116,6 @@ class Segment:
         s0, s1 = slopes[:-1], slopes[1:]
         coef = np.stack([y[:-1], s0, 3.0 * dy - 2.0 * s0 - s1, s0 + s1 - 2.0 * dy], axis=-1)
         return array("d", coef.tobytes())
-
-    def derive(self, t0: float, t1: float, gain: float, scale: float = 1.0,
-               offset: float = 0.0) -> Segment:
-        """The segment with samples scale * data + offset on [t0, t1] and the
-        given gain, whose cubic is this one's under the same map: every
-        coefficient times scale, plus offset on the constant term.
-
-        The not-a-knot cubic is linear in the samples and indexed by the
-        sample, not the time, so this is the fresh solve's cubic up to
-        rounding, without the banded solve.
-        """
-        seg = Segment(t0, t1, scale * self.data + offset, gain)
-        if len(self.data) > 1:
-            coef = scale * np.frombuffer(self._coef).reshape(-1, 4)
-            coef[:, 0] += offset
-            seg.__dict__["_coef"] = array("d", coef.tobytes())
-        return seg
 
     def values(self, ts: NDArray) -> NDArray[np.float64]:
         """Interpolated raw samples at an array of times, clamped to [t0, t1]."""
@@ -404,14 +383,14 @@ def verify_pe(signal, a: float, b: float, T: float, window_starts,
 def time_rescale(signal, lam: float):
     """Class-preserving time change S~(s) = lam * S(lam * s), exact.
 
-    Each segment keeps its samples and its cubic (Segment.derive) on
-    [t0/lam, t1/lam] with its gain times lam.  Maps a signal with window
-    bounds (a, b, T) to one with bounds (a, b, T/lam): the windowed Gram
-    integrals are unchanged.
+    Each segment keeps its samples on [t0/lam, t1/lam] with its gain times
+    lam; its cubic, indexed by the sample, is unchanged.  Maps a signal with
+    window bounds (a, b, T) to one with bounds (a, b, T/lam): the windowed
+    Gram integrals are unchanged.
     """
     if not 0.0 < lam < math.inf:
         raise ValueError(f"need a finite lam > 0, got {lam}")
-    segs = tuple(seg.derive(seg.t0 / lam, seg.t1 / lam, seg.gain * lam)
+    segs = tuple(Segment(seg.t0 / lam, seg.t1 / lam, seg.data, seg.gain * lam)
                  for seg in signal.segments)
     period = signal.period / lam if signal.period is not None else None
     return replace(signal, segments=segs, period=period)

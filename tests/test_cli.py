@@ -315,6 +315,15 @@ class TestDecayGain:
         assert doc["decay"]["method"] == "monodromy"
         assert doc["decay"]["rate"] == pytest.approx(doc["expected_rate"], rel=1e-6)
 
+    def test_decay_off_its_expected_rate_fails(self, capsys):
+        # at (1e-8, 1e-8) the tol-1e-9 flow's error is a fixed share of the
+        # per-period contraction 2 mu ~ 1e-8: the rate lands 8.7% off, and the
+        # verdict says so while the report is still written
+        code, doc = run_json(capsys, "decay", "--a", "1e-8", "--b", "1e-8")
+        assert code == 1 and doc["passed"] is False and "error" not in doc
+        assert doc["decay"]["rate"] >= 0.0
+        assert abs(doc["decay"]["rate"] / doc["expected_rate"] - 1.0) > 1e-6
+
     def test_decay_signal_file(self, capsys, tmp_path):
         path = tmp_path / "axis.json"
         write_signal(axis_hopping_control(1.0, 1.0, 2), str(path))

@@ -502,8 +502,9 @@ class TestWorkCounters:
 
 
 class TestSharedCubic:
-    """A derived segment takes its parent's cubic: one banded solve per
-    distinct angle sequence, however many windows or mirror halves read it."""
+    """One banded solve per cubic: gpe solves each distinct pair's template
+    once however many windows read it, and a synthesized control's whole
+    period is one segment, so one solve."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -528,7 +529,7 @@ class TestSharedCubic:
                             tuple(0.5 * (k + 1) for k in range(len(pairs))))
         assert solves(lambda: gpe.asymptotic_norm(s)) == 4
 
-    def test_mirror_half_shares_the_solve(self, solves):
+    def test_full_period_is_one_solve(self, solves):
         def call():
             sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.0)
             flow.integrate_flow(sig, om0, 0.0, sig.period)

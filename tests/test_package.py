@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import peflow
-from peflow import cli, extremal2d, flow
+from peflow import cli, extremal2d, flow, signals
 
 
 @pytest.mark.parametrize("module", peflow.__all__)
@@ -42,7 +42,7 @@ def _callers(name: str) -> set[str]:
     return found
 
 
-def test_one_propagator():
+def test_one_propagator(monkeypatch):
     # x' = -S(t) x (+ u) has one right-hand side, and one method cuts spans
     # at segment boundaries for its two walkers and finds the segment of a
     # point read; one spline remains, read over one RK45 solve
@@ -50,11 +50,23 @@ def test_one_propagator():
     assert _callers("pieces") == {"flow.propagate", "signals.gram",
                                   "signals.RankOneSignal", "signals.MatrixSignal"}
     assert _callers("CubicSpline") == {"gain.WorstInput"}
-    # one banded solver, and every relabelled, turned or mirrored segment
-    # takes its parent's cubic instead of solving again
     assert _callers("solve_banded") == {"signals.Segment"}
-    assert _callers("derive") == {"gpe.build_gpe_signal", "extremal2d.build_optimal_control",
-                                  "signals.time_rescale"}
+    # the synthesized control is the pendulum over its full period 2T, one
+    # segment: its second half is 2 pi - phi exactly, one cubic and one RK45 piece
+    a, b = 1.0, 3.0
+    sig, om0, _ = extremal2d.build_optimal_control(a, b)
+    _, _, phis = extremal2d.extremal_angles(a, b)
+    (seg,) = sig.segments
+    assert (seg.t0, seg.t1, sig.period, len(seg.data)) == (0.0, 2 * (a + b), 2 * (a + b), 4095)
+    assert np.array_equal(seg.data[2048:], 2.0 * np.pi - phis[1:])
+    calls = {"solve_banded": 0, "adaptive_rk45": 0}
+    for module, name in ((signals, "solve_banded"), (flow, "adaptive_rk45")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    flow.integrate_flow(sig, om0, 0.0, sig.period)
+    assert calls == {"solve_banded": 1, "adaptive_rk45": 1}
 
 
 def test_gpe_walks_its_chain_once():
@@ -119,8 +131,8 @@ def test_benchmark_tracer_contract(capsys):
     # first parameter f and reads its result[0] as ts; this keeps what the
     # benchmark reads in the fast suite, not only in the slow smoke tests;
     # decay integrates the flow, where extremal no longer calls adaptive_rk45,
-    # and gpe and extremal keep the schedule and certify workloads' per-layer
-    # views wired
+    # and gpe, extremal, gain and oracle keep the schedule, certify, resonance
+    # and oracle workloads' per-layer views wired
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
@@ -146,4 +158,11 @@ def test_benchmark_tracer_contract(capsys):
     t = traced("extremal", "--a", "1", "--b", "3")
     assert t.calls["extremal2d.verify_extremal"] == 1
     assert t.calls["extremal2d.solve_params"] >= 1
+    t = traced("gain", "--a", "1", "--b", "3")  # one period of the worst input, one RK45 piece
+    assert t.calls["gain.worst_input"] == 1
+    assert t.calls["flow.adaptive_rk45"] == 1
+    assert t.counts["flow.rhs_evals"] > 0
+    t = traced("oracle", "--a", "1", "--b", "3", "--segments", "8", "--seeds", "1")
+    assert t.calls["oracle.brute_force_mu2"] == 1
+    assert t.counts["oracle.nfev"] > 0
     assert flow.adaptive_rk45 is original
