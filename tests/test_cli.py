@@ -317,8 +317,8 @@ class TestDecayGain:
 
     def test_decay_off_its_expected_rate_fails(self, capsys):
         # at (1e-8, 1e-8) the tol-1e-9 flow's error is a fixed share of the
-        # per-period contraction 2 mu ~ 1e-8: the rate lands 8.7% off, and the
-        # verdict says so while the report is still written
+        # per-period contraction 2 mu ~ 1e-8: the rate lands about 10% off, and
+        # the verdict says so while the report is still written
         code, doc = run_json(capsys, "decay", "--a", "1e-8", "--b", "1e-8")
         assert code == 1 and doc["passed"] is False and "error" not in doc
         assert doc["decay"]["rate"] >= 0.0
