@@ -339,22 +339,25 @@ class ExtremalTrajectory:
         """(theta', eta', phi') at t, shape (..., 3)."""
         return self._rates(self._jacobi(t))
 
-    def cost(self, t):
-        """J(t) = int_0^t cos^2((theta - phi)/2) ds by _COST_CELLS-cell composite
-        Gauss-Legendre on [0, t].  Projecting M c = 0 on c and c_perp gives the
-        integrand (q + 2 eta^2 + 2 eta r)/(1 + 4 eta^2), q = alpha c1^2 - d c2^2,
-        r = (alpha + d) k sn dn, and the frequency and turning relations make
-        q + 2 eta^2 the positive sum d (alpha sn^2 + (beta + d)(1 + 2d) cn^2)/(beta + d).
+    def _cost_rate(self, jac):
+        """J' = cos^2((theta - phi)/2) from jac = _jacobi(t).  Projecting M c = 0
+        on c and c_perp gives (q + 2 eta^2 + 2 eta r)/(1 + 4 eta^2), q = alpha c1^2 -
+        d c2^2, r = (alpha + d) k sn dn, and the frequency and turning relations
+        make q + 2 eta^2 the positive sum d (alpha sn^2 + (beta + d)(1 + 2d) cn^2)/(beta + d).
         q + eta sin(theta - phi) with an atan2 theta cancels where mu << T:
         J came out 4e-5 off at (1, 1e8) and 0.4 off at (1e4, 1e12)."""
-        t = np.asarray(t, dtype=float)
-        nodes, weights = _gauss_legendre(np.linspace(0.0, 1.0, _COST_CELLS + 1))
-        k, w0, sn, cn, dn = self._jacobi(t[..., None] * nodes)
+        k, w0, sn, cn, dn = jac
         al, d, den = self.params.alpha, self.params.d, self.params.beta + self.params.d
         eta, r = den * k * w0 * cn, (al + d) * k * sn * dn
-        rate = (d / den * (al * sn * sn + den * (1.0 + 2.0 * d) * cn * cn) + 2.0 * eta * r) \
+        return (d / den * (al * sn * sn + den * (1.0 + 2.0 * d) * cn * cn) + 2.0 * eta * r) \
             / (1.0 + 4.0 * eta * eta)
-        return rate @ weights * t
+
+    def cost(self, t):
+        """J(t) = int_0^t cos^2((theta - phi)/2) ds by _COST_CELLS-cell composite
+        Gauss-Legendre on [0, t]."""
+        t = np.asarray(t, dtype=float)
+        nodes, weights = _gauss_legendre(np.linspace(0.0, 1.0, _COST_CELLS + 1))
+        return self._cost_rate(self._jacobi(t[..., None] * nodes)) @ weights * t
 
     def theta(self, t):
         return self.columns(t)[..., 0]

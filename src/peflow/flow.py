@@ -293,7 +293,7 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             S_at = signal.matrix_on(seg, shift)
             rhs = angle if spherical else f
         lam = seg.gain * (1.0 if rank_one else float(np.max(np.trace(seg.data, axis1=1, axis2=2))))
-        if lam * (u1 - u0) > 3.5 * _MAX_STEPS:
+        if lam * (u1 - u0) > 3.2 * _MAX_STEPS:
             raise IntegrationError(f"piece [{u0:.6g}, {u1:.6g}] of gain {lam:.3g} needs over "
                                    f"{_MAX_STEPS} steps: RK45 is stable only for h < 3.3/gain")
         off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if spherical else 0.0

@@ -23,10 +23,15 @@ over one period,
                 + I0 ((1 - rho^{2k}) + (1 - rho^k)^2)/(1 - rho^2),
     int |u|^2 = k kappa^2 I2,
 
-whose ratio rises with k to 1/kappa, the lower bound.  The one period
-of m that worst_input integrates therefore gives the ratio at every
-horizon.  simulate_gain stays as the independent check and the source of
-the (t, |x|, |u|) trace.
+whose ratio rises with k to 1/kappa, the lower bound.  No ODE is solved
+for m either: the slow eigenvector is the extremal's own initial state,
+and the flow carries it along the extremal, m = e^{-J} (cos(theta/2),
+sin(theta/2)) on the half period [0, T] with J the running cost, then
++-e^{-mu} D m(xi - T) under the mirrored control.  So
+I_j = (1 + e^{(j - 2) mu}) int_0^T e^{j kappa s - 2 J(s)} ds, one
+quadrature of the closed form, gives the ratio at every horizon.
+simulate_gain stays as the independent check and the source of the
+(t, |x|, |u|) trace.
 
 Everything runs on the extremal's own (trace-one) clock, where the plant
 really is xdot = -cc^T x + u with unit c; the bridge to the T-window
@@ -36,6 +41,7 @@ scaling gamma(a, b, T) = T * gamma(a, b, 1).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,9 +49,10 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicSpline
 
-from .extremal2d import build_optimal_control, mu as window_mu
+from .extremal2d import ExtremalParams, ExtremalTrajectory, mu as window_mu, \
+    solve_extremal, verify_extremal
 from .flow import propagate
-from .signals import RankOneSignal, _gauss_legendre
+from .signals import _GL_NODES, _GL_WEIGHTS, RankOneSignal, _gauss_legendre
 
 __all__ = [
     "CONVERGENCE_TOL",
@@ -60,6 +67,23 @@ __all__ = [
 
 _TAIL_PERIODS = 20  # cap on the input-free decay tail of simulate_gain
 CONVERGENCE_TOL = 0.02  # the k-period ratio must reach lower / (1 + this)
+_CELLS = 256  # Gauss-Legendre cells of the moments on the half period [0, T]
+
+
+def _running_rule() -> NDArray[np.float64]:
+    """A[i, j] = int_{-1}^{x_i} L_j(y) dy over the Lagrange basis L_j of the
+    5 Gauss-Legendre nodes x_i: times a cell's half width, A @ f is the
+    integral of f from the cell's left edge to each of its nodes.  The same
+    rule mapped to [-1, x_i] integrates each L_j, of degree 4, exactly; no
+    linear solve, which would cost the importing process 0.5 MB of RSS."""
+    x = _GL_NODES
+    y = 0.5 * ((x[:, None] + 1.0) * x + (x[:, None] - 1.0))  # y[i, q] in [-1, x_i]
+    basis = np.stack([np.prod(np.delete(y[..., None] - x, j, axis=-1), axis=-1)
+                      / np.prod(np.delete(x[j] - x, j)) for j in range(5)], axis=-1)
+    return 0.5 * (x + 1.0)[:, None] * np.einsum("q,iqj->ij", _GL_WEIGHTS, basis)
+
+
+_RUNNING = _running_rule()
 
 
 @dataclass(frozen=True)
@@ -68,7 +92,7 @@ class GainReport:
 
     `simulated` is the exact L2 input-output ratio of the resonant input
     over `horizon_periods` periods plus the full decay tail, from the
-    closed form on one period.  It rises with the horizon to `lower`, so
+    closed form of the half-window extremal.  It rises with the horizon to `lower`, so
     simulated <= upper outright, and the sandwich certifies once
     lower <= simulated * (1 + CONVERGENCE_TOL); `horizon_needed` is the
     smallest horizon at which it does.
@@ -111,20 +135,46 @@ class WorstInput:
     rho_hat = e^{-2 mu} (at the period-2 normalization kappa = mu and
     v(t) = mu e^{mu t}).  u is continuous and periodic because
     v(P) Phi(P,0) omega_star = kappa e^{2mu} rho_hat omega_star =
-    v(0) omega_star.
+    v(0) omega_star.  omega_star is the initial state of the half-window
+    extremal traj, whose period is P = 2T, and m(xi) = Phi(xi, 0) omega_star
+    is read from traj's closed form: the moments by quadrature, the
+    values of m from a cubic spline through the same nodes.
     """
 
+    traj: ExtremalTrajectory
     period: float
     mu: float
     kappa: float
     rho_hat: float
-    omega_star: NDArray[np.float64]
-    _m_ts: NDArray[np.float64]
-    _m_ys: NDArray[np.float64]
+
+    @cached_property
+    def _half(self) -> tuple[NDArray, NDArray, NDArray, tuple]:
+        """(xi, w, J, jac) on the half period [0, T]: the nodes xi of
+        _CELLS-cell composite 5-point Gauss-Legendre with 0 and T at the ends,
+        the weights w of the nodes between them, the running cost J at every
+        xi, and the Jacobi functions there.  Each xi is read once: J sums the cells before a
+        node plus _RUNNING within its own."""
+        T = 0.5 * self.period
+        nodes, weights = _gauss_legendre(np.linspace(0.0, T, _CELLS + 1))
+        xi = np.concatenate([[0.0], nodes, [T]])
+        jac = self.traj._jacobi(xi)
+        rate = self.traj._cost_rate(jac)[1:-1].reshape(_CELLS, 5)
+        cells = np.cumsum((weights.reshape(_CELLS, 5) * rate).sum(axis=1))
+        before = np.concatenate([[0.0], cells[:-1]])
+        inner = before[:, None] + (0.5 * T / _CELLS) * rate @ _RUNNING.T
+        return xi, weights, np.concatenate([[0.0], inner.ravel(), cells[-1:]]), jac
 
     @cached_property
     def _m_spline(self) -> CubicSpline:
-        return CubicSpline(self._m_ts, self._m_ys, axis=0)
+        """m on [0, P]: e^{-J} (cos(theta/2), sin(theta/2)) at the nodes of the
+        half period, then its image s e^{-mu} D m(xi - T), D = diag(1, -1), with
+        the sign s that makes m continuous at T."""
+        xi, _, J, jac = self._half
+        m = np.exp(-J)[:, None] * RankOneSignal._units(self.traj._columns(jac)[:, 0])
+        sign = math.copysign(1.0, m[-1] @ (m[0] * [1.0, -1.0]))
+        mirror = sign * math.exp(-self.mu) * m[1:] * [1.0, -1.0]
+        return CubicSpline(np.concatenate([xi, xi[-1] + xi[1:]]),
+                           np.concatenate([m, mirror]), axis=0)
 
     def m(self, xi: float | NDArray) -> NDArray[np.float64]:
         """Flow of omega_star over one period: Phi(xi, 0) omega_star."""
@@ -137,14 +187,16 @@ class WorstInput:
     def moments(self) -> tuple[float, float, float]:
         """(I0, I1, I2), I_j = int_0^P e^{j kappa xi} |m(xi)|^2 dxi.
 
-        The 5-point Gauss-Legendre rule on each accepted step of the
-        one-period solve, with m read from its spline in one call.
+        The half period [T, P] repeats [0, T] with |m|^2 scaled by e^{-2 mu}
+        and e^{j kappa xi} by e^{j mu}, so I_j = (1 + e^{(j - 2) mu})
+        int_0^T e^{j kappa s - 2 J(s)} ds, on the nodes of _half.
         """
-        nodes, weights = _gauss_legendre(self._m_ts)
-        m = self.m(nodes)
-        wm2 = weights * np.einsum("ij,ij->i", m, m)
-        e = np.exp(self.kappa * nodes)
-        I0, I1, I2 = float(wm2.sum()), float(wm2 @ e), float(wm2 @ (e * e))
+        xi, weights, J, _ = self._half
+        wm2 = weights * np.exp(-2.0 * J[1:-1])
+        e = np.exp(self.kappa * xi[1:-1])
+        I0 = (1.0 + math.exp(-2.0 * self.mu)) * float(wm2.sum())
+        I1 = (1.0 + math.exp(-self.mu)) * float(wm2 @ e)
+        I2 = 2.0 * float(wm2 @ (e * e))
         if not (np.isfinite([I0, I1, I2]).all() and I2 > 0.0):
             raise ArithmeticError(f"bad one-period moments {(I0, I1, I2)}")
         return I0, I1, I2
@@ -166,29 +218,22 @@ class WorstInput:
         return (self.v(xi) * self.m(xi).T).T
 
 
-def worst_input(c_star: RankOneSignal, omega_star: NDArray, mu: float) -> WorstInput:
-    """Build the gain-saturating input for a periodic extremal control.
+def worst_input(params: ExtremalParams, traj: ExtremalTrajectory) -> WorstInput:
+    """Build the gain-saturating input on the extremal traj of params.
 
-    omega_star must be the slow eigenvector of the period map (for the
-    synthesized extremal this is its initial condition omega0); this is
-    verified against the integrated monodromy action before returning.
+    The slow eigenvector of the period map is traj's initial state only if
+    traj is the extremal of params, so traj must pass verify_extremal at its
+    default tol; a ValueError names the worst residual otherwise.
     """
-    if c_star.period is None:
-        raise ValueError("worst_input needs a periodic control")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
-    P = float(c_star.period)
-    omega_star = np.asarray(omega_star, dtype=float)
-
-    t0 = c_star.t_start
-    ts, ys = propagate(c_star, omega_star, t0, t0 + P, tol=1e-11)
-    rho_hat = float(np.exp(-2.0 * mu))
-    seam = float(np.linalg.norm(ys[-1] - rho_hat * omega_star))
-    if seam > 1e-6:
-        raise ValueError(f"omega_star is not the slow monodromy eigenvector "
-                         f"(|Phi(P,0) w - e^(-2mu) w| = {seam:.2e})")
-    return WorstInput(period=P, mu=mu, kappa=2.0 * mu / P, rho_hat=rho_hat,
-                      omega_star=omega_star, _m_ts=ts - t0, _m_ys=ys)
+    report = verify_extremal(traj, params)
+    if not report.passed:
+        name = max(report.residuals, key=report.residuals.get)
+        raise ValueError(f"the extremal fails its certificate ({name} = "
+                         f"{report.residuals[name]:.2e}), so its initial state is "
+                         "not certified as the slow monodromy eigenvector")
+    mu, T = report.mu, params.T
+    return WorstInput(traj=traj, period=2.0 * T, mu=mu, kappa=mu / T,
+                      rho_hat=float(np.exp(-2.0 * mu)))
 
 
 def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
@@ -240,8 +285,8 @@ def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
 def gain_estimate(a: float, b: float, T: float, k_periods: int = 50) -> GainReport:
     """Two-sided gain estimate for window bounds (a, b) and window length T.
 
-    Computes mu(a, b) and mu(a/2, b/2) from the extremal pipeline, builds
-    the worst input on the (a/2, b/2) extremal in its natural clock, takes
+    Computes mu(a, b) and mu(a/2, b/2) in closed form, builds the worst
+    input on the certified (a/2, b/2) extremal in its natural clock, takes
     its k-period ratio in closed form (WorstInput.ratio), and rescales
     everything to the user window by homogeneity
     (gamma(a, b, T) = T * gamma(a, b, 1)).  The same closed form gives
@@ -251,9 +296,9 @@ def gain_estimate(a: float, b: float, T: float, k_periods: int = 50) -> GainRepo
         raise ValueError("k_periods must be >= 1")
     mu = window_mu(a, b)
 
-    c2, omega_star, mu_half = build_optimal_control(a / 2.0, b / 2.0)
-    u = worst_input(c2, omega_star, mu_half)
-    T_half = 0.5 * (a + b)  # natural half-window; c2 has period 2*T_half
+    params, traj = solve_extremal(a / 2.0, b / 2.0)
+    u = worst_input(params, traj)
+    mu_half, T_half = u.mu, params.T  # the natural half-window; u has period 2 T_half
     lower = gain_lower(mu_half, T)
 
     def simulated(k: int) -> float:

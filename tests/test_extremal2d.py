@@ -514,8 +514,9 @@ class TestBuildOptimalControl:
 
     @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1.0, 1.0), (1e-8, 1e-8), (1e4, 1e12)])
     def test_saved_control_reloads_bit_for_bit(self, a, b):
-        # every mirror sample 2 pi - phi is exact, so the fresh cubic of a
-        # reloaded file is the derived one at every time
+        # the saved samples are the segment's own floats, and a reloaded
+        # segment solves the same cubic from them, so it reads the control
+        # bit for bit at every time
         sig, _, _ = extremal2d.build_optimal_control(a, b)
         back = signals.signal_from_dict(json.loads(json.dumps(signals.signal_to_dict(sig))))
         ts = np.linspace(0.0, sig.period, 1001)

@@ -7,6 +7,7 @@ and the axis-hopping control whose monodromy is exactly e^{-a} I.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -405,17 +406,29 @@ class TestWorkCounters:
         P = sig.period
         assert rhs_count(lambda: flow.integrate_flow(sig, om0, 0.0, P)) <= 530
         assert rhs_count(lambda: flow.fundamental_matrix(sig, 0.0, P)) <= 494
-        c2, omega_star, mu_half = extremal2d.build_optimal_control(0.5, 1.5)
-        assert rhs_count(lambda: gain.worst_input(c2, omega_star, mu_half)) <= 782
-        u = gain.worst_input(c2, omega_star, mu_half)
+        # the worst input reads the closed-form extremal: its moments and its
+        # direction spline solve no ODE
+        params, traj = extremal2d.solve_extremal(0.5, 1.5)
+        u = gain.worst_input(params, traj)
+        assert rhs_count(lambda: (gain.worst_input(params, traj).moments, u.m(1.0))) == 0
+        c2, _, _ = extremal2d.build_optimal_control(0.5, 1.5)
         assert rhs_count(lambda: gain.simulate_gain(c2, u, k_periods=3)) <= 3280
 
     def test_gain_estimate_work_is_independent_of_horizon(self, rhs_count):
-        # one period of worst_input is all the RK work: the extremal at
-        # (0.5, 1.5) is in closed form
+        # the k-period ratio is in closed form from the closed-form extremal
         counts = [rhs_count(lambda: gain.gain_estimate(1.0, 3.0, 1.0, k_periods=k))
                   for k in (8, 5000)]
-        assert counts[0] == counts[1] <= 782
+        assert counts == [0, 0]
+
+    def test_gain_at_a_wide_ratio_makes_no_rk_evaluations(self, rhs_count, capsys):
+        # (1, 1e8) is a half-window period RK45 refuses; gain no longer
+        # integrates it.  Its ratio may still read NaN (the k-period sum
+        # cancels at wide ratios), so only the exit path is pinned here
+        def call():
+            assert cli.main(["gain", "--a", "1", "--b", "1e8"]) in (0, 1)
+        assert rhs_count(call) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "error" not in doc and doc["gain"]["mu_half"] > 0.0
 
     def test_mu_makes_no_rk_evaluations(self, rhs_count, capsys):
         assert rhs_count(lambda: extremal2d.mu(1.0, 3.0)) == 0
@@ -493,6 +506,18 @@ class TestWorkCounters:
         for signal, kw in ((sig, {}), (sig, {"spherical": True}), (matrix, {}),
                            (sig, {"u": lambda t: np.zeros(2)})):
             assert rhs_count(lambda: call(signal, **kw)) == 0
+
+    def test_piece_past_the_stability_budget_fails_at_once(self, rhs_count):
+        # RK45 crosses about 3.23 time units per step at gain 1, so a gain-1
+        # piece 6.45e6 long cannot finish in _MAX_STEPS steps; it raises
+        # before the first evaluation, not after the whole budget
+        sig, om0, _ = extremal2d.build_optimal_control(1.0, 3.225e6 - 1.0)
+        assert sig.period == 6.45e6 and sig.segments[0].gain == 1.0
+
+        def call():
+            with pytest.raises(flow.IntegrationError, match="stable only for h < 3.3/gain"):
+                flow.propagate(sig, om0, 0.0, sig.period)
+        assert rhs_count(call) == 0
 
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)

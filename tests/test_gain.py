@@ -4,17 +4,22 @@ Closed-form bounds are checked directly; the k-period ratio is pinned
 at the (1, 3, 1) reference point, checked against the RK45 simulation of
 the same input, and checked for the structural facts that make the
 estimate trustworthy: seam continuity of the input, monotone approach
-from below, exact linear scaling in T and a tight needed horizon.
+from below, exact linear scaling in T and a tight needed horizon.  The
+closed-form moments and input direction are checked against an RK45 flow
+of the sampled control.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
-from peflow import cli, extremal2d, gain
+from peflow import cli, extremal2d, flow, gain
+from peflow.signals import _gauss_legendre
 
 
 class TestClosedFormBounds:
@@ -41,38 +46,92 @@ class TestClosedFormBounds:
 
 @pytest.fixture(scope="module")
 def half_extremal():
-    c2, omega_star, mu_half = extremal2d.build_optimal_control(0.5, 1.5)
-    return c2, omega_star, mu_half
+    # the (0.5, 1.5) control, simulated, and the worst input on its extremal
+    c2, _, _ = extremal2d.build_optimal_control(0.5, 1.5)
+    return c2, gain.worst_input(*extremal2d.solve_extremal(0.5, 1.5))
+
+
+def rk45_moments(a, b):
+    """The one-period moments by the earlier recipe, independent of the
+    closed-form m: omega0 propagated over the period 2T of the sampled
+    control at tol 1e-11, a cubic spline through the accepted steps, and
+    5-point Gauss-Legendre on each step.  Returns the moments, the steps
+    and the states there."""
+    c2, omega0, mu_ab = extremal2d.build_optimal_control(a, b)
+    ts, ys = flow.propagate(c2, omega0, 0.0, c2.period, tol=1e-11)
+    nodes, weights = _gauss_legendre(ts)
+    m = CubicSpline(ts, ys, axis=0)(nodes)
+    wm2 = weights * np.einsum("ij,ij->i", m, m)
+    e = np.exp(2.0 * mu_ab / c2.period * nodes)
+    return np.array([wm2.sum(), wm2 @ e, wm2 @ (e * e)]), ts, ys
+
+
+SCALES = [(0.5, 1.5), (0.5, 0.5), (5e-7, 1.5e-6), (5e-9, 5e-9)]
+
+
+def shape_off(params, rel=1e-3):
+    """The trajectory of params with its shape k off by rel: not the
+    extremal of params (ExtremalParams itself would refuse such a k)."""
+    off = copy.copy(params)
+    object.__setattr__(off, "k", params.k * (1.0 + rel))
+    return extremal2d.ExtremalTrajectory(off)
 
 
 class TestWorstInput:
     def test_continuous_at_seam(self, half_extremal):
-        c2, omega_star, mu_half = half_extremal
-        u = gain.worst_input(c2, omega_star, mu_half)
-        P = c2.period
+        _, u = half_extremal
+        P = u.period
         gap = np.linalg.norm(u(P - 1e-9) - u(1e-12))
         assert gap < 1e-6 * np.linalg.norm(u(1e-12))
 
-    def test_rejects_wrong_eigenvector(self, half_extremal):
-        c2, omega_star, mu_half = half_extremal
-        wrong = np.array([omega_star[1], -omega_star[0]])
-        with pytest.raises(ValueError):
-            gain.worst_input(c2, wrong, mu_half)
+    def test_rejects_perturbed_extremal(self):
+        # a trajectory whose shape k is off by 1e-3 is not the extremal of
+        # its params: the certificate's gram and cost residuals, relative to
+        # scale, catch it at every scale, where an absolute seam check on
+        # the monodromy passed a direction turned by 1e-3 at (1e-6, 3e-6)
+        for a, b in [(0.5, 1.5), (5e-7, 1.5e-6), (5e-9, 5e-9)]:
+            params, traj = extremal2d.solve_extremal(a, b)
+            gain.worst_input(params, traj)
+            with pytest.raises(ValueError, match="certificate"):
+                gain.worst_input(params, shape_off(params))
+
+    def test_gain_exits_1_on_a_failed_certificate(self, capsys, monkeypatch):
+        def solve_off(a, b):
+            params, _ = extremal2d.solve_extremal(a, b)
+            return params, shape_off(params)
+
+        monkeypatch.setattr(gain, "solve_extremal", solve_off)
+        outs = []
+        for _ in range(2):
+            assert cli.main(["gain", "--a", "1", "--b", "3"]) == 1
+            outs.append(capsys.readouterr().out)
+        doc = json.loads(outs[0])
+        assert outs[0] == outs[1]
+        assert doc["passed"] is False and doc["error"]["type"] == "ValueError"
+        assert "certificate (gram = " in doc["error"]["message"]
 
     def test_growth_envelope(self, half_extremal):
         # v(xi) = kappa e^{kappa xi} with kappa tied to the period contraction
-        c2, omega_star, mu_half = half_extremal
-        u = gain.worst_input(c2, omega_star, mu_half)
-        P = c2.period
-        assert u.kappa == pytest.approx(2.0 * mu_half / P, rel=1e-12)
+        _, u = half_extremal
+        mu_half = extremal2d.mu(0.5, 1.5)
+        assert u.period == 2.0 * (0.5 + 1.5)
+        assert u.kappa == pytest.approx(2.0 * mu_half / u.period, rel=1e-12)
         assert u.rho_hat == pytest.approx(math.exp(-2.0 * mu_half), rel=1e-8)
+
+    @pytest.mark.parametrize("a, b", SCALES)
+    def test_closed_form_matches_rk45_reference(self, a, b):
+        # the moments, and the spline of the closed-form m that drives the
+        # CSV trace, against the RK45 flow of omega0
+        u = gain.worst_input(*extremal2d.solve_extremal(a, b))
+        reference, ts, ys = rk45_moments(a, b)
+        assert np.max(np.abs(np.array(u.moments) / reference - 1.0)) <= 2e-8
+        assert np.max(np.abs(u.m(ts) - ys)) <= 1e-9
 
 
 class TestSimulateGain:
     def test_trace_input_column(self, half_extremal):
         # the |u| column is one vectorized evaluation over the driven rows
-        c2, omega_star, mu_half = half_extremal
-        u = gain.worst_input(c2, omega_star, mu_half)
+        c2, u = half_extremal
         _, trace = gain.simulate_gain(c2, u, k_periods=2)
         t_end = c2.t_start + 2 * c2.period
         per_row = [np.linalg.norm(u(t)) if t <= t_end else 0.0 for t in trace[:, 0]]
@@ -132,8 +191,8 @@ class TestGainEstimate:
     @pytest.mark.parametrize("k", [3, 50])
     def test_closed_form_matches_simulation(self, a, b, k):
         report = gain.gain_estimate(a, b, 1.0, k_periods=k)
-        c2, omega_star, mu_half = extremal2d.build_optimal_control(a / 2, b / 2)
-        u = gain.worst_input(c2, omega_star, mu_half)
+        c2, _, _ = extremal2d.build_optimal_control(a / 2, b / 2)
+        u = gain.worst_input(*extremal2d.solve_extremal(a / 2, b / 2))
         ratio_nat, _ = gain.simulate_gain(c2, u, k)
         measured = 0.5 * ratio_nat / (0.5 * (a + b))
         assert report.simulated == pytest.approx(measured, rel=5e-8)

@@ -45,7 +45,8 @@ def _callers(name: str) -> set[str]:
 def test_one_propagator(monkeypatch):
     # x' = -S(t) x (+ u) has one right-hand side, and one method cuts spans
     # at segment boundaries for its two walkers and finds the segment of a
-    # point read; one spline remains, read over one RK45 solve
+    # point read; one spline remains, the CSV trace's worst input through
+    # samples of the closed form
     assert _callers("adaptive_rk45") == {"flow.propagate"}
     assert _callers("pieces") == {"flow.propagate", "signals.gram",
                                   "signals.RankOneSignal", "signals.MatrixSignal"}
@@ -130,7 +131,7 @@ def test_benchmark_tracer_contract(capsys):
     # perfbench/tracer.py wraps every SPANNED name, counts adaptive_rk45's
     # first parameter f and reads its result[0] as ts; this keeps what the
     # benchmark reads in the fast suite, not only in the slow smoke tests;
-    # decay integrates the flow, where extremal no longer calls adaptive_rk45,
+    # decay integrates the flow, where neither extremal nor gain calls adaptive_rk45,
     # and gpe, extremal, gain and oracle keep the schedule, certify, resonance
     # and oracle workloads' per-layer views wired
     path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
@@ -158,10 +159,10 @@ def test_benchmark_tracer_contract(capsys):
     t = traced("extremal", "--a", "1", "--b", "3")
     assert t.calls["extremal2d.verify_extremal"] == 1
     assert t.calls["extremal2d.solve_params"] >= 1
-    t = traced("gain", "--a", "1", "--b", "3")  # one period of the worst input, one RK45 piece
+    t = traced("gain", "--a", "1", "--b", "3")  # the worst input solves no ODE
     assert t.calls["gain.worst_input"] == 1
-    assert t.calls["flow.adaptive_rk45"] == 1
-    assert t.counts["flow.rhs_evals"] > 0
+    assert t.calls["flow.adaptive_rk45"] == 0
+    assert t.counts["flow.rhs_evals"] == 0
     t = traced("oracle", "--a", "1", "--b", "3", "--segments", "8", "--seeds", "1")
     assert t.calls["oracle.brute_force_mu2"] == 1
     assert t.counts["oracle.nfev"] > 0
