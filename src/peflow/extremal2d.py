@@ -335,10 +335,6 @@ class ExtremalTrajectory:
         """(theta, eta, phi) at t, shape (..., 3)."""
         return self._columns(self._jacobi(t))
 
-    def rates(self, t) -> NDArray[np.float64]:
-        """(theta', eta', phi') at t, shape (..., 3)."""
-        return self._rates(self._jacobi(t))
-
     def _cost_rate(self, jac):
         """J' = cos^2((theta - phi)/2) from jac = _jacobi(t).  Projecting M c = 0
         on c and c_perp gives (q + 2 eta^2 + 2 eta r)/(1 + 4 eta^2), q = alpha c1^2 -
@@ -364,9 +360,6 @@ class ExtremalTrajectory:
 
     def eta(self, t):
         return self.columns(t)[..., 1]
-
-    def phi(self, t):
-        return self.columns(t)[..., 2]
 
     def omega(self, t) -> NDArray[np.float64]:
         return RankOneSignal._units(self.theta(t))
@@ -449,7 +442,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     on [0, T] plus t = 0 and t = T.  There the matrix M = diag(alpha, -d) -
     (omega p^T + p omega^T + omega omega^T) must kill the control axis
     (Mc = 0) with constant spectrum {alpha-d-1, 0}, computed from its entries
-    as (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12), and ode holds traj.rates
+    as (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12), and ode holds traj._rates
     against the extremal ODE thetadot = sin(theta - phi),
     etadot = -(sin(theta - phi) + 2 eta cos(theta - phi))/2, phidot = 2 eta/(beta + d)
     on the columns, each miss over 1 + |right-hand side| (rates reach 1e8 at a = 1e-8).

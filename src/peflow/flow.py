@@ -4,9 +4,9 @@ propagate holds the right-hand sides of the free and the driven flow,
 and every flow computation in the package goes through it.
 integrate_flow uses its spherical form x = r*omega, ||omega|| = 1, with
 the radius in log space, so it never underflows and the running cost
-int omega^T S omega dt is -log r(t) for free.  That form is planar only:
-the state is (theta, log r), omega = (cos(theta/2), sin(theta/2)), two
-scalar ODEs with nothing to renormalize.
+int omega^T S omega dt is -log r(t) for free.  That form is rank-one
+only: (theta_j, log r_j) per column omega_j = (cos(theta_j/2),
+sin(theta_j/2)), scalar ODEs with nothing to renormalize.
 propagate walks the signal one piece at a time (signals.pieces): a
 constant piece without input is one exact step, exp(-dt g cc^T) =
 I - (1 - e^{-g dt}) cc^T for a rank-one control of gain g and eigh for a
@@ -15,10 +15,10 @@ constant matrix, and every other piece goes to an embedded Runge-Kutta
 segment alone, so discontinuous piecewise controls are integrated
 without order loss.  The pair steps lists of Python floats.  For a
 rank-one control S = g cc^T, c = (cos(phi/2), sin(phi/2)), a stage reads
-the one angle phi(t) from its segment: the planar spherical flow is
-theta' = g sin(theta - phi), (log r)' = -g (1 + cos(theta - phi))/2, and
-the plain, column-block and input layouts are x' = -g c (c^T x) per
-column.  A matrix signal's right-hand sides read S(t) as rows of floats.
+the one angle phi(t) from its segment for every column: the spherical
+flow is theta' = g sin(theta - phi), (log r)' = -g (1 + cos(theta - phi))/2,
+and the other layouts are x' = -g c (c^T x).  A matrix signal's
+right-hand side reads S(t) as rows of floats.
 """
 from __future__ import annotations
 
@@ -199,25 +199,25 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     row holds x flattened.  With an input u (a vector x0), the state is
     (x, int |x|^2, int |u|^2), both integrals starting at zero; it raises
     ValueError with a block x0 or spherical=True.  With spherical=True the
-    signal must be planar (else ValueError), x0 is a unit vector omega, the
-    rows are (omega, log r), and the integrated state is (theta, log r), with
+    signal must be a RankOneSignal (else ValueError), x0 is a unit vector or
+    a (2, k) block of unit columns, the rows are (omega, log r_1..log r_k),
+    omega flattened, and the integrated state is (theta_1..theta_k,
+    log r_1..log r_k), all columns reading the one angle phi of a stage:
 
-        theta'   = (S11 - S22) sin theta - 2 S12 cos theta,
-        (log r)' = -[(S11 + S22)/2 + (S11 - S22)/2 cos theta + S12 sin theta],
+        theta_j' = g sin(theta_j - phi),  (log r_j)' = -g (1 + cos(theta_j - phi))/2.
 
-    which for S = g cc^T is g sin(theta - phi) and -g (1 + cos(theta - phi))/2,
-    and each RK piece starts from log r = 0 and from theta rebased by a
-    multiple of 2 pi (theta' has period 2 pi) into [-pi, pi], so the error
-    scale tol * (1 + |y|) is the piece's own.  For the same reason a free x
-    or block whose largest entry has decayed below 1/2 enters each RK piece
-    scaled by a power of 2 into [1/2, 1) (the flow is linear, the scaling
-    exact); unscaled, the error scale would turn absolute as |x| decays.
+    Each RK piece starts from log r_j = 0 and from each theta_j rebased by
+    its own multiple of 2 pi (theta_j' has period 2 pi) into [-pi, pi], so
+    the error scale tol * (1 + |y|) is the piece's own.  For the same reason
+    a free x or block whose largest entry has decayed below 1/2 enters each
+    RK piece scaled by a power of 2 into [1/2, 1) (the flow is linear, the
+    scaling exact); unscaled, the error scale would turn absolute as |x| decays.
 
-    A constant piece without input is one exact step, x <- exp(-dt S) x.
-    Any other piece goes to adaptive_rk45 with S read from the piece's own
-    segment (a stage on its right end reads the left limit there): one
-    angle per stage for a RankOneSignal, rows of S for a MatrixSignal.  The
-    step size carries over from piece to piece.  A piece on which the
+    A constant piece without input is one exact step, x <- exp(-dt S) x
+    (column by column when spherical).  Any other piece goes to adaptive_rk45
+    with S read from the piece's own segment (a stage on its right end reads
+    the left limit there): one angle per stage for a RankOneSignal, rows of S
+    for a MatrixSignal.  The step size carries over from piece to piece.  A piece on which the
     stability limit h < 3.3/lambda alone needs over _MAX_STEPS steps raises
     IntegrationError before its first step (lambda: the gain, times the
     largest sample trace for a matrix signal).
@@ -230,13 +230,15 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     if u is not None and (spherical or x0.ndim != 1):
         raise ValueError("an input u fits only a vector x0 with spherical=False: the "
                          "spherical layout and column blocks carry the free flow only")
-    if spherical and signal.dim != 2:
-        raise ValueError(f"the spherical layout is planar only, not of dimension {signal.dim}")
+    rank_one = isinstance(signal, RankOneSignal)
+    if spherical and not rank_one:  # a RankOneSignal is planar
+        raise ValueError(f"the spherical layout is planar only, not of dimension {signal.dim}"
+                         if signal.dim != 2 else "the spherical layout takes a RankOneSignal, "
+                         "not a MatrixSignal")
     if x0.shape[:1] != (signal.dim,):
         raise ValueError(f"x0 of shape {x0.shape} does not fit the signal's dimension {signal.dim}")
     shape, size = x0.shape, x0.size
     k = size // shape[0]  # columns of the block, 1 for a vector
-    rank_one = isinstance(signal, RankOneSignal)
 
     def f(t, y):  # a MatrixSignal: reads S_at of the piece being integrated, as rows of floats
         S = S_at(t)
@@ -247,11 +249,6 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         x = cols[0]
         uv = np.asarray(u(t), dtype=float).tolist()
         return [-v + w for v, w in zip(s_x, uv)] + [sum(map(mul, x, x)), sum(map(mul, uv, uv))]
-
-    def angle(t, y):  # the planar spherical flow in (theta, log r) of a MatrixSignal
-        (s11, s12), (_, s22) = S_at(t)
-        c, s, d = math.cos(y[0]), math.sin(y[0]), s11 - s22
-        return [d * s - 2.0 * s12 * c, -0.5 * (s11 + s22 + d * c) - s12 * s]
 
     def rank_one_f(t, y):  # -g c (c^T x) per column (+ u), c = (cos(phi/2), sin(phi/2))
         half = 0.5 * phi_at(t)
@@ -266,37 +263,45 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         v0, v1 = np.asarray(u(t), dtype=float).tolist()
         return [c0 * p + v0, c1 * p + v1, y0 * y0 + y1 * y1, v0 * v0 + v1 * v1]
 
-    def rank_one_angle(t, y):  # (theta, log r) under S = g cc^T, one angle read
-        d = y[0] - phi_at(t)
-        return [g * math.sin(d), -0.5 * g * (1.0 + math.cos(d))]
+    def rank_one_angle(t, y):  # (theta_j, log r_j) under S = g cc^T, one angle read
+        phi = phi_at(t)
+        d = y[0] - phi
+        if k == 1:
+            return [g * math.sin(d), q * (1.0 + math.cos(d))]
+        if k == 2:  # written out: a pair of comprehensions costs more than the arithmetic
+            e = y[1] - phi
+            return [g * math.sin(d), g * math.sin(e),
+                    q * (1.0 + math.cos(d)), q * (1.0 + math.cos(e))]
+        ds = [v - phi for v in y[:k]]
+        return [g * math.sin(d) for d in ds] + [q * (1.0 + math.cos(d)) for d in ds]
 
-    y = (np.array([2.0 * math.atan2(x0[1], x0[0]), 0.0]) if spherical else
-         np.concatenate([x0.ravel(), [] if u is None else [0.0, 0.0]]))
+    y = (np.array([2.0 * math.atan2(v, w) for w, v in x0.reshape(2, k).T] + [0.0] * k)
+         if spherical else np.concatenate([x0.ravel(), [] if u is None else [0.0, 0.0]]))
     ts, ys = [np.array([t0], dtype=float)], [y[None]]
     h = (t1 - t0) / 100.0
     for u0, u1, seg, shift in signal.pieces(t0, t1):
         if u is None and len(seg.data) == 1:
             E = _exact_map(signal, seg, u1 - u0)
             y = y.copy()
-            if spherical:
-                x = E @ RankOneSignal._unit(y[0])
-                y[:] = 2.0 * math.atan2(x[1], x[0]), y[1] + math.log(math.hypot(*x))
+            if spherical:  # column by column
+                for j in range(k):
+                    x = E @ RankOneSignal._unit(y[j])
+                    y[j::k] = 2.0 * math.atan2(x[1], x[0]), y[k + j] + math.log(math.hypot(*x))
             else:
                 y[:] = (E @ y.reshape(shape)).ravel()
             ts.append(np.array([u1]))
             ys.append(y[None])
             continue
         if rank_one:
-            g, phi_at = seg.gain, seg.reader(shift)
+            g, q, phi_at = seg.gain, -0.5 * seg.gain, seg.reader(shift)
             rhs = rank_one_angle if spherical else rank_one_f
         else:
-            S_at = signal.matrix_on(seg, shift)
-            rhs = angle if spherical else f
+            S_at, rhs = signal.matrix_on(seg, shift), f
         lam = seg.gain * (1.0 if rank_one else float(np.max(np.trace(seg.data, axis1=1, axis2=2))))
         if lam * (u1 - u0) > 3.2 * _MAX_STEPS:
             raise IntegrationError(f"piece [{u0:.6g}, {u1:.6g}] of gain {lam:.3g} needs over "
                                    f"{_MAX_STEPS} steps: RK45 is stable only for h < 3.3/gain")
-        off = np.array([2.0 * math.pi * round(y[0] / (2.0 * math.pi)), y[1]]) if spherical else 0.0
+        off = np.r_[2.0 * math.pi * np.round(y[:k] / (2.0 * math.pi)), y[k:]] if spherical else 0.0
         e = 0  # a decayed free x or block is integrated times 2^-e, exactly, in [0.5, 1)
         if u is None and not spherical:
             top = float(np.max(np.abs(y)))
@@ -309,24 +314,26 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         ys.append(pys[1:])
     ys = np.concatenate(ys)
     if spherical:
-        ys = np.column_stack([RankOneSignal._units(ys[:, 0]), ys[:, 1]])
+        omegas = RankOneSignal._units(ys[:, :k]).transpose(0, 2, 1).reshape(len(ys), size)
+        ys = np.column_stack([omegas, ys[:, k:]])
     return np.concatenate(ts), ys
 
 
 def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = None,
                    tol: float = 1e-9) -> Trajectory:
-    """Solve the planar spherical system for omega(t) and log r(t) on [t0, t1]
-    from theta0 = 2 atan2(omega0[1], omega0[0]) (omega0 with its sign);
-    ValueError unless omega0 is a unit vector and signal.dim == 2."""
+    """Solve the spherical system for omega(t), shape (m, 2) or (m, 2, k), and log r(t),
+    (m,) or (m, k), on [t0, t1] from theta0 = 2 atan2(omega0[1], omega0[0]) of a unit
+    vector omega0 or each unit column of a (2, k) block (ValueError if not unit)."""
     omega0 = np.asarray(omega0, dtype=float)
-    if abs(np.linalg.norm(omega0) - 1.0) > 1e-9:
-        raise ValueError("omega0 must be a unit vector")
+    if np.any(np.abs(np.linalg.norm(omega0, axis=0) - 1.0) > 1e-9):
+        raise ValueError("omega0 must be a unit vector or a block of unit columns")
     if t0 is None:
         t0 = signal.t_start
     if t1 is None:
         t1 = signal.horizon
     ts, ys = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
-    return Trajectory(ts, ys[:, :-1], ys[:, -1])
+    k, shape = omega0.size // 2, omega0.shape
+    return Trajectory(ts, ys[:, :-k].reshape(-1, *shape), ys[:, -k:].reshape(-1, *shape[1:]))
 
 
 def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArray:

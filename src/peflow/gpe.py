@@ -23,13 +23,14 @@ build_gpe_signal builds the witness from that chain, each window its
 pair's template samples plus the window's turn.  asymptotic_norm measures
 the norm from the same chain, without building the witness or integrating
 every window: each window's map is its template's window map conjugated by
-the rotation by half the turn, and a pair's map is integrated once, as at
-most two template flows.
+the rotation by half the turn, and a pair's map is integrated once, as one
+template flow of one column, or of two for a pair that repeats.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Literal
 
@@ -202,28 +203,27 @@ def asymptotic_norm(schedule: GPESchedule) -> GPEAsymptotics:
     by a shift of every angle (S -> R S R^T, R the rotation by half the turn)
     and time-rescaled with gain * span = a + b, which leaves the whole-window
     map unchanged; so it steps the state x to R Phi R^T x, with Phi the
-    template's map on [0, a + b].  Phi is integrated as the windows need it,
-    as spherical template flows at _MAP_TOL from orthonormal inputs: the
-    pair's first window starts one from its own state, its second one from
-    the perpendicular direction, which completes Phi.  A pair used once thus
-    costs one flow and a pair used many times two.  max_rel_dev is the
-    largest relative gap between measured and predicted norms.
+    template's map on [0, a + b].  Phi is integrated at the pair's first
+    window as one spherical template flow at _MAP_TOL: from that window's
+    state u for a pair used once, else from the block [u, J u], J the
+    rotation by 90 degrees, whose two columns complete Phi.  max_rel_dev is
+    the largest relative gap between measured and predicted norms.
     """
     theta0, windows = _chain(schedule)
+    uses = Counter(zip(schedule.a_seq, schedule.b_seq))
     omega = RankOneSignal._unit(theta0)
-    columns: dict = {}  # (a, b) -> [(input u, log |Phi u|, Phi u / |Phi u|)]
+    maps: dict = {}  # (a, b) -> [(input v, log |Phi v|, Phi v / |Phi v|)] per column
     log_norm, log_norms = 0.0, []
     for a, b, (_, template, turn) in zip(schedule.a_seq, schedule.b_seq, windows):
         c, s = math.cos(0.5 * turn), math.sin(0.5 * turn)
         R = np.array([[c, -s], [s, c]])
         u = R.T @ omega
-        known = columns.setdefault((a, b), [])
-        if len(known) < 2:
-            start = u if not known else np.array([-known[0][0][1], known[0][0][0]])
+        if (a, b) not in maps:
+            start = u[:, None] if uses[a, b] == 1 else np.column_stack([u, (-u[1], u[0])])
             traj = integrate_flow(RankOneSignal((template,)), start, 0.0, a + b, tol=_MAP_TOL)
-            known.append((start, float(traj.log_r[-1]), traj.omegas[-1]))
-        top = max(log_r for _, log_r, _ in known)
-        x = R @ sum((v @ u) * math.exp(log_r - top) * w for v, log_r, w in known)
+            maps[a, b] = list(zip(start.T, traj.log_r[-1], traj.omegas[-1].T))
+        top = max(log_r for _, log_r, _ in maps[a, b])
+        x = R @ sum((v @ u) * math.exp(log_r - top) * w for v, log_r, w in maps[a, b])
         r = math.hypot(x[0], x[1])
         omega, log_norm = x / r, log_norm + top + math.log(r)
         log_norms.append(log_norm)

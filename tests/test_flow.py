@@ -61,12 +61,13 @@ def constant_direction(phi=0.0, T=1.0, period=None):
 
 class TestIntegrateFlow:
     def test_zero_signal_is_static(self):
+        # a matrix signal has no spherical layout: the plain flow, normalized
         data = np.zeros((1, 2, 2))
         sig = signals.MatrixSignal((signals.Segment(0.0, 1.0, data),))
         om0 = np.array([0.6, 0.8])
-        traj = flow.integrate_flow(sig, om0)
-        assert traj.omegas[-1] == pytest.approx(om0, abs=1e-12)
-        assert traj.log_r[-1] == pytest.approx(0.0, abs=1e-12)
+        _, ys = flow.propagate(sig, om0, 0.0, 1.0)
+        assert ys[-1] / np.linalg.norm(ys[-1]) == pytest.approx(om0, abs=1e-12)
+        assert math.log(np.linalg.norm(ys[-1])) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_rank_one_aligned(self):
         # omega starts on the excited axis and stays there; r decays as e^{-t}
@@ -88,9 +89,9 @@ class TestIntegrateFlow:
         data = np.stack([np.eye(2)] * 2)
         sig = signals.MatrixSignal((signals.Segment(0.0, 1.5, data),))
         om0 = np.array([3.0, 4.0]) / 5.0
-        traj = flow.integrate_flow(sig, om0)
-        assert traj.omegas[-1] == pytest.approx(om0, abs=1e-10)
-        assert traj.cost == pytest.approx(1.5, rel=1e-10)
+        _, ys = flow.propagate(sig, om0, 0.0, 1.5, tol=1e-12)
+        assert ys[-1] / np.linalg.norm(ys[-1]) == pytest.approx(om0, abs=1e-10)
+        assert -math.log(np.linalg.norm(ys[-1])) == pytest.approx(1.5, rel=1e-10)
 
     def test_unit_norm_required(self):
         sig = constant_direction(0.0, 1.0)
@@ -98,7 +99,7 @@ class TestIntegrateFlow:
             flow.integrate_flow(sig, np.array([1.0, 1.0]))
 
     def test_omega_stays_unit(self):
-        sig = axis_hopping_control(1.0, 1.0, 2)
+        sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
         traj = flow.integrate_flow(sig, np.array([0.6, 0.8]), t0=0.0, t1=7.0)
         assert np.linalg.norm(traj.omegas, axis=1) == pytest.approx(1.0, abs=1e-7)
 
@@ -180,6 +181,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match=f"dimension {dim}"):
             flow.integrate_flow(sig, omega0)
 
+    def test_spherical_layout_is_rank_one_only(self):
+        # a planar matrix signal has no (theta, log r) right-hand side
+        sig = axis_hopping_control(1.0, 1.0, 2)
+        with pytest.raises(ValueError, match="takes a RankOneSignal, not a MatrixSignal"):
+            flow.propagate(sig, np.array([0.6, 0.8]), 0.0, 1.0, spherical=True)
+        with pytest.raises(ValueError, match="not a MatrixSignal"):
+            flow.integrate_flow(sig, np.array([0.6, 0.8]))
+
 
 def sampled_matrix_twin(sig, m=2048):
     """sig as a MatrixSignal: per segment, m samples of its g cc^T."""
@@ -193,7 +202,8 @@ def sampled_matrix_twin(sig, m=2048):
 
 class TestRankOneRightHandSides:
     """A rank-one control reads one angle per stage; the S-rows right-hand
-    sides of its sampled matrix twin integrate the same flow."""
+    side of its sampled matrix twin integrates the same flow (the spherical
+    flow against the twin's plain one, normalized)."""
 
     @pytest.fixture(params=["periodic extremal", "gained chain"])
     def pair(self, request):
@@ -205,10 +215,12 @@ class TestRankOneRightHandSides:
         return sig, sampled_matrix_twin(sig)
 
     def test_planar_flow(self, pair):
+        sig, twin = pair
         om0 = np.array([0.6, -0.8])
-        ends = [flow.integrate_flow(sig, om0, tol=1e-12) for sig in pair]
-        assert ends[0].log_r[-1] == pytest.approx(ends[1].log_r[-1], abs=1e-9)
-        assert ends[0].omegas[-1] == pytest.approx(ends[1].omegas[-1], abs=1e-9)
+        end = flow.integrate_flow(sig, om0, tol=1e-12)
+        x = flow.propagate(twin, om0, twin.t_start, twin.horizon, tol=1e-12)[1][-1]
+        assert end.log_r[-1] == pytest.approx(math.log(np.linalg.norm(x)), abs=1e-9)
+        assert end.omegas[-1] == pytest.approx(x / np.linalg.norm(x), abs=1e-9)
 
     def test_fundamental_matrix(self, pair):
         t0, t1 = pair[0].t_start, pair[0].horizon
@@ -271,6 +283,94 @@ class TestAngleLayout:
         assert np.max(np.abs(got - ref)) <= 2e-7
 
 
+def unit_block(*angles):
+    """The (2, k) block of unit columns (cos psi, sin psi)."""
+    return np.array([[math.cos(psi) for psi in angles], [math.sin(psi) for psi in angles]])
+
+
+class TestSphericalBlock:
+    """A (2, k) block of unit columns is one spherical flow: its state is
+    (theta_1..theta_k, log r_1..log r_k), each column reading the same angle
+    per stage, and each column follows its own single-column flow."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["periodic extremal", "gained chain"])
+    def test_columns_match_their_own_flows(self, kind, k):
+        if kind == "periodic extremal":
+            sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
+        else:
+            s = gpe.GPESchedule((1.0, 0.5, 2.0), (3.0, 0.5, 5.0), (1.0, 2.5, 3.2))
+            sig = gpe.build_gpe_signal(s)[0]
+        block = unit_block(*(-0.9 + 1.3 * j for j in range(k)))
+        traj = flow.integrate_flow(sig, block, tol=1e-12)
+        assert traj.omegas.shape == (len(traj.ts), 2, k) and traj.log_r.shape == (len(traj.ts), k)
+        for j in range(k):
+            own = flow.integrate_flow(sig, block[:, j], tol=1e-12)
+            assert traj.log_r[-1, j] == pytest.approx(own.log_r[-1], abs=1e-9)
+            assert traj.omegas[-1, :, j] == pytest.approx(own.omegas[-1], abs=1e-9)
+
+    def test_constant_pieces_step_exactly(self):
+        # one sample per segment: each piece maps every column by exp(-dt S)
+        segs = (signals.Segment(0.0, 0.7, np.array([0.4]), 1.5),
+                signals.Segment(0.7, 1.1, np.array([2.9]), 3.0),
+                signals.Segment(1.1, 2.0, np.array([-1.2])))
+        sig = signals.RankOneSignal(segs)
+        block = unit_block(0.3, 2.2)
+        traj = flow.integrate_flow(sig, block)
+        X = block
+        for seg in segs:
+            c = sig._unit(float(seg.data[0]))
+            X = expm(-(seg.t1 - seg.t0) * seg.gain * np.outer(c, c)) @ X
+        assert list(traj.ts) == [0.0, 0.7, 1.1, 2.0]
+        assert traj.log_r[-1] == pytest.approx(np.log(np.linalg.norm(X, axis=0)), abs=1e-13)
+        assert traj.omegas[-1] == pytest.approx(X / np.linalg.norm(X, axis=0), abs=1e-13)
+
+    def test_long_chain_rebases_each_column(self, monkeypatch):
+        # 200 windows turn each state angle through hundreds of radians; each
+        # theta_j enters every RK piece rebased by its own multiple of 2 pi
+        # into [-pi, pi], and each log r_j at 0.  The second column is not
+        # om0's perpendicular: that one contracts fastest, so the slow
+        # direction amplifies its rounding error by e^{3 ell} and its log r
+        # is decided by that error, not by the flow
+        starts = []
+        original = flow.adaptive_rk45
+
+        def recording(f, t0, t1, y0, *args, **kwargs):
+            starts.append(list(y0))
+            return original(f, t0, t1, y0, *args, **kwargs)
+
+        s = gpe.GPESchedule.constant(1.0, 3.0, 1.0, 200)
+        sig, om0 = gpe.build_gpe_signal(s)
+        block = np.column_stack([om0, (math.cos(0.7) * om0[0] - math.sin(0.7) * om0[1],
+                                       math.sin(0.7) * om0[0] + math.cos(0.7) * om0[1])])
+        monkeypatch.setattr(flow, "adaptive_rk45", recording)
+        traj = flow.integrate_flow(sig, block, 0.0, s.tau_seq[-1])
+        monkeypatch.undo()
+        assert len(starts) == 200
+        assert all(abs(v) <= math.pi for y0 in starts for v in y0[:2])
+        assert all(y0[2:] == [0.0, 0.0] for y0 in starts)
+        got = traj.log_r[np.searchsorted(traj.ts, s.tau_seq)]
+        X, log_r, ref = block, np.zeros(2), []
+        for ell in range(s.length):
+            _, _, u0, u1 = s.window(ell)
+            _, ys = flow.propagate(sig, X, u0, u1, tol=1e-13)
+            nrm = np.linalg.norm(ys[-1].reshape(2, 2), axis=0)
+            log_r = log_r + np.log(nrm)
+            X = ys[-1].reshape(2, 2) / nrm
+            ref.append(log_r)
+        assert np.max(np.abs(got - np.array(ref))) <= 2e-7
+
+    def test_bad_blocks_raise(self):
+        sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
+        block = unit_block(0.3, 2.2)
+        block[:, 1] *= 1.01
+        with pytest.raises(ValueError, match="block of unit columns"):
+            flow.integrate_flow(sig, block)
+        with pytest.raises(ValueError, match="input u fits only a vector x0 with spherical=False"):
+            flow.propagate(sig, unit_block(0.3, 2.2), 0.0, 1.0, spherical=True,
+                           u=lambda t: np.ones(2))
+
+
 @st.composite
 def smooth_signals(draw):
     """A random smooth rank-one or matrix signal of 1-3 segments, with a unit omega0."""
@@ -297,8 +397,8 @@ def smooth_signals(draw):
 
 class TestLayoutsAgree:
     """The plain, column-block, spherical and input layouts of propagate's
-    right-hand side integrate the same flow; the spherical one only in the
-    plane."""
+    right-hand side integrate the same flow; the spherical one only for a
+    rank-one signal in the plane."""
 
     @given(smooth_signals())
     @settings(max_examples=30, deadline=None)
@@ -307,12 +407,13 @@ class TestLayoutsAgree:
         n, t0, t1, tol = sig.dim, sig.t_start, sig.horizon, 1e-13
         _, ys = flow.propagate(sig, omega0, t0, t1, tol=tol)
         x = ys[-1]
-        if n == 2:
+        if isinstance(sig, signals.RankOneSignal):
             traj = flow.integrate_flow(sig, omega0, t0, t1, tol=tol)
             assert traj.log_r[-1] == pytest.approx(math.log(np.linalg.norm(x)), abs=1e-9)
             assert traj.omegas[-1] == pytest.approx(x / np.linalg.norm(x), abs=1e-9)
         else:
-            with pytest.raises(ValueError, match=f"dimension {n}"):
+            with pytest.raises(ValueError, match="not a MatrixSignal" if n == 2
+                               else f"dimension {n}"):
                 flow.integrate_flow(sig, omega0, t0, t1, tol=tol)
 
         Phi = flow.fundamental_matrix(sig, t0, t1, tol=tol)
@@ -442,14 +543,15 @@ class TestWorkCounters:
             s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
                                 tuple(itertools.accumulate(lengths)))
             return rhs_count(lambda: gpe.asymptotic_norm(s))
-        # each pair's map is two template flows at tol 1e-10, whatever the
-        # chain's length; the parent's one chain flow took 530, 1548, 51488
+        # a repeated pair's map is one two-column template flow at tol 1e-10,
+        # whatever the chain's length (403; two one-column flows took 739,
+        # one chain flow 530, 1548, 51488)
         constant = {count([(1.0, 3.0)] * L, [1.0] * L) for L in (2, 6, 200)}
-        assert len(constant) == 1 and constant.pop() <= 760
+        assert len(constant) == 1 and constant.pop() <= 420
         mixed = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
-        assert count(mixed, [0.5] * 20) <= 3100  # parent 5276
-        # a pair used once is one template flow, at tol 1e-10 where the
-        # parent's chain flow ran at 1e-9 (1416)
+        assert count(mixed, [0.5] * 20) <= 1700  # 1606; two flows per pair 3080
+        # a pair used once is one one-column template flow, at tol 1e-10
+        # where one chain flow ran at 1e-9 (1416)
         distinct = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0), (0.8, 1.2), (0.4, 1.6)]
         assert count(distinct, [1.0] * 6) <= 2300
 
