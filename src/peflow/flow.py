@@ -199,10 +199,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     row holds x flattened.  With an input u (a vector x0), the state is
     (x, int |x|^2, int |u|^2), both integrals starting at zero; it raises
     ValueError with a block x0 or spherical=True.  With spherical=True the
-    signal must be a RankOneSignal (else ValueError), x0 is a unit vector or
-    a (2, k) block of unit columns, the rows are (omega, log r_1..log r_k),
-    omega flattened, and the integrated state is (theta_1..theta_k,
-    log r_1..log r_k), all columns reading the one angle phi of a stage:
+    signal must be a RankOneSignal (else ValueError), x0 a unit vector or a
+    (2, k) block of unit columns, the rows (omega flattened, log r_1..log r_k),
+    and the integrated state (theta_1..theta_k, log r_1..log r_k), every
+    column reading the one angle phi of a stage:
 
         theta_j' = g sin(theta_j - phi),  (log r_j)' = -g (1 + cos(theta_j - phi))/2.
 
@@ -217,10 +217,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     (column by column when spherical).  Any other piece goes to adaptive_rk45
     with S read from the piece's own segment (a stage on its right end reads
     the left limit there): one angle per stage for a RankOneSignal, rows of S
-    for a MatrixSignal.  The step size carries over from piece to piece.  A piece on which the
-    stability limit h < 3.3/lambda alone needs over _MAX_STEPS steps raises
-    IntegrationError before its first step (lambda: the gain, times the
-    largest sample trace for a matrix signal).
+    for a MatrixSignal.  The step size carries over from piece to piece.  A
+    piece on which the stability limit h < 3.3/lambda alone needs over
+    _MAX_STEPS steps raises IntegrationError before its first step (lambda:
+    the gain, times the largest sample trace for a matrix signal).
 
     Returns (ts, ys): the piece ends and accepted steps, and the states there.
     """
@@ -233,8 +233,7 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     rank_one = isinstance(signal, RankOneSignal)
     if spherical and not rank_one:  # a RankOneSignal is planar
         raise ValueError(f"the spherical layout is planar only, not of dimension {signal.dim}"
-                         if signal.dim != 2 else "the spherical layout takes a RankOneSignal, "
-                         "not a MatrixSignal")
+                         if signal.dim != 2 else "the spherical layout is rank-one only")
     if x0.shape[:1] != (signal.dim,):
         raise ValueError(f"x0 of shape {x0.shape} does not fit the signal's dimension {signal.dim}")
     shape, size = x0.shape, x0.size
@@ -263,13 +262,14 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         v0, v1 = np.asarray(u(t), dtype=float).tolist()
         return [c0 * p + v0, c1 * p + v1, y0 * y0 + y1 * y1, v0 * v0 + v1 * v1]
 
-    def rank_one_angle(t, y):  # (theta_j, log r_j) under S = g cc^T, one angle read
+    def rank_one_angle(t, y):  # (theta, log r) under S = g cc^T, one angle read
+        d = y[0] - phi_at(t)
+        return [g * math.sin(d), q * (1.0 + math.cos(d))]
+
+    def rank_one_angles(t, y):  # every (theta_j, log r_j) of a block reads the one angle
         phi = phi_at(t)
-        d = y[0] - phi
-        if k == 1:
-            return [g * math.sin(d), q * (1.0 + math.cos(d))]
         if k == 2:  # written out: a pair of comprehensions costs more than the arithmetic
-            e = y[1] - phi
+            d, e = y[0] - phi, y[1] - phi
             return [g * math.sin(d), g * math.sin(e),
                     q * (1.0 + math.cos(d)), q * (1.0 + math.cos(e))]
         ds = [v - phi for v in y[:k]]
@@ -294,14 +294,15 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
             continue
         if rank_one:
             g, q, phi_at = seg.gain, -0.5 * seg.gain, seg.reader(shift)
-            rhs = rank_one_angle if spherical else rank_one_f
+            rhs = (rank_one_angle if k == 1 else rank_one_angles) if spherical else rank_one_f
         else:
             S_at, rhs = signal.matrix_on(seg, shift), f
         lam = seg.gain * (1.0 if rank_one else float(np.max(np.trace(seg.data, axis1=1, axis2=2))))
         if lam * (u1 - u0) > 3.2 * _MAX_STEPS:
             raise IntegrationError(f"piece [{u0:.6g}, {u1:.6g}] of gain {lam:.3g} needs over "
                                    f"{_MAX_STEPS} steps: RK45 is stable only for h < 3.3/gain")
-        off = np.r_[2.0 * math.pi * np.round(y[:k] / (2.0 * math.pi)), y[k:]] if spherical else 0.0
+        off = (np.array([2.0 * math.pi * round(v / (2.0 * math.pi)) for v in y[:k].tolist()]
+                        + y[k:].tolist()) if spherical else 0.0)
         e = 0  # a decayed free x or block is integrated times 2^-e, exactly, in [0.5, 1)
         if u is None and not spherical:
             top = float(np.max(np.abs(y)))
@@ -313,9 +314,8 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
         ts.append(pts[1:])
         ys.append(pys[1:])
     ys = np.concatenate(ys)
-    if spherical:
-        omegas = RankOneSignal._units(ys[:, :k]).transpose(0, 2, 1).reshape(len(ys), size)
-        ys = np.column_stack([omegas, ys[:, k:]])
+    if spherical:  # omega flattened: (cos(theta_j/2))_j, then (sin(theta_j/2))_j
+        ys = np.column_stack([np.cos(0.5 * ys[:, :k]), np.sin(0.5 * ys[:, :k]), ys[:, k:]])
     return np.concatenate(ts), ys
 
 
