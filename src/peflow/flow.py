@@ -157,7 +157,7 @@ class Trajectory:
 
     @property
     def cost(self) -> float:
-        """Accumulated cost int omega^T S omega dt over the full span."""
+        """Accumulated cost int omega^T S omega dt over the full span of a vector flow."""
         return float(-self.log_r[-1] + self.log_r[0])
 
 
