@@ -450,7 +450,8 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     the seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1), and
     omega(T) must be +-D omega(0) (quasi_periodicity).  The Gram of c over
     the interior nodes must equal diag(a, b), and the cost |J(T) - mu|/mu,
-    J(T) read through traj.mu, must vanish against the closed-form params.mu.
+    J(T) the same nodes' quadrature of traj's cost rate, must vanish against
+    the closed-form params.mu.
     """
     al, d, T, mu = params.alpha, params.d, params.T, params.mu  # mu is one R_J per read
     nodes, wq = _gauss_legendre(np.linspace(0.0, T, 513))
@@ -489,7 +490,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
                                     np.max(np.abs(mid + rad)))),
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(abs(co[-1] ** 2 - co[0] ** 2)),
-        "cost": abs(traj.mu - mu) / mu,
+        "cost": abs(float(wq @ traj._cost_rate(jac)[1:-1]) - mu) / mu,
         "ode": float(np.max(ode)),
     }
     passed = all(value < tol for value in residuals.values())

@@ -199,10 +199,10 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     row holds x flattened.  With an input u (a vector x0), the state is
     (x, int |x|^2, int |u|^2), both integrals starting at zero; it raises
     ValueError with a block x0 or spherical=True.  With spherical=True the
-    signal must be a RankOneSignal (else ValueError), x0 a unit vector or a
-    (2, k) block of unit columns, the rows (omega flattened, log r_1..log r_k),
-    and the integrated state (theta_1..theta_k, log r_1..log r_k), every
-    column reading the one angle phi of a stage:
+    signal must be a RankOneSignal and x0 a unit vector or a (2, k) block of
+    unit columns, to 1e-9 (else ValueError), the rows (omega flattened,
+    log r_1..log r_k), and the integrated state (theta_1..theta_k,
+    log r_1..log r_k), every column reading the one angle phi of a stage:
 
         theta_j' = g sin(theta_j - phi),  (log r_j)' = -g (1 + cos(theta_j - phi))/2.
 
@@ -236,6 +236,8 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
                          if signal.dim != 2 else "the spherical layout is rank-one only")
     if x0.shape[:1] != (signal.dim,):
         raise ValueError(f"x0 of shape {x0.shape} does not fit the signal's dimension {signal.dim}")
+    if spherical and np.any(np.abs(np.linalg.norm(x0, axis=0) - 1.0) > 1e-9):
+        raise ValueError("a spherical x0 must be a unit vector or a block of unit columns")
     shape, size = x0.shape, x0.size
     k = size // shape[0]  # columns of the block, 1 for a vector
 
@@ -319,18 +321,11 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     return np.concatenate(ts), ys
 
 
-def integrate_flow(signal, omega0, t0: float | None = None, t1: float | None = None,
-                   tol: float = 1e-9) -> Trajectory:
+def integrate_flow(signal, omega0, t0: float, t1: float, tol: float = 1e-9) -> Trajectory:
     """Solve the spherical system for omega(t), shape (m, 2) or (m, 2, k), and log r(t),
     (m,) or (m, k), on [t0, t1] from theta0 = 2 atan2(omega0[1], omega0[0]) of a unit
     vector omega0 or each unit column of a (2, k) block (ValueError if not unit)."""
     omega0 = np.asarray(omega0, dtype=float)
-    if np.any(np.abs(np.linalg.norm(omega0, axis=0) - 1.0) > 1e-9):
-        raise ValueError("omega0 must be a unit vector or a block of unit columns")
-    if t0 is None:
-        t0 = signal.t_start
-    if t1 is None:
-        t1 = signal.horizon
     ts, ys = propagate(signal, omega0, t0, t1, tol=tol, spherical=True)
     k, shape = omega0.size // 2, omega0.shape
     return Trajectory(ts, ys[:, :-k].reshape(-1, *shape), ys[:, -k:].reshape(-1, *shape[1:]))
@@ -343,12 +338,10 @@ def fundamental_matrix(signal, t0: float, t1: float, tol: float = 1e-9) -> NDArr
     return ys[-1].reshape(n, n)
 
 
-def cost_J(signal, omega0, T: float | None = None) -> float:
+def cost_J(signal, omega0, T: float) -> float:
     """int_0^T omega^T S omega dt along the flow started at omega0."""
     t0 = signal.t_start
-    t1 = t0 + T if T is not None else signal.horizon
-    traj = integrate_flow(signal, omega0, t0, t1, tol=1e-9)
-    return traj.cost
+    return integrate_flow(signal, omega0, t0, t0 + T, tol=1e-9).cost
 
 
 def decay_rate(signal, n_periods: int = 10, tol: float = 1e-9) -> DecayReport:

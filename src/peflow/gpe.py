@@ -94,11 +94,6 @@ class GPESchedule:
     def length(self) -> int:
         return len(self.a_seq)
 
-    def window(self, ell: int) -> tuple[float, float, float, float]:
-        """(a, b, t_start, t_end) of window ell (0-based)."""
-        t0 = 0.0 if ell == 0 else self.tau_seq[ell - 1]
-        return self.a_seq[ell], self.b_seq[ell], t0, self.tau_seq[ell]
-
     @classmethod
     def constant(cls, a: float, b: float, T: float, L: int,
                  tag: Literal["converges", "diverges"] | None = None) -> GPESchedule:
@@ -162,11 +157,11 @@ def build_gpe_signal(schedule: GPESchedule) -> tuple[RankOneSignal, NDArray]:
     Returns the signal and the worst initial direction omega0.
     """
     theta0, windows = _chain(schedule)
-    segs = []
-    for ell, (_, template, turn) in enumerate(windows):
-        a, b, t0, t1 = schedule.window(ell)
-        segs.append(Segment(t0, t1, template.data + turn, (a + b) / (t1 - t0)))
-    return RankOneSignal(tuple(segs)), RankOneSignal._unit(theta0)
+    taus = schedule.tau_seq
+    segs = tuple(Segment(t0, t1, template.data + turn, (a + b) / (t1 - t0))
+                 for a, b, t0, t1, (_, template, turn)
+                 in zip(schedule.a_seq, schedule.b_seq, (0.0,) + taus, taus, windows))
+    return RankOneSignal(segs), RankOneSignal._unit(theta0)
 
 
 @dataclass(frozen=True)

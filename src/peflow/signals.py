@@ -268,12 +268,6 @@ class RankOneSignal(_SegmentedSignal):
         _, _, seg, shift = self.pieces(t, t)[0]
         return self._unit(seg.reader(shift)(t))
 
-    def matrix(self, t: float) -> NDArray[np.float64]:
-        """S(t) = g cc^T as a (2, 2) array."""
-        _, _, seg, shift = self.pieces(t, t)[0]
-        c = self._unit(seg.reader(shift)(t))
-        return seg.gain * np.outer(c, c)
-
 
 @dataclass(frozen=True)
 class MatrixSignal(_SegmentedSignal):
@@ -308,9 +302,6 @@ class MatrixSignal(_SegmentedSignal):
         def S_at(t: float) -> list[list[float]]:
             raw = at(t)
             return [[0.5 * g * (raw[p] + raw[q]) for p, q in row] for row in pairs]
-        if len(seg.data) == 1:
-            S = S_at(seg.t0)
-            return lambda t: S
         return S_at
 
     def matrix(self, t: float) -> NDArray[np.float64]:

@@ -24,6 +24,16 @@ def axis_hopping_control(a: float, T: float, n: int) -> MatrixSignal:
     return MatrixSignal(tuple(segs), dim=n, period=T)
 
 
+def matrix_at(signal, t: float) -> np.ndarray:
+    """S(t) as an (n, n) array: MatrixSignal.matrix, or for a rank-one signal
+    g cc^T from RankOneSignal.c(t) and the gain of the segment read at t."""
+    if isinstance(signal, MatrixSignal):
+        return signal.matrix(t)
+    _, _, seg, _ = signal.pieces(t, t)[0]
+    c = signal.c(t)
+    return seg.gain * np.outer(c, c)
+
+
 def write_signal(signal, path: str) -> None:
     """Write a signal as the JSON document signals.load_signal reads."""
     with open(path, "w") as fh:

@@ -23,6 +23,8 @@ from scipy.integrate import quad
 
 from peflow import extremal2d, flow, signals
 
+from controls import matrix_at
+
 # pinned (1, 3) solve at tol 1e-10; guards against silent regressions
 FROZEN_13 = {
     "phi0": 1.6428389788961866,
@@ -154,11 +156,12 @@ class ScaledColumns(extremal2d.ExtremalTrajectory):
 
 @dataclasses.dataclass(frozen=True)
 class ScaledCost(extremal2d.ExtremalTrajectory):
-    """A corrupted trajectory: its cost J times scale, its path untouched."""
+    """A corrupted trajectory: its cost rate J' times scale, so J too, its
+    path untouched."""
     scale: float = 1.0
 
-    def cost(self, t):
-        return super().cost(t) * self.scale
+    def _cost_rate(self, jac):
+        return super()._cost_rate(jac) * self.scale
 
 
 def reference_certificate(traj, params, tol=1e-6):
@@ -520,7 +523,7 @@ class TestBuildOptimalControl:
         sig, _, _ = extremal2d.build_optimal_control(a, b)
         back = signals.signal_from_dict(json.loads(json.dumps(signals.signal_to_dict(sig))))
         ts = np.linspace(0.0, sig.period, 1001)
-        assert all(np.array_equal(back.matrix(t), sig.matrix(t)) for t in ts)
+        assert all(np.array_equal(matrix_at(back, t), matrix_at(sig, t)) for t in ts)
 
     def test_halved_bounds_frozen(self):
         # mu is not homogeneous in (a, b); pin the halved pair used by the

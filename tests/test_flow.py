@@ -72,7 +72,7 @@ class TestIntegrateFlow:
     def test_constant_rank_one_aligned(self):
         # omega starts on the excited axis and stays there; r decays as e^{-t}
         sig = constant_direction(0.0, 2.0)
-        traj = flow.integrate_flow(sig, np.array([1.0, 0.0]))
+        traj = flow.integrate_flow(sig, np.array([1.0, 0.0]), 0.0, 2.0)
         assert traj.omegas[-1] == pytest.approx([1.0, 0.0], abs=1e-10)
         assert traj.log_r[-1] == pytest.approx(-2.0, rel=1e-9)
         assert traj.cost == pytest.approx(2.0, rel=1e-9)
@@ -80,7 +80,7 @@ class TestIntegrateFlow:
     def test_constant_rank_one_orthogonal(self):
         # omega orthogonal to the excited direction: nothing moves
         sig = constant_direction(0.0, 1.0)
-        traj = flow.integrate_flow(sig, np.array([0.0, 1.0]))
+        traj = flow.integrate_flow(sig, np.array([0.0, 1.0]), 0.0, 1.0)
         assert traj.omegas[-1] == pytest.approx([0.0, 1.0], abs=1e-10)
         assert traj.cost == pytest.approx(0.0, abs=1e-10)
 
@@ -96,11 +96,11 @@ class TestIntegrateFlow:
     def test_unit_norm_required(self):
         sig = constant_direction(0.0, 1.0)
         with pytest.raises(ValueError):
-            flow.integrate_flow(sig, np.array([1.0, 1.0]))
+            flow.integrate_flow(sig, np.array([1.0, 1.0]), 0.0, 1.0)
 
     def test_omega_stays_unit(self):
         sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
-        traj = flow.integrate_flow(sig, np.array([0.6, 0.8]), t0=0.0, t1=7.0)
+        traj = flow.integrate_flow(sig, np.array([0.6, 0.8]), 0.0, 7.0)
         assert np.linalg.norm(traj.omegas, axis=1) == pytest.approx(1.0, abs=1e-7)
 
 
@@ -124,7 +124,8 @@ class TestPropagate:
         if kind != "matrix":
             seg = signals.Segment(0.0, 1.7, np.array([1.1]), 2.3 if kind == "gained" else 1.0)
             sig = signals.RankOneSignal((seg,))
-            S = sig.matrix(0.0)
+            c = sig.c(0.0)
+            S = seg.gain * np.outer(c, c)
         else:
             B = np.random.default_rng(3).normal(size=(3, 3))
             S = B @ B.T
@@ -179,7 +180,7 @@ class TestPropagate:
         with pytest.raises(ValueError, match=f"planar only, not of dimension {dim}"):
             flow.propagate(sig, omega0, 0.0, 1.0, spherical=True)
         with pytest.raises(ValueError, match=f"dimension {dim}"):
-            flow.integrate_flow(sig, omega0)
+            flow.integrate_flow(sig, omega0, 0.0, 1.0)
 
     def test_spherical_layout_is_rank_one_only(self):
         # a planar matrix signal has no (theta, log r) right-hand side
@@ -187,7 +188,7 @@ class TestPropagate:
         with pytest.raises(ValueError, match="spherical layout is rank-one only"):
             flow.propagate(sig, np.array([0.6, 0.8]), 0.0, 1.0, spherical=True)
         with pytest.raises(ValueError, match="rank-one only"):
-            flow.integrate_flow(sig, np.array([0.6, 0.8]))
+            flow.integrate_flow(sig, np.array([0.6, 0.8]), 0.0, 1.0)
 
 
 def sampled_matrix_twin(sig, m=2048):
@@ -217,7 +218,7 @@ class TestRankOneRightHandSides:
     def test_planar_flow(self, pair):
         sig, twin = pair
         om0 = np.array([0.6, -0.8])
-        end = flow.integrate_flow(sig, om0, tol=1e-12)
+        end = flow.integrate_flow(sig, om0, sig.t_start, sig.horizon, tol=1e-12)
         x = flow.propagate(twin, om0, twin.t_start, twin.horizon, tol=1e-12)[1][-1]
         assert end.log_r[-1] == pytest.approx(math.log(np.linalg.norm(x)), abs=1e-9)
         assert end.omegas[-1] == pytest.approx(x / np.linalg.norm(x), abs=1e-9)
@@ -248,7 +249,7 @@ class TestAngleLayout:
         sig = signals.RankOneSignal((signals.Segment(0.0, 1.5, np.array([phi, phi]), g),))
         psi = 0.4 + quadrant * math.pi / 2
         om0 = np.array([math.cos(psi), math.sin(psi)])
-        traj = flow.integrate_flow(sig, om0, tol=1e-12)
+        traj = flow.integrate_flow(sig, om0, 0.0, 1.5, tol=1e-12)
         c = np.array([math.cos(phi / 2), math.sin(phi / 2)])
         x = om0 + np.expm1(-g * traj.ts)[:, None] * (om0 @ c) * c
         nrm = np.linalg.norm(x, axis=1)
@@ -273,8 +274,7 @@ class TestAngleLayout:
         traj = flow.integrate_flow(sig, om0, 0.0, s.tau_seq[-1])
         got = traj.log_r[np.searchsorted(traj.ts, s.tau_seq)]
         x, log_r, ref = om0, 0.0, []
-        for ell in range(s.length):
-            _, _, u0, u1 = s.window(ell)
+        for u0, u1 in zip((0.0,) + s.tau_seq, s.tau_seq):
             _, ys = flow.propagate(sig, x, u0, u1, tol=1e-13)
             nrm = np.linalg.norm(ys[-1])
             log_r += math.log(nrm)
@@ -302,10 +302,10 @@ class TestSphericalBlock:
             s = gpe.GPESchedule((1.0, 0.5, 2.0), (3.0, 0.5, 5.0), (1.0, 2.5, 3.2))
             sig = gpe.build_gpe_signal(s)[0]
         block = unit_block(*(-0.9 + 1.3 * j for j in range(k)))
-        traj = flow.integrate_flow(sig, block, tol=1e-12)
+        traj = flow.integrate_flow(sig, block, sig.t_start, sig.horizon, tol=1e-12)
         assert traj.omegas.shape == (len(traj.ts), 2, k) and traj.log_r.shape == (len(traj.ts), k)
         for j in range(k):
-            own = flow.integrate_flow(sig, block[:, j], tol=1e-12)
+            own = flow.integrate_flow(sig, block[:, j], sig.t_start, sig.horizon, tol=1e-12)
             assert traj.log_r[-1, j] == pytest.approx(own.log_r[-1], abs=1e-9)
             assert traj.omegas[-1, :, j] == pytest.approx(own.omegas[-1], abs=1e-9)
 
@@ -316,7 +316,7 @@ class TestSphericalBlock:
                 signals.Segment(1.1, 2.0, np.array([-1.2])))
         sig = signals.RankOneSignal(segs)
         block = unit_block(0.3, 2.2)
-        traj = flow.integrate_flow(sig, block)
+        traj = flow.integrate_flow(sig, block, 0.0, 2.0)
         X = block
         for seg in segs:
             c = sig._unit(float(seg.data[0]))
@@ -351,8 +351,7 @@ class TestSphericalBlock:
         assert all(y0[2:] == [0.0, 0.0] for y0 in starts)
         got = traj.log_r[np.searchsorted(traj.ts, s.tau_seq)]
         X, log_r, ref = block, np.zeros(2), []
-        for ell in range(s.length):
-            _, _, u0, u1 = s.window(ell)
+        for u0, u1 in zip((0.0,) + s.tau_seq, s.tau_seq):
             _, ys = flow.propagate(sig, X, u0, u1, tol=1e-13)
             nrm = np.linalg.norm(ys[-1].reshape(2, 2), axis=0)
             log_r = log_r + np.log(nrm)
@@ -361,11 +360,16 @@ class TestSphericalBlock:
         assert np.max(np.abs(got - np.array(ref))) <= 2e-7
 
     def test_bad_blocks_raise(self):
+        # propagate itself checks: a column of norm 2 would come out with
+        # log r off by log 2, and no error
         sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
         block = unit_block(0.3, 2.2)
         block[:, 1] *= 1.01
+        for x0 in (block, np.array([2.0, 0.0])):
+            with pytest.raises(ValueError, match="unit vector or a block of unit columns"):
+                flow.propagate(sig, x0, 0.0, 1.0, spherical=True)
         with pytest.raises(ValueError, match="block of unit columns"):
-            flow.integrate_flow(sig, block)
+            flow.integrate_flow(sig, block, 0.0, 1.0)
         with pytest.raises(ValueError, match="input u fits only a vector x0 with spherical=False"):
             flow.propagate(sig, unit_block(0.3, 2.2), 0.0, 1.0, spherical=True,
                            u=lambda t: np.ones(2))
@@ -429,7 +433,7 @@ class TestCostAndMonodromy:
     def test_cost_matches_gram_projection_constant(self):
         # aligned constant direction: J over [0, T] equals the Gram mass T
         sig = constant_direction(0.0, 0.8)
-        assert flow.cost_J(sig, np.array([1.0, 0.0])) == pytest.approx(0.8, rel=1e-9)
+        assert flow.cost_J(sig, np.array([1.0, 0.0]), 0.8) == pytest.approx(0.8, rel=1e-9)
 
     def test_fundamental_matrix_constant_coefficients(self):
         c = np.array([math.cos(0.4), math.sin(0.4)])
@@ -622,7 +626,7 @@ class TestWorkCounters:
 
     def test_piecewise_constant_flows_make_no_rk_evaluations(self, rhs_count):
         result = oracle.brute_force_mu2(1.0, 3.0, N=12, n_seeds=2)
-        assert rhs_count(lambda: flow.cost_J(result.control, result.omega0)) == 0
+        assert rhs_count(lambda: flow.cost_J(result.control, result.omega0, 4.0)) == 0
         hopping = axis_hopping_control(1.0, 1.0, 2)
         assert rhs_count(lambda: flow.decay_rate(hopping)) == 0
 

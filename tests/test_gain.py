@@ -129,6 +129,23 @@ class TestWorstInput:
 
 
 class TestSimulateGain:
+    @pytest.mark.parametrize("a, b", [(1.0, 3.0), (0.01, 0.03), (1.0, 100.0)])
+    def test_matches_the_closed_form_cut_at_its_tail(self, a, b):
+        # simulate_gain stops the decay tail after _TAIL_PERIODS periods, so
+        # it measures ratio(k)'s response mass less the tail's share
+        # rho_hat^(2 _TAIL_PERIODS) past them: at (1, 100) the cut value is
+        # 0.39 of ratio(3)
+        k = 3
+        c2, _, _ = extremal2d.build_optimal_control(a / 2, b / 2)
+        u = gain.worst_input(*extremal2d.solve_extremal(a / 2, b / 2))
+        I0, I1, I2 = u.moments
+        r = u.rho_hat
+        rk, r2n = r ** k, r ** (2 * gain._TAIL_PERIODS)
+        Ix = (k * I2 - 2.0 * I1 * (1.0 - rk) / (1.0 - r)
+              + I0 * ((1.0 - rk * rk) + (1.0 - rk) ** 2 * (1.0 - r2n)) / (1.0 - r * r))
+        cut = math.sqrt(Ix / (k * u.kappa ** 2 * I2))
+        assert gain.simulate_gain(c2, u, k)[0] == pytest.approx(cut, rel=1e-6)
+
     def test_trace_input_column(self, half_extremal):
         # the |u| column is one vectorized evaluation over the driven rows
         c2, u = half_extremal

@@ -23,8 +23,8 @@ class TestSchedule:
     def test_constant_constructor(self):
         s = gpe.GPESchedule.constant(1.0, 2.0, 1.5, 4)
         assert s.length == 4
-        assert s.window(0) == (1.0, 2.0, 0.0, 1.5)
-        assert s.window(3) == (1.0, 2.0, 4.5, 6.0)
+        assert (s.a_seq, s.b_seq) == ((1.0,) * 4, (2.0,) * 4)
+        assert s.tau_seq == (1.5, 3.0, 4.5, 6.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -95,8 +95,8 @@ class TestBuildAndMeasure:
         sig, om0 = gpe.build_gpe_signal(s)
         assert isinstance(sig, signals.RankOneSignal)
         assert len(sig.segments) == s.length
-        for ell, seg in enumerate(sig.segments):
-            a, b, t0, t1 = s.window(ell)
+        ends = zip(s.a_seq, s.b_seq, (0.0,) + s.tau_seq, s.tau_seq)
+        for seg, (a, b, t0, t1) in zip(sig.segments, ends, strict=True):
             assert (seg.t0, seg.t1, seg.gain) == (t0, t1, (a + b) / (t1 - t0))
         # a repeated pair carries the same angles, turned by one shift
         turn = sig.segments[2].data - sig.segments[0].data

@@ -92,7 +92,7 @@ def test_extremal_shape_is_carried_as_k():
 
 def test_certificate_reads_the_closed_form_once(monkeypatch):
     # verify_extremal evaluates the Jacobi functions once, at the Gram's
-    # nodes plus both ends, and once more through traj.mu for J(T)
+    # nodes plus both ends; J(T) is the quadrature of the cost rate there
     calls = []
     original = extremal2d.ExtremalTrajectory._jacobi
 
@@ -104,7 +104,7 @@ def test_certificate_reads_the_closed_form_once(monkeypatch):
     monkeypatch.setattr(extremal2d.ExtremalTrajectory, "_jacobi", counting)
     report = extremal2d.verify_extremal(traj, params)
     assert report.passed and set(report.residuals) == set(extremal2d.ExtremalReport.PRIMARY)
-    assert calls == [(2562,), (extremal2d._COST_CELLS * 5,)]
+    assert calls == [(2562,)]
 
 
 def test_import_builds_no_large_quadrature_rule():

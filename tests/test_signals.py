@@ -17,7 +17,7 @@ from scipy.interpolate import CubicSpline
 
 from peflow import extremal2d, signals
 
-from controls import axis_hopping_control, write_signal
+from controls import axis_hopping_control, matrix_at, write_signal
 
 
 def const_angle_signal(phi: float, T: float, period: float | None = None):
@@ -85,7 +85,7 @@ class TestRankOne:
         sig = const_angle_signal(math.pi / 2, 1.0)
         c = sig.c(0.5)
         assert c == pytest.approx([math.cos(math.pi / 4), math.sin(math.pi / 4)])
-        S = sig.matrix(0.5)
+        S = matrix_at(sig, 0.5)
         assert S == pytest.approx(np.outer(c, c))
         assert np.trace(S) == pytest.approx(1.0)
 
@@ -112,11 +112,12 @@ class TestRankOne:
         for t in (0.1, 0.4, 0.75, 0.9):
             for k in (3, -2):
                 assert smooth.c(t + k) == pytest.approx(smooth.c(t), rel=0, abs=1e-12)
-                assert smooth.matrix(t + k) == pytest.approx(smooth.matrix(t), rel=0, abs=1e-12)
+                assert matrix_at(smooth, t + k) == pytest.approx(matrix_at(smooth, t),
+                                                                 rel=0, abs=1e-12)
                 assert twin.matrix(t + k) == pytest.approx(twin.matrix(t), rel=0, abs=1e-12)
         for s in (smooth, twin):
-            assert np.trace(s.matrix(0.75 + 3)) == pytest.approx(2.5, rel=1e-12)
-            assert np.trace(s.matrix(0.75 - 2)) == pytest.approx(2.5, rel=1e-12)
+            assert np.trace(matrix_at(s, 0.75 + 3)) == pytest.approx(2.5, rel=1e-12)
+            assert np.trace(matrix_at(s, 0.75 - 2)) == pytest.approx(2.5, rel=1e-12)
 
     def test_aperiodic_out_of_range(self):
         sig = const_angle_signal(0.3, 1.0)
@@ -203,7 +204,7 @@ class TestMatrixSignal:
 class TestGram:
     def riemann(self, sig, t0, t1, n=200_000):
         ts = np.linspace(t0, t1, n, endpoint=False) + (t1 - t0) / (2 * n)
-        acc = sum(sig.matrix(t) for t in ts[:: n // 2000])
+        acc = sum(matrix_at(sig, t) for t in ts[:: n // 2000])
         # coarse stride keeps the oracle honest but cheap
         return acc * (t1 - t0) / len(ts[:: n // 2000])
 
@@ -222,7 +223,7 @@ class TestGram:
 
     @pytest.mark.parametrize("make", ["rank_one", "gained", "matrix"])
     def test_vectorized_equals_per_node_sum(self, make):
-        # the loop it replaced: one signal.matrix call per quadrature node
+        # the loop it replaced: one S(t) read per quadrature node
         sig = extremal2d.build_optimal_control(1.0, 3.0)[0]
         if make == "gained":
             sig = signals.time_rescale(sig, 1.3)
@@ -237,7 +238,7 @@ class TestGram:
             cells = max(1, int(np.ceil((u1 - u0) / (seg.t1 - seg.t0)
                                        * signals._GRAM_SUBINTERVALS)))
             nodes, weights = signals._gauss_legendre(np.linspace(u0, u1, cells + 1))
-            ref += sum(w * sig.matrix(t) for w, t in zip(weights, nodes))
+            ref += sum(w * matrix_at(sig, t) for w, t in zip(weights, nodes))
         assert np.max(np.abs(signals.gram(sig, t0, t1) - 0.5 * (ref + ref.T))) <= 1e-14
 
     def test_additivity(self):
@@ -319,8 +320,8 @@ class TestConstructions:
         fast = signals.time_rescale(sig, lam)
         for s in (0.1, 0.6, 1.3):
             if s < sig.period / lam:
-                want = lam * sig.matrix(lam * s)
-                err = np.max(np.abs(fast.matrix(s) - want))
+                want = lam * matrix_at(sig, lam * s)
+                err = np.max(np.abs(matrix_at(fast, s) - want))
                 assert err <= 1e-13 * np.max(np.abs(want))
 
 
@@ -346,7 +347,7 @@ class TestSerialization:
         assert isinstance(back, signals.RankOneSignal)
         assert [seg.gain for seg in back.segments] == [2.5]
         for t in np.linspace(0, back.period, 9):
-            assert np.array_equal(back.matrix(t), sig.matrix(t))
+            assert np.array_equal(matrix_at(back, t), matrix_at(sig, t))
 
     @pytest.mark.parametrize("field, text", [("data", "[null]"), ("t1", "1e999"),
                                              ("gain", "0")])
