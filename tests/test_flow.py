@@ -18,7 +18,7 @@ from scipy.linalg import expm
 
 from peflow import cli, extremal2d, flow, gain, gpe, oracle, signals
 
-from controls import axis_hopping_control
+from controls import axis_hopping_control, matrix_at
 
 
 class TestAdaptiveRK45:
@@ -124,8 +124,7 @@ class TestPropagate:
         if kind != "matrix":
             seg = signals.Segment(0.0, 1.7, np.array([1.1]), 2.3 if kind == "gained" else 1.0)
             sig = signals.RankOneSignal((seg,))
-            c = sig.c(0.0)
-            S = seg.gain * np.outer(c, c)
+            S = matrix_at(sig, 0.0)
         else:
             B = np.random.default_rng(3).normal(size=(3, 3))
             S = B @ B.T
