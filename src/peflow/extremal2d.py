@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .signals import RankOneSignal, Segment, _gauss_legendre
+from .signals import _GL_NODES, _GL_WEIGHTS, RankOneSignal, Segment, _gauss_legendre
 
 __all__ = [
     "ExtremalParams", "ExtremalTrajectory", "ExtremalReport", "elliptic_K", "elliptic_E",
@@ -36,7 +37,12 @@ __all__ = [
 
 _SAMPLES = 2048  # angle samples of the synthesized half-period control
 _RJ_TOL = 1e-16  # Carlson's relative truncation bound r for R_J
-_COST_CELLS = 16  # Gauss-Legendre cells of the cost J on [0, t]
+_CELLS = 512  # Gauss-Legendre cells of the closed form's one grid on [0, T]
+# _RUNNING[q, j]: the coefficient of s^(5 - q) in int_0^s L_j, L_j the Lagrange basis of the
+# 5 Gauss-Legendre nodes at s = x + 1 in [0, 2]; the constant term is 0, so the integral
+# vanishes exactly at a cell's left edge
+_RUNNING = np.stack([np.polyint(np.poly(np.delete(_GL_NODES + 1.0, j)))
+                     / np.prod(_GL_NODES[j] - np.delete(_GL_NODES, j)) for j in range(5)], axis=-1)
 
 
 def _agm(x: float) -> tuple[list[float], list[float], float]:
@@ -348,12 +354,32 @@ class ExtremalTrajectory:
         return (d / den * (al * sn * sn + den * (1.0 + 2.0 * d) * cn * cn) + 2.0 * eta * r) \
             / (1.0 + 4.0 * eta * eta)
 
+    @cached_property
+    def _grid(self) -> tuple[NDArray, NDArray, tuple, NDArray, NDArray]:
+        """The one read of the closed form, (t, w, jac, rate, J): 0, the nodes of
+        _CELLS-cell 5-point Gauss-Legendre on [0, T] and T, the nodes' weights, the
+        Jacobi functions at t, J' at the nodes by cell, and J at the cell edges."""
+        T = self.params.T
+        nodes, weights = _gauss_legendre(np.linspace(0.0, T, _CELLS + 1))
+        t = np.concatenate([[0.0], nodes, [T]])
+        jac = self._jacobi(t)
+        rate = self._cost_rate(jac)[1:-1].reshape(_CELLS, 5)
+        J = np.concatenate([[0.0], np.cumsum(rate @ _GL_WEIGHTS) * (0.5 * T / _CELLS)])
+        return t, weights, jac, rate, J
+
     def cost(self, t):
-        """J(t) = int_0^t cos^2((theta - phi)/2) ds by _COST_CELLS-cell composite
-        Gauss-Legendre on [0, t]."""
+        """J(t) = int_0^t cos^2((theta - phi)/2) ds on _grid: J at the left edge
+        of t's cell plus the integral of the cell's 5-node interpolant of J' from
+        that edge to t.  t outside [0, T] raises ValueError."""
         t = np.asarray(t, dtype=float)
-        nodes, weights = _gauss_legendre(np.linspace(0.0, 1.0, _COST_CELLS + 1))
-        return self._cost_rate(self._jacobi(t[..., None] * nodes)) @ weights * t
+        if not np.all((t >= 0.0) & (t <= self.params.T)):
+            raise ValueError(f"cost needs t in [0, T = {self.params.T!r}]")
+        _, _, _, rate, J = self._grid
+        step = self.params.T / _CELLS  # the cell width; edge i is i * step, as in linspace
+        cell = np.minimum((t / step).astype(int), _CELLS - 1)
+        s = 2.0 * (t - cell * step) / step  # x + 1 for x in the cell's [-1, 1]
+        rule = (0.5 * step) * (rate @ _RUNNING.T)[cell]  # per t, its cell's polynomial in s
+        return J[cell] + np.polyval(np.moveaxis(rule, -1, 0), s)
 
     def theta(self, t):
         return self.columns(t)[..., 0]
@@ -371,8 +397,8 @@ class ExtremalTrajectory:
 
     @property
     def mu(self) -> float:
-        """The cost J(T) over the window."""
-        return float(self.cost(self.params.T))
+        """The cost J(T) over the window, the last edge of _grid."""
+        return float(self._grid[-1][-1])
 
 
 def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
@@ -438,9 +464,9 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
                     tol: float = 1e-6) -> ExtremalReport:
     """Check the full set of extremality conditions along a trajectory.
 
-    The closed form is read once, at the Gram's 2560 Gauss-Legendre nodes
-    on [0, T] plus t = 0 and t = T.  There the matrix M = diag(alpha, -d) -
-    (omega p^T + p omega^T + omega omega^T) must kill the control axis
+    The closed form is read once, on traj's _grid: the Gram's 2560
+    Gauss-Legendre nodes on [0, T] plus t = 0 and t = T.  There the matrix
+    M = diag(alpha, -d) - (omega p^T + p omega^T + omega omega^T) must kill the control axis
     (Mc = 0) with constant spectrum {alpha-d-1, 0}, computed from its entries
     as (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12), and ode holds traj._rates
     against the extremal ODE thetadot = sin(theta - phi),
@@ -450,12 +476,11 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     the seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1), and
     omega(T) must be +-D omega(0) (quasi_periodicity).  The Gram of c over
     the interior nodes must equal diag(a, b), and the cost |J(T) - mu|/mu,
-    J(T) the same nodes' quadrature of traj's cost rate, must vanish against
-    the closed-form params.mu.
+    J(T) = traj.mu the same grid's quadrature of traj's cost rate, must vanish
+    against the closed-form params.mu.
     """
-    al, d, T, mu = params.alpha, params.d, params.T, params.mu  # mu is one R_J per read
-    nodes, wq = _gauss_legendre(np.linspace(0.0, T, 513))
-    jac = traj._jacobi(np.concatenate([[0.0], nodes, [T]]))  # the one Jacobi evaluation
+    al, d, mu = params.alpha, params.d, params.mu  # mu is one R_J per read
+    _, wq, jac, _, _ = traj._grid  # the one Jacobi evaluation
     th, eta, ph = traj._columns(jac).T
     co, so = np.cos(0.5 * th), np.sin(0.5 * th)  # omega; omega_perp = (-so, co)
     cc, sc = np.cos(0.5 * ph), np.sin(0.5 * ph)  # c
@@ -490,7 +515,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
                                     np.max(np.abs(mid + rad)))),
         "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
         "quasi_periodicity": float(abs(co[-1] ** 2 - co[0] ** 2)),
-        "cost": abs(float(wq @ traj._cost_rate(jac)[1:-1]) - mu) / mu,
+        "cost": abs(traj.mu - mu) / mu,
         "ode": float(np.max(ode)),
     }
     passed = all(value < tol for value in residuals.values())

@@ -52,7 +52,7 @@ from scipy.interpolate import CubicSpline
 from .extremal2d import ExtremalParams, ExtremalTrajectory, mu as window_mu, \
     solve_extremal, verify_extremal
 from .flow import propagate
-from .signals import _GL_NODES, _GL_WEIGHTS, RankOneSignal, _gauss_legendre
+from .signals import RankOneSignal
 
 __all__ = [
     "CONVERGENCE_TOL",
@@ -69,23 +69,6 @@ __all__ = [
 # a share rho_hat^(2 _TAIL_PERIODS) of the tail's, is left out
 _TAIL_PERIODS = 20
 CONVERGENCE_TOL = 0.02  # the k-period ratio must reach lower / (1 + this)
-_CELLS = 256  # Gauss-Legendre cells of the moments on the half period [0, T]
-
-
-def _running_rule() -> NDArray[np.float64]:
-    """A[i, j] = int_{-1}^{x_i} L_j(y) dy over the Lagrange basis L_j of the
-    5 Gauss-Legendre nodes x_i: times a cell's half width, A @ f is the
-    integral of f from the cell's left edge to each of its nodes.  The same
-    rule mapped to [-1, x_i] integrates each L_j, of degree 4, exactly; no
-    linear solve, which would cost the importing process 0.5 MB of RSS."""
-    x = _GL_NODES
-    y = 0.5 * ((x[:, None] + 1.0) * x + (x[:, None] - 1.0))  # y[i, q] in [-1, x_i]
-    basis = np.stack([np.prod(np.delete(y[..., None] - x, j, axis=-1), axis=-1)
-                      / np.prod(np.delete(x[j] - x, j)) for j in range(5)], axis=-1)
-    return 0.5 * (x + 1.0)[:, None] * np.einsum("q,iqj->ij", _GL_WEIGHTS, basis)
-
-
-_RUNNING = _running_rule()
 
 
 @dataclass(frozen=True)
@@ -150,40 +133,18 @@ class WorstInput:
     rho_hat: float
 
     @cached_property
-    def _half(self) -> tuple[NDArray, NDArray, NDArray, tuple]:
-        """(xi, w, J, jac) on the half period [0, T]: the nodes xi of
-        _CELLS-cell composite 5-point Gauss-Legendre with 0 and T at the ends,
-        the weights w of the nodes between them, the running cost J at every
-        xi, and the Jacobi functions there.  Each xi is read once: J sums the cells before a
-        node plus _RUNNING within its own."""
-        T = 0.5 * self.period
-        nodes, weights = _gauss_legendre(np.linspace(0.0, T, _CELLS + 1))
-        xi = np.concatenate([[0.0], nodes, [T]])
-        jac = self.traj._jacobi(xi)
-        rate = self.traj._cost_rate(jac)[1:-1].reshape(_CELLS, 5)
-        cells = np.cumsum((weights.reshape(_CELLS, 5) * rate).sum(axis=1))
-        before = np.concatenate([[0.0], cells[:-1]])
-        inner = before[:, None] + (0.5 * T / _CELLS) * rate @ _RUNNING.T
-        return xi, weights, np.concatenate([[0.0], inner.ravel(), cells[-1:]]), jac
-
-    @cached_property
-    def _m_spline(self) -> CubicSpline:
-        """m on [0, P]: e^{-J} (cos(theta/2), sin(theta/2)) at the nodes of the
-        half period, then its image s e^{-mu} D m(xi - T), D = diag(1, -1), with
-        the sign s that makes m continuous at T."""
-        xi, _, J, jac = self._half
-        m = np.exp(-J)[:, None] * RankOneSignal._units(self.traj._columns(jac)[:, 0])
+    def m(self) -> CubicSpline:
+        """xi -> Phi(xi, 0) omega_star on [0, P], the flow of omega_star over one
+        period: a cubic spline through e^{-J} (cos(theta/2), sin(theta/2)) at the
+        points of traj's grid, then through its image s e^{-mu} D m(xi - T),
+        D = diag(1, -1), with the sign s that makes m continuous at T."""
+        traj = self.traj
+        xi, _, jac, _, _ = traj._grid
+        m = np.exp(-traj.cost(xi))[:, None] * RankOneSignal._units(traj._columns(jac)[:, 0])
         sign = math.copysign(1.0, m[-1] @ (m[0] * [1.0, -1.0]))
         mirror = sign * math.exp(-self.mu) * m[1:] * [1.0, -1.0]
         return CubicSpline(np.concatenate([xi, xi[-1] + xi[1:]]),
                            np.concatenate([m, mirror]), axis=0)
-
-    def m(self, xi: float | NDArray) -> NDArray[np.float64]:
-        """Flow of omega_star over one period: Phi(xi, 0) omega_star."""
-        return self._m_spline(xi)
-
-    def v(self, xi: float) -> float:
-        return self.kappa * np.exp(self.kappa * xi)
 
     @cached_property
     def moments(self) -> tuple[float, float, float]:
@@ -191,10 +152,10 @@ class WorstInput:
 
         The half period [T, P] repeats [0, T] with |m|^2 scaled by e^{-2 mu}
         and e^{j kappa xi} by e^{j mu}, so I_j = (1 + e^{(j - 2) mu})
-        int_0^T e^{j kappa s - 2 J(s)} ds, on the nodes of _half.
+        int_0^T e^{j kappa s - 2 J(s)} ds, on the Gauss-Legendre nodes of traj's grid.
         """
-        xi, weights, J, _ = self._half
-        wm2 = weights * np.exp(-2.0 * J[1:-1])
+        xi, weights, _, _, _ = self.traj._grid
+        wm2 = weights * np.exp(-2.0 * self.traj.cost(xi[1:-1]))
         e = np.exp(self.kappa * xi[1:-1])
         I0 = (1.0 + math.exp(-2.0 * self.mu)) * float(wm2.sum())
         I1 = (1.0 + math.exp(-self.mu)) * float(wm2 @ e)
@@ -219,7 +180,7 @@ class WorstInput:
     def __call__(self, t: float | NDArray) -> NDArray[np.float64]:
         """u(t), shape (n,) at one time and (len(t), n) at an array of times."""
         xi = t % self.period
-        return (self.v(xi) * self.m(xi).T).T
+        return (self.kappa * np.exp(self.kappa * xi) * self.m(xi).T).T
 
 
 def worst_input(params: ExtremalParams, traj: ExtremalTrajectory) -> WorstInput:

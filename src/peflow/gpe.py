@@ -39,7 +39,7 @@ from numpy.typing import NDArray
 
 from .extremal2d import extremal_angles
 from .flow import integrate_flow
-from .signals import RankOneSignal, Segment, _field
+from .signals import RankOneSignal, Segment, _field, _numbers
 
 __all__ = [
     "GPESchedule",
@@ -69,7 +69,7 @@ class GPESchedule:
     def __post_init__(self) -> None:
         for name in ("a_seq", "b_seq", "tau_seq"):
             try:
-                values = tuple(float(x) for x in getattr(self, name))
+                values = tuple(float(x) for x in _numbers(getattr(self, name)))
             except (TypeError, ValueError):
                 raise ValueError(f"{name} must hold numbers") from None
             if not np.all(np.isfinite(values)):

@@ -78,7 +78,7 @@ class Segment:
     def __post_init__(self) -> None:
         for name in ("t0", "t1", "gain", "data"):
             try:  # a JSON integer too large for a float overflows here
-                value = np.asarray(getattr(self, name), dtype=float)
+                value = np.asarray(_numbers(getattr(self, name)), dtype=float)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"field {name!r} is not a float: {exc}") from None
             if not np.all(np.abs(value) < math.inf):
@@ -400,9 +400,19 @@ def signal_to_dict(signal: RankOneSignal | MatrixSignal) -> dict:
     return {"dim": signal.dim, "period": signal.period, "segments": segs}
 
 
+def _numbers(value):
+    """value; TypeError if a string or a boolean is anywhere in it, as float() reads both."""
+    if isinstance(value, (list, tuple)):
+        return [_numbers(item) for item in value]
+    if np.asarray(value).dtype.kind in "bSU":
+        raise TypeError(f"{value!r} is not a number")
+    return value
+
+
 def _field(doc, key: str, types: tuple, where: str = "document"):
     """doc[key] of a JSON object; ValueError names the field if missing or mistyped."""
-    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], types)):
+    if not (isinstance(doc, dict) and key in doc and isinstance(doc[key], types)
+            and not isinstance(doc[key], bool)):
         names = " or ".join(t.__name__ for t in types)
         raise ValueError(f"{where} field {key!r} is missing or not {names}")
     return doc[key]

@@ -358,7 +358,9 @@ class TestDecayGain:
 
     @pytest.mark.parametrize("text", [
         pytest.param(str(10 ** 400), id="period-huge-int"),
-        pytest.param("1e999", id="period-inf"), pytest.param("NaN", id="period-nan")])
+        pytest.param("1e999", id="period-inf"), pytest.param("NaN", id="period-nan"),
+        # true would read as 1.0, the span of the segments
+        pytest.param("true", id="period-true")])
     def test_decay_names_bad_period(self, capsys, tmp_path, text):
         doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
         doc["period"] = "BAD"

@@ -382,6 +382,31 @@ class TestClosedFormTrajectory:
         assert np.max(np.abs(traj.columns(ts) - ys[:, :3])) < 1e-9
         assert np.max(np.abs(traj.cost(ts) - ys[:, 3])) < 1e-9
 
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1e-8, 1e-8), (0.01, 0.03), (1.0, 100.0),
+                                     (1.51, 1.7667), (1.0, 1e4), (1e4, 1e5)])
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_cost_matches_quad(self, a, b):
+        # J(t) at 40 interior times against adaptive quadrature of J' between
+        # consecutive times, cumulated; quad warns that rounding keeps it from
+        # certifying its own 1e-14, and the bound below checks the sum instead
+        params, traj = extremal2d.solve_extremal(a, b)
+        ts = np.linspace(0.0, params.T, 42)[1:-1]
+        steps = [quad(lambda s: float(traj._cost_rate(traj._jacobi(s))), lo, hi,
+                      epsabs=1e-300, epsrel=1e-14, limit=200)[0]
+                 for lo, hi in zip(np.concatenate([[0.0], ts[:-1]]), ts)]
+        assert np.max(np.abs(traj.cost(ts) - np.cumsum(steps))) < 1e-14 * traj.mu
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1e-8, 1e-8), (1.0, 1e8), (1e4, 1e12)])
+    def test_cost_on_its_domain(self, a, b):
+        # J(0) is exactly 0, a scalar t gives a scalar, J rises on the CSV's
+        # times, and t outside [0, T] raises rather than extrapolating
+        params, traj = extremal2d.solve_extremal(a, b)
+        assert traj.cost(0.0) == 0.0 and np.shape(traj.cost(0.0)) == ()
+        assert np.all(np.diff(traj.cost(np.linspace(0.0, params.T, 2001))) >= 0.0)
+        for bad in (-1e-300, np.nextafter(params.T, math.inf), math.nan, [0.0, 2.0 * params.T]):
+            with pytest.raises(ValueError, match="cost needs t in"):
+                traj.cost(bad)
+
     def test_seeded_pairs_certify(self):
         # a log-uniform in [1e-8, 1e4], b/a log-uniform in [1, 1e8]
         rng = np.random.default_rng(21)

@@ -41,6 +41,12 @@ class TestSchedule:
             gpe.GPESchedule((math.inf,), (math.inf,), (1.0,))
         with pytest.raises(ValueError, match="b_seq must be finite"):
             gpe.GPESchedule((1.0,), (math.nan,), (1.0,))
+        # numbers only as numbers: float() would read a string or a boolean
+        for seqs, name in [([("1", True), (3, 3), (1, 2)], "a_seq"),
+                           ([(1, 1), (3, "3"), (1, 2)], "b_seq"),
+                           ([(1,), (3,), (True,)], "tau_seq")]:
+            with pytest.raises(ValueError, match=f"{name} must hold numbers"):
+                gpe.GPESchedule(*seqs)
 
     def test_round_trip(self, tmp_path):
         s = gpe.GPESchedule((0.5, 1.0), (1.0, 1.0), (1.0, 3.0), tag="converges")

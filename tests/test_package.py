@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import peflow
-from peflow import cli, extremal2d, flow, signals
+from peflow import cli, extremal2d, flow, gain, signals
 
 
 @pytest.mark.parametrize("module", peflow.__all__)
@@ -90,9 +90,9 @@ def test_extremal_shape_is_carried_as_k():
     assert _callers("ExtremalTrajectory") == {"extremal2d.integrate_extremal"}
 
 
-def test_certificate_reads_the_closed_form_once(monkeypatch):
-    # verify_extremal evaluates the Jacobi functions once, at the Gram's
-    # nodes plus both ends; J(T) is the quadrature of the cost rate there
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """The shape of t at every ExtremalTrajectory._jacobi call from here on."""
     calls = []
     original = extremal2d.ExtremalTrajectory._jacobi
 
@@ -100,11 +100,29 @@ def test_certificate_reads_the_closed_form_once(monkeypatch):
         calls.append(np.shape(t))
         return original(self, t)
 
-    params, traj = extremal2d.solve_extremal(1.0, 3.0)
     monkeypatch.setattr(extremal2d.ExtremalTrajectory, "_jacobi", counting)
+    return calls
+
+
+def test_certificate_reads_the_closed_form_once(jacobi_calls):
+    # verify_extremal evaluates the Jacobi functions once, at the Gram's
+    # nodes plus both ends; J(T) is the quadrature of the cost rate there
+    params, traj = extremal2d.solve_extremal(1.0, 3.0)
     report = extremal2d.verify_extremal(traj, params)
     assert report.passed and set(report.residuals) == set(extremal2d.ExtremalReport.PRIMARY)
-    assert calls == [(2562,)]
+    assert jacobi_calls == [(2562,)]
+
+
+def test_gain_and_cost_read_the_certificate_grid(jacobi_calls, capsys):
+    # the gain moments and J(t) read the certificate's grid: gain_estimate
+    # evaluates the Jacobi functions once, and the extremal CSV adds only its
+    # 2001 rows of columns, with no Jacobi pass of J's own
+    gain.gain_estimate(1.0, 3.0, 1.0)
+    assert jacobi_calls == [(2562,)]
+    jacobi_calls.clear()
+    assert cli.main(["extremal", "--a", "1", "--b", "3", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2002
+    assert jacobi_calls == [(2562,), (2001,)]
 
 
 def test_import_builds_no_large_quadrature_rule():

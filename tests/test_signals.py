@@ -349,13 +349,22 @@ class TestSerialization:
         for t in np.linspace(0, back.period, 9):
             assert np.array_equal(matrix_at(back, t), matrix_at(sig, t))
 
-    @pytest.mark.parametrize("field, text", [("data", "[null]"), ("t1", "1e999"),
-                                             ("gain", "0")])
+    @pytest.mark.parametrize("field, text", [
+        ("data", "[null]"), ("t1", "1e999"), ("gain", "0"),
+        # numbers only as JSON numbers: float() would read each of these
+        ("t0", '"0.5"'), ("t1", "true"), ("gain", "true"),
+        ("data", '[[["2", 0], [0, 0]]]'), ("data", "[[[2, 0], [0, false]]]")])
     def test_bad_segment_field_is_named(self, field, text):
         doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
         doc["segments"][1][field] = "BAD"  # stands for JSON text json.dumps would not write
         with pytest.raises(ValueError, match=f"segment 1 field '{field}'"):
             signals.signal_from_dict(json.loads(json.dumps(doc).replace('"BAD"', text)))
+
+    def test_boolean_dim_is_refused(self):
+        doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
+        doc["dim"] = True  # bool subclasses int
+        with pytest.raises(ValueError, match="document field 'dim'"):
+            signals.signal_from_dict(doc)
 
     def test_round_trip_matrix(self, tmp_path):
         sig = axis_hopping_control(1.0, 1.0, 3)
