@@ -355,31 +355,29 @@ class ExtremalTrajectory:
             / (1.0 + 4.0 * eta * eta)
 
     @cached_property
-    def _grid(self) -> tuple[NDArray, NDArray, tuple, NDArray, NDArray]:
-        """The one read of the closed form, (t, w, jac, rate, J): 0, the nodes of
+    def _grid(self) -> tuple[NDArray, NDArray, tuple, NDArray]:
+        """The one read of the closed form, (t, w, jac, rate): 0, the nodes of
         _CELLS-cell 5-point Gauss-Legendre on [0, T] and T, the nodes' weights, the
-        Jacobi functions at t, J' at the nodes by cell, and J at the cell edges."""
+        Jacobi functions at t, and J' at the nodes by cell, shape (_CELLS, 5)."""
         T = self.params.T
         nodes, weights = _gauss_legendre(np.linspace(0.0, T, _CELLS + 1))
         t = np.concatenate([[0.0], nodes, [T]])
         jac = self._jacobi(t)
-        rate = self._cost_rate(jac)[1:-1].reshape(_CELLS, 5)
-        J = np.concatenate([[0.0], np.cumsum(rate @ _GL_WEIGHTS) * (0.5 * T / _CELLS)])
-        return t, weights, jac, rate, J
+        return t, weights, jac, self._cost_rate(jac)[1:-1].reshape(_CELLS, 5)
 
     def cost(self, t):
-        """J(t) = int_0^t cos^2((theta - phi)/2) ds on _grid: J at the left edge
-        of t's cell plus the integral of the cell's 5-node interpolant of J' from
-        that edge to t.  t outside [0, T] raises ValueError."""
+        """J(t) = int_0^t cos^2((theta - phi)/2) ds on _grid: the cells before t's
+        by Gauss-Legendre, plus the integral of its cell's 5-node interpolant of J'
+        from the cell's left edge to t.  t outside [0, T] raises ValueError."""
         t = np.asarray(t, dtype=float)
         if not np.all((t >= 0.0) & (t <= self.params.T)):
             raise ValueError(f"cost needs t in [0, T = {self.params.T!r}]")
-        _, _, _, rate, J = self._grid
+        rate = self._grid[3]
         step = self.params.T / _CELLS  # the cell width; edge i is i * step, as in linspace
         cell = np.minimum((t / step).astype(int), _CELLS - 1)
         s = 2.0 * (t - cell * step) / step  # x + 1 for x in the cell's [-1, 1]
-        rule = (0.5 * step) * (rate @ _RUNNING.T)[cell]  # per t, its cell's polynomial in s
-        return J[cell] + np.polyval(np.moveaxis(rule, -1, 0), s)
+        J = np.concatenate([[0.0], np.cumsum(rate @ _GL_WEIGHTS)])  # at the edges, per half width
+        return 0.5 * step * (J[cell] + np.polyval(np.moveaxis((rate @ _RUNNING.T)[cell], -1, 0), s))
 
     def theta(self, t):
         return self.columns(t)[..., 0]
@@ -397,8 +395,8 @@ class ExtremalTrajectory:
 
     @property
     def mu(self) -> float:
-        """The cost J(T) over the window, the last edge of _grid."""
-        return float(self._grid[-1][-1])
+        """The cost J(T) over the window, _grid's quadrature of J'."""
+        return float(self._grid[1] @ self._grid[3].ravel())
 
 
 def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
@@ -480,7 +478,7 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     against the closed-form params.mu.
     """
     al, d, mu = params.alpha, params.d, params.mu  # mu is one R_J per read
-    _, wq, jac, _, _ = traj._grid  # the one Jacobi evaluation
+    _, wq, jac, _ = traj._grid  # the one Jacobi evaluation
     th, eta, ph = traj._columns(jac).T
     co, so = np.cos(0.5 * th), np.sin(0.5 * th)  # omega; omega_perp = (-so, co)
     cc, sc = np.cos(0.5 * ph), np.sin(0.5 * ph)  # c

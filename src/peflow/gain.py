@@ -139,7 +139,7 @@ class WorstInput:
         points of traj's grid, then through its image s e^{-mu} D m(xi - T),
         D = diag(1, -1), with the sign s that makes m continuous at T."""
         traj = self.traj
-        xi, _, jac, _, _ = traj._grid
+        xi, _, jac, _ = traj._grid
         m = np.exp(-traj.cost(xi))[:, None] * RankOneSignal._units(traj._columns(jac)[:, 0])
         sign = math.copysign(1.0, m[-1] @ (m[0] * [1.0, -1.0]))
         mirror = sign * math.exp(-self.mu) * m[1:] * [1.0, -1.0]
@@ -154,7 +154,7 @@ class WorstInput:
         and e^{j kappa xi} by e^{j mu}, so I_j = (1 + e^{(j - 2) mu})
         int_0^T e^{j kappa s - 2 J(s)} ds, on the Gauss-Legendre nodes of traj's grid.
         """
-        xi, weights, _, _, _ = self.traj._grid
+        xi, weights, _, _ = self.traj._grid
         wm2 = weights * np.exp(-2.0 * self.traj.cost(xi[1:-1]))
         e = np.exp(self.kappa * xi[1:-1])
         I0 = (1.0 + math.exp(-2.0 * self.mu)) * float(wm2.sum())
