@@ -142,9 +142,8 @@ def _cmd_decay(cfg: argparse.Namespace) -> int:
 def _cmd_gain(cfg: argparse.Namespace) -> int:
     """Two-sided L2-gain estimate, or as CSV the worst-input RK45 trace at --tol."""
     if cfg.format == "csv":
-        c2, _, _ = extremal2d.build_optimal_control(cfg.a / 2, cfg.b / 2)
         u = gain.worst_input(*extremal2d.solve_extremal(cfg.a / 2, cfg.b / 2))
-        _, trace = gain.simulate_gain(c2, u, cfg.periods, tol=cfg.tol)
+        _, trace = gain.simulate_gain(u, cfg.periods, tol=cfg.tol)
         _emit_csv(["t", "x_norm", "u_norm"],
                   [[repr(float(v)) for v in row] for row in trace], cfg)
         return 0

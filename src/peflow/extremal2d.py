@@ -31,11 +31,10 @@ from .signals import _GL_NODES, _GL_WEIGHTS, RankOneSignal, Segment, _gauss_lege
 __all__ = [
     "ExtremalParams", "ExtremalTrajectory", "ExtremalReport", "elliptic_K", "elliptic_E",
     "K_plus", "K_minus", "solve_shape", "solve_multipliers", "solve_params",
-    "integrate_extremal", "solve_extremal", "mu", "extremal_angles",
-    "build_optimal_control", "verify_extremal",
+    "integrate_extremal", "solve_extremal", "mu", "build_optimal_control", "verify_extremal",
 ]
 
-_SAMPLES = 2048  # angle samples of the synthesized half-period control
+_SAMPLES = 2048  # angle samples of the control on the half period [0, T]
 _RJ_TOL = 1e-16  # Carlson's relative truncation bound r for R_J
 _CELLS = 512  # Gauss-Legendre cells of the closed form's one grid on [0, T]
 # _RUNNING[q, j]: the coefficient of s^(5 - q) in int_0^s L_j, L_j the Lagrange basis of the
@@ -398,6 +397,27 @@ class ExtremalTrajectory:
         """The cost J(T) over the window, _grid's quadrature of J'."""
         return float(self._grid[1] @ self._grid[3].ravel())
 
+    @cached_property
+    def samples(self) -> tuple[NDArray, NDArray]:
+        """(theta, phi) at _SAMPLES uniform times from 0 to exactly T."""
+        theta, _, phi = self.columns(np.linspace(0.0, self.params.T, _SAMPLES)).T
+        return theta, phi
+
+    @cached_property
+    def control(self) -> RankOneSignal:
+        """The 2T-periodic control, one segment of the pendulum's angles over its
+        full period 2T: the samples' phi on [0, T], then 2 pi - phi on [T, 2T],
+        which is the pendulum's own second half (sn(u + 2K) = -sn(u), so
+        phi(t + T) = 2 pi - phi(t)) and the image of the first under the mirror
+        D = diag(1, -1).  The seam is continuous iff phi(0) + phi(T) = 2 pi; a
+        miss above 2e-6 (1e-6 on c) raises ArithmeticError."""
+        phis, T = self.samples[1], self.params.T
+        seam = abs(float(phis[0] + phis[-1]) - 2.0 * np.pi)
+        if seam > 2e-6:
+            raise ArithmeticError(f"seam mismatch: |phi(0) + phi(T) - 2 pi| = {seam:.2e}")
+        seg = Segment(0.0, 2 * T, np.concatenate([phis, 2.0 * np.pi - phis[1:]]))
+        return RankOneSignal((seg,), dim=2, period=2 * T)
+
 
 def integrate_extremal(params: ExtremalParams) -> ExtremalTrajectory:
     """The extremal of params on [0, T] in closed form; only its cost is a quadrature."""
@@ -415,34 +435,12 @@ def mu(a: float, b: float) -> float:
     return solve_params(a, b).mu
 
 
-def extremal_angles(a: float, b: float) -> tuple[float, NDArray, NDArray]:
-    """(mu, theta, phi) of the extremal for window bounds 0 < a <= b: its cost and its
-    state and control angles at _SAMPLES uniform times from 0 to exactly T = a + b."""
-    params, traj = solve_extremal(a, b)
-    theta, _, phi = traj.columns(np.linspace(0.0, params.T, _SAMPLES)).T
-    return params.mu, theta, phi
-
-
 def build_optimal_control(a: float, b: float) -> tuple[RankOneSignal, NDArray, float]:
-    """Synthesize the 2T-periodic worst-case control for window bounds 0 < a <= b.
-
-    One segment holds the pendulum's angles over its full period 2T: the
-    extremal's phi on [0, T], then 2 pi - phi on [T, 2T], which is the
-    pendulum's own second half (sn(u + 2K) = -sn(u), so phi(t + T) =
-    2 pi - phi(t)) and the image of the first under the mirror D = diag(1, -1).
-    The seam is continuous iff phi(0) + phi(T) = 2 pi; a miss above 2e-6
-    (1e-6 on c) raises ArithmeticError.
-
-    Returns (signal, omega0, mu): the rank-one angle signal with period 2T,
-    the worst initial direction, and the per-window cost mu = J over [0, T].
-    """
-    mu, theta, phis = extremal_angles(a, b)
-    T = a + b
-    seam = abs(float(phis[0] + phis[-1]) - 2.0 * np.pi)
-    if seam > 2e-6:
-        raise ArithmeticError(f"seam mismatch: |phi(0) + phi(T) - 2 pi| = {seam:.2e}")
-    seg = Segment(0.0, 2 * T, np.concatenate([phis, 2.0 * np.pi - phis[1:]]))
-    return RankOneSignal((seg,), dim=2, period=2 * T), RankOneSignal._unit(theta[0]), mu
+    """The 2T-periodic worst-case control for window bounds 0 < a <= b as (signal,
+    omega0, mu): the extremal's control, its worst initial direction, and the
+    per-window cost mu = J over [0, T]."""
+    params, traj = solve_extremal(a, b)
+    return traj.control, RankOneSignal._unit(traj.samples[0][0]), params.mu
 
 
 @dataclass(frozen=True)

@@ -171,6 +171,8 @@ class WorstInput:
         rho_hat^(2 _TAIL_PERIODS) is not negligible."""
         I0, I1, I2 = self.moments
         r = self.rho_hat
+        if r == 1.0:
+            raise ArithmeticError(f"rho_hat = exp(-2 mu) rounds to 1 at mu = {self.mu!r}")
         rk = r ** k_periods
         Ix = (k_periods * I2 - 2.0 * I1 * (1.0 - rk) / (1.0 - r)
               + I0 * ((1.0 - rk * rk) + (1.0 - rk) ** 2) / (1.0 - r * r))
@@ -201,36 +203,32 @@ def worst_input(params: ExtremalParams, traj: ExtremalTrajectory) -> WorstInput:
                       rho_hat=float(np.exp(-2.0 * mu)))
 
 
-def simulate_gain(c: RankOneSignal, u, k_periods: int, tol: float = 1e-9):
+def simulate_gain(u: WorstInput, k_periods: int, tol: float = 1e-9):
     """Measured L2 input-output ratio ||x||_2 / ||u||_2 with its trace.
 
-    u maps a time to the input vector and an array of times to one row
-    per time.  It is applied on [0, k_periods * period] and switched off;
+    The worst input u drives its own extremal's control, u.traj.control, from
+    x = 0 at t = 0 on [0, k_periods * period] and is switched off;
     integration continues through a decay tail of _TAIL_PERIODS more
     periods, one flow, and the response mass after it is left out.
     An identically zero input raises: the ratio is undefined.  Returns the
     ratio and the (t, |x|, |u|) trace, one row per accepted step.
     """
-    if c.period is None:
-        raise ValueError("simulate_gain needs a periodic control")
-    P = float(c.period)
-    n = c.dim
-    t0 = c.t_start
-    t_end = t0 + k_periods * P
+    c = u.traj.control
+    t_end = k_periods * c.period
 
-    ts, ys = propagate(c, np.zeros(n), t0, t_end, tol=tol, u=u)
-    Iu = float(ys[-1][n + 1])
+    ts, ys = propagate(c, np.zeros(2), 0.0, t_end, tol=tol, u=u)  # rows (x, int |x|^2, int |u|^2)
+    Iu = float(ys[-1][3])
     if Iu <= 0.0:
         raise ValueError("input is identically zero over the horizon; "
                          "the gain ratio is undefined")
 
     # decay tail: input off, response mass keeps accumulating
-    tail_ts, tail = propagate(c, ys[-1][:n], t_end, t_end + _TAIL_PERIODS * P, tol=tol,
-                              u=lambda t: np.zeros(n))
-    Ix = float(ys[-1][n] + tail[-1][n])
+    tail_ts, tail = propagate(c, ys[-1][:2], t_end, t_end + _TAIL_PERIODS * c.period, tol=tol,
+                              u=lambda t: np.zeros(2))
+    Ix = float(ys[-1][2] + tail[-1][2])
     u_norms = np.zeros(len(ts) + len(tail_ts) - 1)
     u_norms[:len(ts)] = np.linalg.norm(u(ts), axis=-1)
-    x_norms = np.linalg.norm(np.concatenate([ys, tail[1:]])[:, :n], axis=1)
+    x_norms = np.linalg.norm(np.concatenate([ys, tail[1:]])[:, :2], axis=1)
     trace = np.column_stack([np.concatenate([ts, tail_ts[1:]]), x_norms, u_norms])
     return float(np.sqrt(Ix / Iu)), trace
 

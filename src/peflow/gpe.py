@@ -37,7 +37,7 @@ from typing import Literal
 import numpy as np
 from numpy.typing import NDArray
 
-from .extremal2d import extremal_angles
+from .extremal2d import solve_extremal
 from .flow import integrate_flow
 from .signals import RankOneSignal, Segment, _field, _numbers
 
@@ -118,9 +118,10 @@ def series_criterion(schedule: GPESchedule) -> tuple[list[float], str]:
 
 def _synthesize_window(a: float, b: float):
     """Natural-clock window minimizer: (mu, template, theta(0), theta(a+b)),
-    where template is the segment of its phi samples on [0, a+b]."""
-    mu, theta, phis = extremal_angles(a, b)
-    return mu, Segment(0.0, a + b, phis), float(theta[0]), float(theta[-1])
+    where template is the segment of its trajectory's phi samples on [0, a+b]."""
+    params, traj = solve_extremal(a, b)
+    theta, phis = traj.samples
+    return params.mu, Segment(0.0, a + b, phis), float(theta[0]), float(theta[-1])
 
 
 def _chain(schedule: GPESchedule) -> tuple[float, list[tuple[float, Segment, float]]]:

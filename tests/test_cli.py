@@ -57,10 +57,27 @@ class TestEnvelope:
         _, doc = run_json(capsys, "gpe", "--a", "1", "--b", "1", "--periods", "2")
         assert doc["config"]["T"] == 1.0 and doc["config"]["signal"] is None
 
-    def test_byte_identical_reruns(self, capsys):
-        _, out1 = run_cli(capsys, "mu", "--a", "0.5", "--b", "2")
-        _, out2 = run_cli(capsys, "mu", "--a", "0.5", "--b", "2")
-        assert out1 == out2
+    @pytest.mark.parametrize("argv", [
+        ["mu", "--a", "0.5", "--b", "2"],
+        ["extremal", "--a", "1", "--b", "3"],
+        ["extremal", "--a", "1", "--b", "3", "--format", "csv"],
+        ["oracle", "--a", "1", "--b", "3", "--segments", "8", "--seeds", "2"],
+        ["decay", "--a", "1", "--b", "3"],
+        ["decay", "--signal", "{matrix}"],
+        ["gain", "--a", "1", "--b", "3"],
+        ["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"],
+        ["gpe", "--a", "1", "--b", "3", "--periods", "3"],
+        ["gpe", "--a", "1", "--b", "3", "--periods", "3", "--format", "csv"],
+        ["verify", "--signal", "{control}", "--a", "1", "--b", "3", "--T", "4"],
+    ], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
+    def test_byte_identical_reruns(self, capsys, tmp_path, argv):
+        # every subcommand and format prints the same bytes and exit code twice
+        files = {"matrix": tmp_path / "matrix.json", "control": tmp_path / "control.json"}
+        write_signal(axis_hopping_control(1.0, 1.0, 2), str(files["matrix"]))
+        write_signal(extremal2d.build_optimal_control(1.0, 3.0)[0], str(files["control"]))
+        argv = [arg.format(**files) for arg in argv]
+        first = run_cli(capsys, *argv)
+        assert first[1] and run_cli(capsys, *argv) == first
 
     def test_out_file_atomic(self, capsys, tmp_path):
         target = tmp_path / "mu.json"
@@ -385,6 +402,14 @@ class TestDecayGain:
                              "--periods", "10")
         assert code == 1
         assert doc["passed"] is False
+
+    def test_gain_names_rho_hat_rounding_to_one(self, capsys):
+        # mu(a/2, b/2) is 2e-19 here, so rho_hat = exp(-2 mu) is exactly 1.0 and
+        # the k-period ratio's (1 - rho^k)/(1 - rho) would divide by zero
+        code, doc = run_json(capsys, "gain", "--a", "1e4", "--b", "1e12")
+        assert code == 1 and doc["passed"] is False
+        assert doc["error"]["type"] == "ArithmeticError"
+        assert repr(extremal2d.mu(5e3, 5e11)) in doc["error"]["message"]
 
     def test_gain_csv(self, capsys):
         code, out = run_cli(capsys, "gain", "--a", "1", "--b", "3", "--T", "1",

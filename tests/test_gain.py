@@ -46,9 +46,8 @@ class TestClosedFormBounds:
 
 @pytest.fixture(scope="module")
 def half_extremal():
-    # the (0.5, 1.5) control, simulated, and the worst input on its extremal
-    c2, _, _ = extremal2d.build_optimal_control(0.5, 1.5)
-    return c2, gain.worst_input(*extremal2d.solve_extremal(0.5, 1.5))
+    # the worst input on the (0.5, 1.5) extremal, which carries its control
+    return gain.worst_input(*extremal2d.solve_extremal(0.5, 1.5))
 
 
 def rk45_moments(a, b):
@@ -79,7 +78,7 @@ def shape_off(params, rel=1e-3):
 
 class TestWorstInput:
     def test_continuous_at_seam(self, half_extremal):
-        _, u = half_extremal
+        u = half_extremal
         P = u.period
         gap = np.linalg.norm(u(P - 1e-9) - u(1e-12))
         assert gap < 1e-6 * np.linalg.norm(u(1e-12))
@@ -112,7 +111,7 @@ class TestWorstInput:
 
     def test_growth_envelope(self, half_extremal):
         # v(xi) = kappa e^{kappa xi} with kappa tied to the period contraction
-        _, u = half_extremal
+        u = half_extremal
         mu_half = extremal2d.mu(0.5, 1.5)
         assert u.period == 2.0 * (0.5 + 1.5)
         assert u.kappa == pytest.approx(2.0 * mu_half / u.period, rel=1e-12)
@@ -136,7 +135,6 @@ class TestSimulateGain:
         # rho_hat^(2 _TAIL_PERIODS) past them: at (1, 100) the cut value is
         # 0.39 of ratio(3)
         k = 3
-        c2, _, _ = extremal2d.build_optimal_control(a / 2, b / 2)
         u = gain.worst_input(*extremal2d.solve_extremal(a / 2, b / 2))
         I0, I1, I2 = u.moments
         r = u.rho_hat
@@ -144,13 +142,13 @@ class TestSimulateGain:
         Ix = (k * I2 - 2.0 * I1 * (1.0 - rk) / (1.0 - r)
               + I0 * ((1.0 - rk * rk) + (1.0 - rk) ** 2 * (1.0 - r2n)) / (1.0 - r * r))
         cut = math.sqrt(Ix / (k * u.kappa ** 2 * I2))
-        assert gain.simulate_gain(c2, u, k)[0] == pytest.approx(cut, rel=1e-6)
+        assert gain.simulate_gain(u, k)[0] == pytest.approx(cut, rel=1e-6)
 
     def test_trace_input_column(self, half_extremal):
         # the |u| column is one vectorized evaluation over the driven rows
-        c2, u = half_extremal
-        _, trace = gain.simulate_gain(c2, u, k_periods=2)
-        t_end = c2.t_start + 2 * c2.period
+        u = half_extremal
+        _, trace = gain.simulate_gain(u, k_periods=2)
+        t_end = 2 * u.period
         per_row = [np.linalg.norm(u(t)) if t <= t_end else 0.0 for t in trace[:, 0]]
         assert trace[:, 2] == pytest.approx(per_row, rel=1e-12, abs=0.0)
         assert trace[-1, 0] > t_end
@@ -208,9 +206,8 @@ class TestGainEstimate:
     @pytest.mark.parametrize("k", [3, 50])
     def test_closed_form_matches_simulation(self, a, b, k):
         report = gain.gain_estimate(a, b, 1.0, k_periods=k)
-        c2, _, _ = extremal2d.build_optimal_control(a / 2, b / 2)
         u = gain.worst_input(*extremal2d.solve_extremal(a / 2, b / 2))
-        ratio_nat, _ = gain.simulate_gain(c2, u, k)
+        ratio_nat, _ = gain.simulate_gain(u, k)
         measured = 0.5 * ratio_nat / (0.5 * (a + b))
         assert report.simulated == pytest.approx(measured, rel=5e-8)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -56,10 +57,11 @@ def test_one_propagator(monkeypatch):
     # segment: its second half is 2 pi - phi exactly, one cubic and one RK45 piece
     a, b = 1.0, 3.0
     sig, om0, _ = extremal2d.build_optimal_control(a, b)
-    _, _, phis = extremal2d.extremal_angles(a, b)
+    _, traj = extremal2d.solve_extremal(a, b)
     (seg,) = sig.segments
     assert (seg.t0, seg.t1, sig.period, len(seg.data)) == (0.0, 2 * (a + b), 2 * (a + b), 4095)
-    assert np.array_equal(seg.data[2048:], 2.0 * np.pi - phis[1:])
+    assert seg.data.tobytes() == traj.control.segments[0].data.tobytes()
+    assert np.array_equal(seg.data[2048:], 2.0 * np.pi - traj.samples[1][1:])
     calls = {"solve_banded": 0, "adaptive_rk45": 0}
     for module, name in ((signals, "solve_banded"), (flow, "adaptive_rk45")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
@@ -123,6 +125,44 @@ def test_gain_and_cost_read_the_certificate_grid(jacobi_calls, capsys):
     assert cli.main(["extremal", "--a", "1", "--b", "3", "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2002
     assert jacobi_calls == [(2562,), (2001,)]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """The (a, b) of every extremal2d.solve_params call from here on."""
+    calls = []
+    original = extremal2d.solve_params
+
+    def counting(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(extremal2d, "solve_params", counting)
+    return calls
+
+
+@pytest.mark.parametrize("argv, solves, reads", [
+    # the worst input and the control it drives come from one trajectory: its
+    # certificate grid, then its 2048 control samples
+    (["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"],
+     [(0.5, 1.5)], [(2562,), (2048,)]),
+    (["decay", "--a", "1", "--b", "3"], [(1.0, 3.0)], [(2048,)]),
+])
+def test_one_solve_per_pair(jacobi_calls, solve_calls, capsys, argv, solves, reads):
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert (solve_calls, jacobi_calls) == (solves, reads)
+
+
+def test_gpe_solves_each_distinct_pair_once(jacobi_calls, solve_calls, capsys, tmp_path):
+    pairs = [(1.0, 3.0), (0.5, 0.5), (1.0, 3.0), (2.0, 5.0), (0.5, 0.5)]
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps({"a_seq": [a for a, _ in pairs], "b_seq": [b for _, b in pairs],
+                                "tau_seq": [4.0, 5.0, 9.0, 16.0, 17.0]}))
+    assert cli.main(["gpe", "--signal", str(path)]) == 0
+    capsys.readouterr()
+    assert solve_calls == [(1.0, 3.0), (0.5, 0.5), (2.0, 5.0)]
+    assert jacobi_calls == [(2048,)] * 3
 
 
 def test_import_builds_no_large_quadrature_rule():
