@@ -58,18 +58,22 @@ class TestEnvelope:
         assert doc["config"]["T"] == 1.0 and doc["config"]["signal"] is None
 
     @pytest.mark.parametrize("argv", [
-        ["mu", "--a", "0.5", "--b", "2"],
-        ["extremal", "--a", "1", "--b", "3"],
-        ["extremal", "--a", "1", "--b", "3", "--format", "csv"],
-        ["oracle", "--a", "1", "--b", "3", "--segments", "8", "--seeds", "2"],
-        ["decay", "--a", "1", "--b", "3"],
-        ["decay", "--signal", "{matrix}"],
-        ["gain", "--a", "1", "--b", "3"],
-        ["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"],
-        ["gpe", "--a", "1", "--b", "3", "--periods", "3"],
-        ["gpe", "--a", "1", "--b", "3", "--periods", "3", "--format", "csv"],
-        ["verify", "--signal", "{control}", "--a", "1", "--b", "3", "--T", "4"],
-    ], ids=lambda argv: " ".join(argv).replace("{", "").replace("}", ""))
+        pytest.param(["mu", "--a", "0.5", "--b", "2"], id="mu"),
+        pytest.param(["extremal", "--a", "1", "--b", "3"], id="extremal"),
+        pytest.param(["extremal", "--a", "1", "--b", "3", "--format", "csv"], id="extremal-csv"),
+        pytest.param(["oracle", "--a", "1", "--b", "3", "--segments", "8", "--seeds", "2"],
+                     id="oracle"),
+        pytest.param(["decay", "--a", "1", "--b", "3"], id="decay"),
+        pytest.param(["decay", "--signal", "{matrix}"], id="decay-signal"),
+        pytest.param(["gain", "--a", "1", "--b", "3"], id="gain"),
+        pytest.param(["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"],
+                     id="gain-csv"),
+        pytest.param(["gpe", "--a", "1", "--b", "3", "--periods", "3"], id="gpe"),
+        pytest.param(["gpe", "--a", "1", "--b", "3", "--periods", "3", "--format", "csv"],
+                     id="gpe-csv"),
+        pytest.param(["verify", "--signal", "{control}", "--a", "1", "--b", "3", "--T", "4"],
+                     id="verify"),
+    ])
     def test_byte_identical_reruns(self, capsys, tmp_path, argv):
         # every subcommand and format prints the same bytes and exit code twice
         files = {"matrix": tmp_path / "matrix.json", "control": tmp_path / "control.json"}

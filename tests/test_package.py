@@ -144,25 +144,19 @@ def solve_calls(monkeypatch):
 @pytest.mark.parametrize("argv, solves, reads", [
     # the worst input and the control it drives come from one trajectory: its
     # certificate grid, then its 2048 control samples
-    (["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"],
-     [(0.5, 1.5)], [(2562,), (2048,)]),
-    (["decay", "--a", "1", "--b", "3"], [(1.0, 3.0)], [(2048,)]),
+    pytest.param(["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"],
+                 [(0.5, 1.5)], [(2562,), (2048,)], id="gain-csv"),
+    pytest.param(["decay", "--a", "1", "--b", "3"], [(1.0, 3.0)], [(2048,)], id="decay"),
+    pytest.param(["gpe", "--signal", "{schedule}"], [(1.0, 3.0), (0.5, 0.5), (2.0, 5.0)],
+                 [(2048,)] * 3, id="gpe"),
 ])
-def test_one_solve_per_pair(jacobi_calls, solve_calls, capsys, argv, solves, reads):
-    assert cli.main(argv) == 0
+def test_one_solve_per_pair(jacobi_calls, solve_calls, capsys, tmp_path, argv, solves, reads):
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"a_seq": [1, 0.5, 1, 2, 0.5], "b_seq": [3, 0.5, 3, 5, 0.5],
+                                    "tau_seq": [4, 5, 9, 16, 17]}))
+    assert cli.main([arg.format(schedule=schedule) for arg in argv]) == 0
     capsys.readouterr()
     assert (solve_calls, jacobi_calls) == (solves, reads)
-
-
-def test_gpe_solves_each_distinct_pair_once(jacobi_calls, solve_calls, capsys, tmp_path):
-    pairs = [(1.0, 3.0), (0.5, 0.5), (1.0, 3.0), (2.0, 5.0), (0.5, 0.5)]
-    path = tmp_path / "schedule.json"
-    path.write_text(json.dumps({"a_seq": [a for a, _ in pairs], "b_seq": [b for _, b in pairs],
-                                "tau_seq": [4.0, 5.0, 9.0, 16.0, 17.0]}))
-    assert cli.main(["gpe", "--signal", str(path)]) == 0
-    capsys.readouterr()
-    assert solve_calls == [(1.0, 3.0), (0.5, 0.5), (2.0, 5.0)]
-    assert jacobi_calls == [(2048,)] * 3
 
 
 def test_import_builds_no_large_quadrature_rule():
