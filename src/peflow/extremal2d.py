@@ -42,6 +42,7 @@ _CELLS = 512  # Gauss-Legendre cells of the closed form's one grid on [0, T]
 # vanishes exactly at a cell's left edge
 _RUNNING = np.stack([np.polyint(np.poly(np.delete(_GL_NODES + 1.0, j)))
                      / np.prod(_GL_NODES[j] - np.delete(_GL_NODES, j)) for j in range(5)], axis=-1)
+_AT_NODES = np.polyval(_RUNNING, _GL_NODES[:, None] + 1.0)  # [i, j]: int_0^s L_j at node i
 
 
 def _agm(x: float) -> tuple[list[float], list[float], float]:
@@ -303,12 +304,16 @@ class ExtremalTrajectory:
     params: ExtremalParams
 
     def _jacobi(self, t):
-        """(k, w0, sn, cn, dn) at t by the descending AGM (DLMF 22.20(ii))."""
+        """(k, w0, sn, cn, dn) at t by the descending AGM (DLMF 22.20(ii)), less the trig
+        that changes no float: a last gap c_N = 0 repeats a_N, so its step is ph/2 and the
+        descent starts a level lower, and asin(y) rounds to y where |c|/a < 1e-8."""
         k, w0 = self.params.k, 1.0 / (self.params.nu * math.sqrt(2.0))
         means, gaps, _ = _agm(k)  # 2^N a_N u below, with u = w0 t - K and a_N K = pi/2
-        ph = 2.0 ** (len(means) - 1) * (means[-1] * w0 * np.asarray(t, dtype=float) - 0.5 * math.pi)
-        for a, c in zip(means[:0:-1], gaps[:0:-1]):
-            ph = 0.5 * (ph + np.arcsin(c / a * np.sin(ph)))
+        N = len(means) - 1 - (gaps[-1] == 0.0)
+        ph = 2.0 ** N * (means[N] * w0 * np.asarray(t, dtype=float) - 0.5 * math.pi)
+        for a, c in zip(means[N:0:-1], gaps[N:0:-1]):
+            y = c / a * np.sin(ph)
+            ph = 0.5 * (ph + (y if abs(c) < 1e-8 * a else np.arcsin(y)))
         sn = np.sin(ph)
         # m <= 0.83 on 0 < a <= b, so the root cancels nothing (DLMF's quotient is 0/0 at t = 0)
         return k, w0, sn, np.cos(ph), np.sqrt(1.0 - (k * sn) ** 2)
@@ -377,6 +382,14 @@ class ExtremalTrajectory:
         s = 2.0 * (t - cell * step) / step  # x + 1 for x in the cell's [-1, 1]
         J = np.concatenate([[0.0], np.cumsum(rate @ _GL_WEIGHTS)])  # at the edges, per half width
         return 0.5 * step * (J[cell] + np.polyval(np.moveaxis((rate @ _RUNNING.T)[cell], -1, 0), s))
+
+    @cached_property
+    def _node_cost(self) -> NDArray:
+        """J at _grid's Gauss-Legendre nodes t[1:-1], as cost reads it there but with no
+        cell search or polyval: each cell's J at its left edge plus its rates @ _AT_NODES.T."""
+        rate, step = self._grid[3], self.params.T / _CELLS
+        J = np.concatenate([[0.0], np.cumsum(rate @ _GL_WEIGHTS)])  # at the edges, as in cost
+        return (0.5 * step * (J[:-1, None] + rate @ _AT_NODES.T)).ravel()
 
     def theta(self, t):
         return self.columns(t)[..., 0]
@@ -467,11 +480,12 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     as (M11 + M22)/2 -+ hypot((M11 - M22)/2, M12), and ode holds traj._rates
     against the extremal ODE thetadot = sin(theta - phi),
     etadot = -(sin(theta - phi) + 2 eta cos(theta - phi))/2, phidot = 2 eta/(beta + d)
-    on the columns, each miss over 1 + |right-hand side| (rates reach 1e8 at a = 1e-8).
+    column by column, each miss over 1 + |right-hand side| (rates reach 1e8 at a = 1e-8);
+    omega, c and theta - phi come from one sin and cos of each column's half angle.
     At the ends the adjoint p = eta omega_perp must vanish (transversality),
     the seam needs c(T) = +-D c(0) for the fixed mirror D = diag(1, -1), and
-    omega(T) must be +-D omega(0) (quasi_periodicity).  The Gram of c over
-    the interior nodes must equal diag(a, b), and the cost |J(T) - mu|/mu,
+    omega(T) must be +-D omega(0) (quasi_periodicity).  The Gram of (-k sn, dn)
+    over the interior nodes must equal diag(a, b), and the cost |J(T) - mu|/mu,
     J(T) = traj.mu the same grid's quadrature of traj's cost rate, must vanish
     against the closed-form params.mu.
     """
@@ -489,17 +503,16 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
     Mc1, Mc2 = M11 * cc + M12 * sc, M12 * cc + M22 * sc
     mid, rad = 0.5 * (M11 + M22), np.hypot(0.5 * (M11 - M22), M12)
 
-    # the extremal ODE's right-hand side on the columns
-    delta = th - ph
-    th_dot = np.sin(delta)
-    rhs = np.stack([th_dot, -0.5 * (th_dot + 2.0 * eta * np.cos(delta)),
-                    2.0 * eta / (params.beta + d)], axis=-1)
-    ode = np.abs(traj._rates(jac) - rhs) / (1.0 + np.abs(rhs))
+    # the extremal ODE's right-hand side, by x = (theta - phi)/2 = theta/2 - phi/2
+    cx, sx = co * cc + so * sc, so * cc - co * sc
+    th_dot, cos_delta = 2.0 * sx * cx, (cx - sx) * (cx + sx)
+    rhs = (th_dot, -0.5 * th_dot - eta * cos_delta, 2.0 * eta / (params.beta + d))
+    ode = max(np.max(np.abs(r - f) / (1.0 + np.abs(f))) for r, f in zip(traj._rates(jac).T, rhs))
 
-    # Gram of c = (-k sn, dn) over [0, T] at the interior nodes
+    # Gram of c = (-k sn, dn) over [0, T] at the interior nodes, less diag(a, b)
     k, _, sn, _, dn = jac
-    cq = np.stack([-k * sn[1:-1], dn[1:-1]], axis=-1)
-    G = (cq.T * wq) @ cq
+    c1, c2 = -k * sn[1:-1], dn[1:-1]
+    G = ((wq * c1) @ c1 - params.a, (wq * c1) @ c2, (wq * c2) @ c2 - params.b)
 
     # |s D c(0) - c(T)| for D = diag(1, -1) and either sign s
     seam = min(math.hypot(cc[0] - s * cc[-1], sc[0] + s * sc[-1]) for s in (1.0, -1.0))
@@ -509,10 +522,10 @@ def verify_extremal(traj: ExtremalTrajectory, params: ExtremalParams,
         "Mc": float(np.max(np.hypot(Mc1, Mc2))),
         "spectrum_drift": float(max(np.max(np.abs(mid - rad - (al - d - 1.0))),
                                     np.max(np.abs(mid + rad)))),
-        "gram": float(np.max(np.abs(G - np.diag([params.a, params.b]))) / (params.a + params.b)),
+        "gram": float(max(map(abs, G))) / (params.a + params.b),
         "quasi_periodicity": float(abs(co[-1] ** 2 - co[0] ** 2)),
         "cost": abs(traj.mu - mu) / mu,
-        "ode": float(np.max(ode)),
+        "ode": float(ode),
     }
     passed = all(value < tol for value in residuals.values())
     return ExtremalReport(residuals=residuals, mu=mu, passed=passed)

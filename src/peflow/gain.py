@@ -152,10 +152,10 @@ class WorstInput:
 
         The half period [T, P] repeats [0, T] with |m|^2 scaled by e^{-2 mu}
         and e^{j kappa xi} by e^{j mu}, so I_j = (1 + e^{(j - 2) mu})
-        int_0^T e^{j kappa s - 2 J(s)} ds, on the Gauss-Legendre nodes of traj's grid.
+        int_0^T e^{j kappa s - 2 J(s)} ds, on traj's grid nodes with J from traj._node_cost.
         """
         xi, weights, _, _ = self.traj._grid
-        wm2 = weights * np.exp(-2.0 * self.traj.cost(xi[1:-1]))
+        wm2 = weights * np.exp(-2.0 * self.traj._node_cost)
         e = np.exp(self.kappa * xi[1:-1])
         I0 = (1.0 + math.exp(-2.0 * self.mu)) * float(wm2.sum())
         I1 = (1.0 + math.exp(-self.mu)) * float(wm2 @ e)

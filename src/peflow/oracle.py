@@ -57,6 +57,7 @@ class OracleResult:
     constraint_residual: float
     seeds_used: int
     nfev: int  # objective evaluations summed over the optimizer calls
+    iteration_limited: int  # seeds whose final-level SLSQP solve stopped at its iteration limit
 
 
 class _Funcs(NamedTuple):
@@ -184,8 +185,7 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
 
     best_z: NDArray | None = None
     best_cost = np.inf
-    used = 0
-    nfev = 0
+    used = nfev = limited = 0  # feasible seeds, objective evaluations, iteration-limit stops
     for _ in range(n_seeds):
         z = rng.uniform(0.0, 2.0 * np.pi, size=levels[0] + 1)
         for Nl in levels:
@@ -196,6 +196,7 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
                            options={"ftol": 1e-12})
             z = res.x
             nfev += res.nfev
+        limited += res.status == 9  # SLSQP's "Iteration limit reached"
 
         lamN = funcs[N].lam_min
         if lamN(z[1:]) < a:
@@ -220,4 +221,4 @@ def brute_force_mu2(a: float, b: float, N: int = 40, n_seeds: int = 20,
     mu_hat = cost_J(control, omega0, T=T)
     return OracleResult(mu_hat=float(mu_hat), control=control, omega0=omega0,
                         constraint_residual=float(residual), seeds_used=used,
-                        nfev=nfev)
+                        nfev=nfev, iteration_limited=limited)

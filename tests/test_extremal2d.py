@@ -155,6 +155,17 @@ class ScaledColumns(extremal2d.ExtremalTrajectory):
 
 
 @dataclasses.dataclass(frozen=True)
+class ShiftedPhi(extremal2d.ExtremalTrajectory):
+    """A corrupted trajectory: its phi column plus shift, as columns and the
+    certificate read them; theta, eta, the rates and the Jacobi functions
+    untouched."""
+    shift: float = 0.0
+
+    def _columns(self, jac):
+        return super()._columns(jac) + [0.0, 0.0, self.shift]
+
+
+@dataclasses.dataclass(frozen=True)
 class ScaledCost(extremal2d.ExtremalTrajectory):
     """A corrupted trajectory: its cost rate J' times scale, so J too, its
     path untouched."""
@@ -356,6 +367,16 @@ class TestExtremalTrajectory:
         report = extremal2d.verify_extremal(ScaledColumns(params, scale=1.01), params)
         assert not report.passed and report.residuals["ode"] > 1e-3
 
+    def test_certificate_catches_a_phi_only_fault(self, solved):
+        # phi shifted by 1e-3 alone: the control axis the certificate checks
+        # comes from the phi column, not from the Jacobi functions (-k sn, dn)
+        # that still hold the true axis, so seam, Mc and ode all see it
+        params, _ = solved
+        report = extremal2d.verify_extremal(ShiftedPhi(params, shift=1e-3), params)
+        assert not report.passed
+        for key in ("seam", "Mc", "ode"):
+            assert report.residuals[key] > 1e-4, key
+
     def test_certificate_checks_the_cost(self):
         # J(T) off the closed-form mu by 1e-5 fails, the path itself
         # untouched; at the wide pairs a miss scaled by sqrt(mu (T - mu))
@@ -406,6 +427,36 @@ class TestClosedFormTrajectory:
         for bad in (-1e-300, np.nextafter(params.T, math.inf), math.nan, [0.0, 2.0 * params.T]):
             with pytest.raises(ValueError, match="cost needs t in"):
                 traj.cost(bad)
+
+    @pytest.mark.parametrize("a,b", [(1.0, 3.0), (1e-6, 3e-6), (1.0, 1e8), (1e4, 1e12)])
+    def test_node_cost_is_cost_at_the_nodes(self, a, b):
+        # the worst input's moments read J at the grid's Gauss-Legendre nodes
+        # from the cells' rates; cost(t) reaches the same interpolant by a cell
+        # search and polyval (2.0e-14 apart at the first node of (1, 1e8),
+        # where J is 5e-27: the bound is on J's own scale)
+        params, traj = extremal2d.solve_extremal(a, b)
+        nodes = traj._grid[0][1:-1]
+        assert np.max(np.abs(traj._node_cost - traj.cost(nodes))) <= 1e-14 * traj.mu
+
+    def test_jacobi_matches_the_untrimmed_descent(self):
+        # _jacobi skips the trig of levels whose gap is 0 or below 1e-8 of the
+        # mean, where the full step rounds to the same float; on a log grid of
+        # the certified domain, which has levels of both kinds, its sn and cn
+        # (and so dn) are those of the full descent bit for bit
+        trimmed = set()
+        for a in np.logspace(-8.0, 4.0, 7):
+            for ratio in np.logspace(0.0, 8.0, 9):
+                params, traj = extremal2d.solve_extremal(a, a * ratio)
+                t = traj._grid[0]
+                _, w0, sn, cn, _ = traj._jacobi(t)
+                means, gaps, _ = extremal2d._agm(params.k)
+                ph = 2.0 ** (len(means) - 1) * (means[-1] * w0 * t - 0.5 * math.pi)
+                for mean, gap in zip(means[:0:-1], gaps[:0:-1]):
+                    ph = 0.5 * (ph + np.arcsin(gap / mean * np.sin(ph)))
+                    trimmed.add("zero" if gap == 0.0 else "tiny" if abs(gap) < 1e-8 * mean
+                                else "full")
+                assert np.array_equal(sn, np.sin(ph)) and np.array_equal(cn, np.cos(ph)), (a, ratio)
+        assert trimmed == {"zero", "tiny", "full"}
 
     def test_seeded_pairs_certify(self):
         # a log-uniform in [1e-8, 1e4], b/a log-uniform in [1, 1e8]

@@ -558,20 +558,29 @@ class TestWorkCounters:
 
     def test_gpe_solves_each_pair_once(self, monkeypatch):
         # asymptotic_norm solves the extremal once per distinct (a, b) of
-        # the schedule, however many windows repeat it
-        calls = []
-        original = extremal2d.solve_params
+        # the schedule, and its template's cubic with one banded solve,
+        # however many windows repeat it
+        calls, banded = [], [0]
+        original, original_banded = extremal2d.solve_params, signals.solve_banded
 
         def counting(a, b):
             calls.append((a, b))
             return original(a, b)
 
+        def counting_banded(*args, **kwargs):
+            banded[0] += 1
+            return original_banded(*args, **kwargs)
+
         monkeypatch.setattr(extremal2d, "solve_params", counting)
-        pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 2
-        s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
-                            tuple(float(k + 1) for k in range(len(pairs))))
-        gpe.asymptotic_norm(s)
-        assert len(calls) == 4
+        monkeypatch.setattr(signals, "solve_banded", counting_banded)
+        for repeats, length in ((2, 1.0), (5, 0.5)):
+            pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * repeats
+            s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+                                tuple(length * (k + 1) for k in range(len(pairs))))
+            calls.clear()
+            banded[0] = 0
+            gpe.asymptotic_norm(s)
+            assert (len(calls), banded[0]) == (4, 4), repeats
 
     def test_hopeless_extremal_fails_fast(self, rhs_count):
         # (1, 1e20) has no shape root inside the solve's bracket: the
@@ -630,9 +639,9 @@ class TestWorkCounters:
 
 
 class TestSharedCubic:
-    """One banded solve per cubic: gpe solves each distinct pair's template
-    once however many windows read it, and a synthesized control's whole
-    period is one segment, so one solve."""
+    """One banded solve per cubic: a synthesized control's whole period is one
+    segment, so one solve (gpe's one solve per distinct pair is pinned in
+    TestWorkCounters::test_gpe_solves_each_pair_once)."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -650,12 +659,6 @@ class TestSharedCubic:
             call()
             return count[0]
         return measure
-
-    def test_gpe_solves_once_per_pair(self, solves):
-        pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
-        s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
-                            tuple(0.5 * (k + 1) for k in range(len(pairs))))
-        assert solves(lambda: gpe.asymptotic_norm(s)) == 4
 
     def test_full_period_is_one_solve(self, solves):
         def call():

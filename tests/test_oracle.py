@@ -77,12 +77,16 @@ class TestBruteForce:
         # derivative-free search needs tens of thousands of evaluations here
         result = oracle.brute_force_mu2(1.0, 3.0, N=20, n_seeds=4)
         assert 0 < result.nfev <= 2000
+        assert result.iteration_limited == 0
 
     def test_equal_bounds_below_a(self):
-        # a = b admits controls that contract by less than a per window
+        # a = b admits controls that contract by less than a per window; the
+        # constraint's gradient vanishes at the optimum, so SLSQP stops at its
+        # iteration limit, and the result counts those stops
         result = oracle.brute_force_mu2(1.0, 1.0, N=20, n_seeds=4)
         assert result.constraint_residual <= oracle.FEAS_TOL
         assert result.mu_hat < 1.0
+        assert result.iteration_limited > 0
 
 
 def _central_diff(f, z, h=1e-6):

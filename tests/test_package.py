@@ -92,18 +92,29 @@ def test_extremal_shape_is_carried_as_k():
     assert _callers("ExtremalTrajectory") == {"extremal2d.integrate_extremal"}
 
 
-@pytest.fixture
-def jacobi_calls(monkeypatch):
-    """The shape of t at every ExtremalTrajectory._jacobi call from here on."""
+def _trajectory_calls(monkeypatch, name):
+    """The shape of t at every call of the ExtremalTrajectory method name from here on."""
     calls = []
-    original = extremal2d.ExtremalTrajectory._jacobi
+    original = getattr(extremal2d.ExtremalTrajectory, name)
 
     def counting(self, t):
         calls.append(np.shape(t))
         return original(self, t)
 
-    monkeypatch.setattr(extremal2d.ExtremalTrajectory, "_jacobi", counting)
+    monkeypatch.setattr(extremal2d.ExtremalTrajectory, name, counting)
     return calls
+
+
+@pytest.fixture
+def jacobi_calls(monkeypatch):
+    """The shape of t at every ExtremalTrajectory._jacobi call from here on."""
+    return _trajectory_calls(monkeypatch, "_jacobi")
+
+
+@pytest.fixture
+def cost_calls(monkeypatch):
+    """The shape of t at every ExtremalTrajectory.cost call from here on."""
+    return _trajectory_calls(monkeypatch, "cost")
 
 
 def test_certificate_reads_the_closed_form_once(jacobi_calls):
@@ -125,6 +136,17 @@ def test_gain_and_cost_read_the_certificate_grid(jacobi_calls, capsys):
     assert cli.main(["extremal", "--a", "1", "--b", "3", "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2002
     assert jacobi_calls == [(2562,), (2001,)]
+
+
+def test_gain_moments_read_no_cost(cost_calls, jacobi_calls, capsys):
+    # the worst input's moments read J at the grid's nodes from the grid's own
+    # rates, so the gain JSON path calls cost(t) nowhere; the CSV's direction
+    # spline still reads J at the grid's 2562 points through it
+    assert cli.main(["gain", "--a", "1", "--b", "3"]) == 0
+    assert (cost_calls, jacobi_calls) == ([], [(2562,)])
+    assert cli.main(["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"]) == 0
+    capsys.readouterr()
+    assert cost_calls == [(2562,)]
 
 
 @pytest.fixture
