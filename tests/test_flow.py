@@ -639,9 +639,9 @@ class TestWorkCounters:
 
 
 class TestSharedCubic:
-    """One banded solve per cubic: a synthesized control's whole period is one
-    segment, so one solve (gpe's one solve per distinct pair is pinned in
-    TestWorkCounters::test_gpe_solves_each_pair_once)."""
+    """One banded solve per cubic: gpe's repeated windows reuse their
+    template's cubic, and a synthesized control's whole period is one segment,
+    so one solve."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -659,6 +659,12 @@ class TestSharedCubic:
             call()
             return count[0]
         return measure
+
+    def test_gpe_solves_once_per_pair(self, solves):
+        pairs = [(1.0, 3.0), (0.5, 2.0), (1.0, 1.0), (2.0, 5.0)] * 5
+        s = gpe.GPESchedule(tuple(a for a, _ in pairs), tuple(b for _, b in pairs),
+                            tuple(0.5 * (k + 1) for k in range(len(pairs))))
+        assert solves(lambda: gpe.asymptotic_norm(s)) == 4
 
     def test_full_period_is_one_solve(self, solves):
         def call():
