@@ -183,10 +183,8 @@ def _exact_map(signal, seg: Segment, dt: float) -> NDArray:
     """exp(-dt S) for the constant S of seg: I + expm1(-g dt) cc^T for
     S = g cc^T, with g the segment's own gain, else by eigh."""
     if isinstance(signal, RankOneSignal):
-        half = 0.5 * float(seg.data[0])
-        c0, c1 = math.cos(half), math.sin(half)
-        cc = np.array([[c0 * c0, c0 * c1], [c0 * c1, c1 * c1]])
-        return np.eye(2) + np.expm1(-seg.gain * dt) * cc
+        c = RankOneSignal._unit(float(seg.data[0]))
+        return np.eye(2) + np.expm1(-seg.gain * dt) * np.outer(c, c)
     lam, V = np.linalg.eigh(np.array(signal.matrix_on(seg, 0.0)(seg.t0)))
     return (V * np.exp(-dt * lam)) @ V.T
 
@@ -254,13 +252,11 @@ def propagate(signal, x0, t0: float, t1: float, tol: float = 1e-9, u=None,
     def rank_one_f(t, y):  # -g c (c^T x) per column (+ u), c = (cos(phi/2), sin(phi/2))
         half = 0.5 * phi_at(t)
         c0, c1 = math.cos(half), math.sin(half)
-        if k > 1:
+        if u is None:  # x flattened: row 0 of the block, then row 1
             p = [-g * (c0 * v + c1 * w) for v, w in zip(y[:k], y[k:])]
             return [c0 * v for v in p] + [c1 * v for v in p]
         y0, y1 = y[0], y[1]
         p = -g * (c0 * y0 + c1 * y1)
-        if u is None:
-            return [c0 * p, c1 * p]
         v0, v1 = np.asarray(u(t), dtype=float).tolist()
         return [c0 * p + v0, c1 * p + v1, y0 * y0 + y1 * y1, v0 * v0 + v1 * v1]
 

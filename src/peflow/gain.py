@@ -136,11 +136,13 @@ class WorstInput:
     def m(self) -> CubicSpline:
         """xi -> Phi(xi, 0) omega_star on [0, P], the flow of omega_star over one
         period: a cubic spline through e^{-J} (cos(theta/2), sin(theta/2)) at the
-        points of traj's grid, then through its image s e^{-mu} D m(xi - T),
-        D = diag(1, -1), with the sign s that makes m continuous at T."""
+        points xi of traj's grid, J(xi) = (0, traj._node_cost, traj.mu), then through
+        its image s e^{-mu} D m(xi - T), D = diag(1, -1), with the sign s that makes m
+        continuous at T."""
         traj = self.traj
         xi, _, jac, _ = traj._grid
-        m = np.exp(-traj.cost(xi))[:, None] * RankOneSignal._units(traj._columns(jac)[:, 0])
+        J = np.concatenate([[0.0], traj._node_cost, [traj.mu]])
+        m = np.exp(-J)[:, None] * RankOneSignal._units(traj._columns(jac)[:, 0])
         sign = math.copysign(1.0, m[-1] @ (m[0] * [1.0, -1.0]))
         mirror = sign * math.exp(-self.mu) * m[1:] * [1.0, -1.0]
         return CubicSpline(np.concatenate([xi, xi[-1] + xi[1:]]),

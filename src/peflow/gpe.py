@@ -24,7 +24,7 @@ pair's template samples plus the window's turn.  asymptotic_norm measures
 the norm from the same chain, without building the witness or integrating
 every window: each window's map is its template's window map conjugated by
 the rotation by half the turn, and a pair's map is integrated once, as one
-template flow of one column, or of two for a pair that repeats.
+template flow of one column, or of two for a repeated pair, into a 2x2 matrix.
 """
 from __future__ import annotations
 
@@ -198,17 +198,18 @@ def asymptotic_norm(schedule: GPESchedule) -> GPEAsymptotics:
     cannot underflow.  Window ell of pair (a, b) is the pair's template turned
     by a shift of every angle (S -> R S R^T, R the rotation by half the turn)
     and time-rescaled with gain * span = a + b, which leaves the whole-window
-    map unchanged; so it steps the state x to R Phi R^T x, with Phi the
-    template's map on [0, a + b].  Phi is integrated at the pair's first
-    window as one spherical template flow at _MAP_TOL: from that window's
-    state u for a pair used once, else from the block [u, J u], J the
-    rotation by 90 degrees, whose two columns complete Phi.  max_rel_dev is
-    the largest relative gap between measured and predicted norms.
+    map unchanged; so from u = R^T omega it steps to x = R Phi u, Phi the
+    template's map on [0, a + b], and adds log |x|.  A pair's Phi is integrated
+    once, as one spherical template flow at _MAP_TOL, and kept as M = Phi V V^T:
+    V is the first window's u for a pair used once, else [u, J u], J the
+    rotation by 90 degrees.  x needs no rescaling: |Phi u| >= e^{-mu}, and the
+    largest mu on the whole domain is 1.384, at a = b near 2.
+    max_rel_dev is the largest relative gap between measured and predicted norms.
     """
     theta0, windows = _chain(schedule)
     uses = Counter(zip(schedule.a_seq, schedule.b_seq))
     omega = RankOneSignal._unit(theta0)
-    maps: dict = {}  # (a, b) -> [(input v, log |Phi v|, Phi v / |Phi v|)] per column
+    maps: dict = {}  # (a, b) -> M
     log_norm, log_norms = 0.0, []
     for a, b, (_, template, turn) in zip(schedule.a_seq, schedule.b_seq, windows):
         c, s = math.cos(0.5 * turn), math.sin(0.5 * turn)
@@ -217,11 +218,10 @@ def asymptotic_norm(schedule: GPESchedule) -> GPEAsymptotics:
         if (a, b) not in maps:
             start = u[:, None] if uses[a, b] == 1 else np.column_stack([u, (-u[1], u[0])])
             traj = integrate_flow(RankOneSignal((template,)), start, 0.0, a + b, tol=_MAP_TOL)
-            maps[a, b] = list(zip(start.T, traj.log_r[-1], traj.omegas[-1].T))
-        top = max(log_r for _, log_r, _ in maps[a, b])
-        x = R @ sum((v @ u) * math.exp(log_r - top) * w for v, log_r, w in maps[a, b])
+            maps[a, b] = (traj.omegas[-1] * np.exp(traj.log_r[-1])) @ start.T
+        x = R @ (maps[a, b] @ u)
         r = math.hypot(x[0], x[1])
-        omega, log_norm = x / r, log_norm + top + math.log(r)
+        omega, log_norm = x / r, log_norm + math.log(r)
         log_norms.append(log_norm)
     mus = [mu for mu, _, _ in windows]
     norms = np.exp(log_norms)

@@ -32,7 +32,7 @@ import math
 import os
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Literal
 
@@ -84,6 +84,8 @@ class Segment:
             if not np.all(np.abs(value) < math.inf):
                 raise ValueError(f"field {name!r} must be finite")
             object.__setattr__(self, name, value if name == "data" else float(value))
+        if self.data.shape[:1] == (0,):
+            raise ValueError("field 'data' needs at least one sample")
         if not self.gain > 0.0:
             raise ValueError(f"field 'gain' must be positive, got {self.gain}")
         if not self.t1 > self.t0:
@@ -156,24 +158,27 @@ class Segment:
         return at
 
 
-def _as_segments(segments, period: float | None) -> tuple[Segment, ...]:
-    segs = tuple(segments)
-    if not segs:
-        raise ValueError("signal needs at least one segment")
-    for prev, nxt in zip(segs, segs[1:]):
-        if abs(nxt.t0 - prev.t1) > 1e-12 * max(1.0, abs(prev.t1)):
-            raise ValueError(f"segments do not tile: gap between {prev.t1} and {nxt.t0}")
-    span = segs[-1].t1 - segs[0].t0
-    if period is not None and not abs(period - span) <= 1e-12 * span:
-        raise ValueError(f"period {period} differs from the segments' span {span}")
-    return segs
-
-
+@dataclass(frozen=True)
 class _SegmentedSignal:
-    """Shared segment bookkeeping: horizon, periodic wrapping, pieces."""
+    """Ordered segments that tile to 1e-12, the dimension n of S(t) and an optional
+    period equal to their span: the fields and checks of both signal classes, which
+    declare no fields and check only their own samples.  Horizon, wrapping, pieces."""
 
     segments: tuple[Segment, ...]
-    period: float | None
+    dim: int = 2
+    period: float | None = None
+
+    def __post_init__(self) -> None:
+        segs = tuple(self.segments)
+        if not segs:
+            raise ValueError("signal needs at least one segment")
+        for prev, nxt in zip(segs, segs[1:]):
+            if abs(nxt.t0 - prev.t1) > 1e-12 * max(1.0, abs(prev.t1)):
+                raise ValueError(f"segments do not tile: gap between {prev.t1} and {nxt.t0}")
+        span = segs[-1].t1 - segs[0].t0
+        if self.period is not None and not abs(self.period - span) <= 1e-12 * span:
+            raise ValueError(f"period {self.period} differs from the segments' span {span}")
+        object.__setattr__(self, "segments", segs)
 
     @property
     def t_start(self) -> float:
@@ -229,28 +234,17 @@ class _SegmentedSignal:
                 i, k = 0, k + 1
 
 
-@dataclass(frozen=True)
 class RankOneSignal(_SegmentedSignal):
-    """Planar rank-one control S = g cc^T with c = (cos(phi/2), sin(phi/2)).
-
-    Fields:
-        segments: ordered, gap-free segments of angle samples phi, each
-            with its gain g.
-        dim: ambient dimension, always 2.
-        period: optional period for cyclic evaluation, equal to the
-            segments' span.
-    """
-
-    segments: tuple[Segment, ...] = field()
-    dim: int = 2
-    period: float | None = None
+    """Planar rank-one control S = g cc^T with c = (cos(phi/2), sin(phi/2)): each
+    segment carries angle samples phi, shape (m,), and its gain g; dim is always 2."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", _as_segments(self.segments, self.period))
+        super().__post_init__()
         if self.dim != 2:
             raise ValueError("rank-one signals are planar: dim must be 2")
-        if any(seg.data.ndim != 1 for seg in self.segments):
-            raise ValueError("rank-one segment data must be angles, shape (m,)")
+        for i, seg in enumerate(self.segments):
+            if seg.data.ndim != 1:
+                raise ValueError(f"segment {i} field 'data': angles must have shape (m,)")
 
     @staticmethod
     def _unit(phi: float) -> NDArray[np.float64]:
@@ -269,28 +263,22 @@ class RankOneSignal(_SegmentedSignal):
         return self._unit(seg.reader(shift)(t))
 
 
-@dataclass(frozen=True)
 class MatrixSignal(_SegmentedSignal):
-    """Sampled symmetric positive semi-definite matrix signal S(t).
-
-    Every sample must be symmetric with eigenvalues >= -1e-10.
-    """
-
-    segments: tuple[Segment, ...] = field()
-    dim: int = 2
-    period: float | None = None
+    """Sampled symmetric positive semi-definite matrix signal S(t): each segment
+    carries samples of shape (m, n, n), symmetric to 1e-9, eigenvalues >= -1e-10."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", _as_segments(self.segments, self.period))
-        for seg in self.segments:
+        super().__post_init__()
+        for i, seg in enumerate(self.segments):
+            where = f"segment {i} field 'data':"
             if seg.data.ndim != 3 or seg.data.shape[1:] != (self.dim, self.dim):
-                raise ValueError("matrix segment data must have shape (m, n, n)")
+                raise ValueError(f"{where} matrices must have shape (m, n, n)")
             sym_err = np.max(np.abs(seg.data - np.swapaxes(seg.data, 1, 2)))
             if sym_err > 1e-9:
-                raise ValueError(f"matrix samples not symmetric (max asymmetry {sym_err:.2e})")
+                raise ValueError(f"{where} samples not symmetric (max asymmetry {sym_err:.2e})")
             lo = np.min(np.linalg.eigvalsh(seg.data))
             if lo < -PSD_TOL:
-                raise ValueError(f"matrix samples not PSD (min eigenvalue {lo:.2e})")
+                raise ValueError(f"{where} samples not PSD (min eigenvalue {lo:.2e})")
 
     def matrix_on(self, seg: Segment, shift: float) -> Callable[[float], list[list[float]]]:
         """t -> S(t) as n rows of n floats on a piece of seg: local time t - shift,
@@ -357,13 +345,12 @@ def gram(signal: RankOneSignal | MatrixSignal, t0: float, t1: float) -> NDArray[
 
 def verify_pe(signal, a: float, b: float, T: float, window_starts,
               tol: float = 1e-6) -> list[PEWindowReport]:
-    """Windowed PE checks at the given start times."""
+    """Windowed PE checks at the given start times; gram raises ValueError for a
+    window past an aperiodic signal's horizon."""
     if not 0 < a <= b:
         raise ValueError("need 0 < a <= b")
     reports = []
     for t in window_starts:
-        if signal.period is None and t + T > signal.horizon + 1e-9:
-            raise ValueError(f"window [{t}, {t + T}] exceeds horizon of aperiodic signal")
         g = gram(signal, t, t + T)
         ev = np.linalg.eigvalsh(g)
         lo, hi = float(ev[0]), float(ev[-1])

@@ -186,6 +186,8 @@ class TestExitCodes:
                    "segments": [{"t0": 0.0, "t1": 1.0, "data": [0.0]}]}, "kind"),
         ("decay", {"dim": 2, "period": None, "segments": 5}, "segments"),
         ("decay", [{"t0": 0.0, "t1": 1.0, "kind": "angles", "data": [0.0]}], "segments"),
+        ("decay", {"dim": 2, "period": None,
+                   "segments": [{"t0": 0.0, "t1": 1.0, "kind": "angles", "data": []}]}, "data"),
         ("gpe", {"a_seq": [1.0], "tau_seq": [1.0]}, "b_seq"),
         ("gpe", [[1.0], [1.0], [1.0]], "a_seq"),
     ])

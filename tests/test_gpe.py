@@ -169,7 +169,8 @@ class TestWindowMaps:
         _schedule(MIXED, [0.5 + 0.075 * k for k in range(20)]),
         gpe.GPESchedule.constant(1.0, 3.0, 1.0, 50),
         _schedule([(0.5 + 0.1 * k, 1.5 + 0.3 * k) for k in range(6)], [1.0, 0.5, 2.0, 0.7, 1.3, 1.1]),
-    ], ids=["mixed", "constant", "distinct"])
+        gpe.GPESchedule.constant(400.0, 400.0, 1.0, 3),  # det Phi = e^-800 underflows
+    ], ids=["mixed", "constant", "distinct", "underflow"])
     def test_matches_one_flow(self, s):
         sig, om0 = gpe.build_gpe_signal(s)
         norms = np.array(gpe.asymptotic_norm(s).norms)

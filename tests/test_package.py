@@ -139,14 +139,13 @@ def test_gain_and_cost_read_the_certificate_grid(jacobi_calls, capsys):
 
 
 def test_gain_moments_read_no_cost(cost_calls, jacobi_calls, capsys):
-    # the worst input's moments read J at the grid's nodes from the grid's own
-    # rates, so the gain JSON path calls cost(t) nowhere; the CSV's direction
-    # spline still reads J at the grid's 2562 points through it
+    # the worst input's moments and its CSV direction spline read J at the
+    # grid's nodes from the grid's own rates, so gain calls cost(t) nowhere
     assert cli.main(["gain", "--a", "1", "--b", "3"]) == 0
     assert (cost_calls, jacobi_calls) == ([], [(2562,)])
     assert cli.main(["gain", "--a", "1", "--b", "3", "--format", "csv", "--periods", "2"]) == 0
     capsys.readouterr()
-    assert cost_calls == [(2562,)]
+    assert cost_calls == []
 
 
 @pytest.fixture

@@ -31,6 +31,10 @@ class TestSegments:
                 signals.Segment(1.5, 2.0, np.zeros(2)))
         with pytest.raises(ValueError):
             signals.RankOneSignal(segs)
+        segs = (signals.Segment(0.0, 1.0, np.zeros((2, 2, 2))),
+                signals.Segment(1.5, 2.0, np.zeros((2, 2, 2))))
+        with pytest.raises(ValueError, match="do not tile"):
+            signals.MatrixSignal(segs)
 
     def test_reversed_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -353,7 +357,10 @@ class TestSerialization:
         ("data", "[null]"), ("t1", "1e999"), ("gain", "0"),
         # numbers only as JSON numbers: float() would read each of these
         ("t0", '"0.5"'), ("t1", "true"), ("gain", "true"),
-        ("data", '[[["2", 0], [0, 0]]]'), ("data", "[[[2, 0], [0, false]]]")])
+        ("data", '[[["2", 0], [0, 0]]]'), ("data", "[[[2, 0], [0, false]]]"),
+        # no samples, and samples the matrix class refuses: not PSD, not symmetric, not (m, n, n)
+        ("data", "[]"), ("data", "[[[-1, 0], [0, 1]]]"), ("data", "[[[0, 1], [0, 0]]]"),
+        ("data", "[[1, 2]]")])
     def test_bad_segment_field_is_named(self, field, text):
         doc = signals.signal_to_dict(axis_hopping_control(1.0, 1.0, 2))
         doc["segments"][1][field] = "BAD"  # stands for JSON text json.dumps would not write
