@@ -186,10 +186,10 @@ class TestExitCodes:
                    "segments": [{"t0": 0.0, "t1": 1.0, "data": [0.0]}]}, "kind"),
         ("decay", {"dim": 2, "period": None, "segments": 5}, "segments"),
         ("decay", [{"t0": 0.0, "t1": 1.0, "kind": "angles", "data": [0.0]}], "segments"),
-        ("decay", {"dim": 2, "period": None,
-                   "segments": [{"t0": 0.0, "t1": 1.0, "kind": "angles", "data": []}]}, "data"),
         ("gpe", {"a_seq": [1.0], "tau_seq": [1.0]}, "b_seq"),
         ("gpe", [[1.0], [1.0], [1.0]], "a_seq"),
+        ("decay", {"dim": 2, "period": None,
+                   "segments": [{"t0": 0.0, "t1": 1.0, "kind": "angles", "data": []}]}, "data"),
     ])
     def test_malformed_document_exit_1(self, capsys, tmp_path, sub, doc, field):
         path = tmp_path / "doc.json"
